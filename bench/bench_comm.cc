@@ -205,7 +205,7 @@ std::vector<IntegrityRow> integrity_table(int p, int iters) {
                 100.0 * (r.busy_s - base) / base);
   }
   std::printf("(CRC32C stamped at the sender, verified at every receiver;\n");
-  std::printf(" off = ESAMR_INTEGRITY=0, the unprotected fast path)\n");
+  std::printf(" off = RunOptions::integrity false, the unprotected fast path)\n");
   return rows;
 }
 

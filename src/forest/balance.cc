@@ -4,7 +4,7 @@
 //
 // Two implementations share this file:
 //
-//  * balance_single_pass (default): the production path. The 2:1 closure of
+//  * balance() — the single pass, the production path. The 2:1 closure of
 //    the mesh is computed locally by level-bucket propagation: every leaf at
 //    level l seeds the insulation layer of its parent (the 3^Dim block of
 //    level-(l-1) octants centered on it, mapped into neighbor trees where it
@@ -22,21 +22,18 @@
 //    against the merged constraint set and emits its refined subtree directly
 //    in Morton order — no per-round erase/insert, no global re-sorts.
 //
-//  * balance_ripple (ESAMR_BALANCE_REFERENCE=1): the original iterated-ripple
-//    formulation, kept verbatim as a differential-testing oracle. Every leaf
-//    emits same-level "shadow" constraints into its 3^Dim - 1 neighbor
-//    directions; too-coarse ancestors are refined and the new children emit
-//    shadows of their own until the local queue drains; boundary shadows are
-//    exchanged and rounds repeat until a global fixed point (allreduce).
+//  * balance_ripple: the original iterated-ripple formulation, kept verbatim
+//    as the differential-testing oracle BalanceEquivalence compares against.
+//    Every leaf emits same-level "shadow" constraints into its 3^Dim - 1
+//    neighbor directions; too-coarse ancestors are refined and the new
+//    children emit shadows of their own until the local queue drains;
+//    boundary shadows are exchanged and rounds repeat until a global fixed
+//    point (allreduce).
 //
-// Both reach the same fixed point bit-identically (asserted by the tests and,
-// octant for octant, by ESAMR_BALANCE_PARANOID=1, which follows the single
-// pass with a ripple round that must be a no-op).
+// Both reach the same fixed point bit-identically (tests/test_balance.cc).
 #include <algorithm>
-#include <cstdlib>
 #include <deque>
 #include <set>
-#include <stdexcept>
 
 #include "forest/delta.h"
 #include "forest/forest.h"
@@ -58,11 +55,6 @@ struct Shadow {
     return a.oct.level < b.oct.level;
   }
 };
-
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] == '1';
-}
 
 /// Recursively subdivide N until every constraint in cs[js, je) — all strict
 /// descendants of N, sorted in SFC order — is matched by an equal-or-finer
@@ -90,25 +82,6 @@ void complete_against(const Octant<Dim>& N, const Octant<Dim>* cs, std::size_t j
 
 template <int Dim>
 void Forest<Dim>::balance() {
-  if (env_flag("ESAMR_BALANCE_REFERENCE")) {
-    balance_ripple();
-    return;
-  }
-  balance_single_pass();
-  if (env_flag("ESAMR_BALANCE_PARANOID")) {
-    const std::uint64_t sum = checksum();
-    const std::int64_t n = num_global();
-    balance_ripple();
-    if (checksum() != sum || num_global() != n) {
-      throw std::runtime_error(
-          "balance: paranoid check failed — a ripple round after the single "
-          "pass was not a no-op");
-    }
-  }
-}
-
-template <int Dim>
-void Forest<Dim>::balance_single_pass() {
   balance_single_pass_impl(nullptr);
 }
 
@@ -126,6 +99,11 @@ namespace {
 /// (DeltaSet::ball_overlaps) sound too, so seeding requires both. The
 /// bit-identity battery (test_incremental.cc) pins the sufficiency.
 constexpr int kBalanceSeedRings = 6;
+
+/// Largest global delta, as a fraction of the mesh's octants, that
+/// balance_incremental handles incrementally; a larger one runs the full
+/// pass and marks the delta overflowed so the downstream caches rebuild.
+constexpr double kDeltaThreshold = 0.10;
 
 }  // namespace
 
@@ -337,14 +315,9 @@ template <int Dim>
 bool Forest<Dim>::balance_incremental(DeltaSet<Dim>& delta) {
   OpStats& ops = op_stats();
   const std::int64_t local_cnt = delta.count();
-  // Global go/no-go: every rank must take the same path. The kill switch,
-  // the reference/paranoid oracles (which must see the full pass), a
-  // poisoned delta, and the size threshold all force the full rebuild.
-  double threshold = 0.10;
-  if (const char* v = std::getenv("ESAMR_DELTA_THRESHOLD")) threshold = std::atof(v);
-  const bool full_local = !incremental_enabled() || delta.overflow ||
-                          env_flag("ESAMR_BALANCE_REFERENCE") ||
-                          env_flag("ESAMR_BALANCE_PARANOID");
+  // Global go/no-go: every rank must take the same path. A poisoned delta
+  // on any rank and the size threshold force the full rebuild.
+  const bool full_local = delta.overflow;
   // One fused allreduce: [any-rank-wants-full, global delta, global octants].
   std::array<std::int64_t, 3> tot{static_cast<std::int64_t>(full_local), local_cnt, num_local()};
   comm_->allreduce_bytes(tot.data(), sizeof(tot), [](void* acc_p, const void* in_p) {
@@ -355,7 +328,7 @@ bool Forest<Dim>::balance_incremental(DeltaSet<Dim>& delta) {
   const std::int64_t want_full = tot[0];
   const std::int64_t gd = tot[1];
   const std::int64_t gn = tot[2];
-  if (want_full != 0 || static_cast<double>(gd) > threshold * static_cast<double>(gn)) {
+  if (want_full != 0 || static_cast<double>(gd) > kDeltaThreshold * static_cast<double>(gn)) {
     delta.overflow = true;
     balance();
     return false;
@@ -542,8 +515,6 @@ bool check_balanced(const Forest<Dim>& forest) {
 
 template void Forest<2>::balance();
 template void Forest<3>::balance();
-template void Forest<2>::balance_single_pass();
-template void Forest<3>::balance_single_pass();
 template void Forest<2>::balance_single_pass_impl(const std::vector<std::vector<Octant<2>>>*,
                                                   DeltaSet<2>*);
 template void Forest<3>::balance_single_pass_impl(const std::vector<std::vector<Octant<3>>>*,

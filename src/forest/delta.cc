@@ -1,16 +1,10 @@
 #include "forest/delta.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "forest/forest.h"
 
 namespace esamr::forest {
-
-bool incremental_enabled() {
-  const char* v = std::getenv("ESAMR_INCR");
-  return v == nullptr || v[0] != '0';
-}
 
 namespace {
 

@@ -24,11 +24,6 @@
 
 namespace esamr::forest {
 
-/// Kill switch for every incremental path (balance seed filter, node-table
-/// patching, ghost target cache): on by default, ESAMR_INCR=0 turns all of
-/// them back into their full rebuilds.
-bool incremental_enabled();
-
 template <int Dim>
 struct DeltaSet {
   using Oct = Octant<Dim>;
@@ -38,7 +33,7 @@ struct DeltaSet {
   std::vector<std::vector<Oct>> regions;
 
   /// Set when an adapt step abandoned the incremental path (threshold
-  /// exceeded, kill switch, or invalid caches): downstream consumers must
+  /// exceeded or invalid caches): downstream consumers must
   /// fall back to their full rebuilds and re-capture their caches.
   bool overflow = false;
 

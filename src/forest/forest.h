@@ -140,22 +140,16 @@ class Forest {
   /// leaves — across faces, edges (3D), and corners, including neighbors in
   /// other trees via the connectivity transforms.
   ///
-  /// Default path: the single-pass scheme (balance_single_pass). Setting
-  /// ESAMR_BALANCE_REFERENCE=1 selects the original iterated-ripple
-  /// formulation instead (kept as a differential-testing oracle);
-  /// ESAMR_BALANCE_PARANOID=1 runs the single pass and then asserts a ripple
-  /// round is a no-op (throws std::runtime_error otherwise).
-  void balance();
-
-  /// Single-pass 2:1 balance: local closure by level-bucket propagation of
-  /// parent insulation layers over the Morton-sorted leaf arrays, exactly one
+  /// Single pass: local closure by level-bucket propagation of parent
+  /// insulation layers over the Morton-sorted leaf arrays, exactly one
   /// inter-rank exchange of the deduplicated boundary constraint set, then a
   /// local recursive completion of every leaf against the merged constraints.
-  void balance_single_pass();
+  void balance();
 
-  /// Reference iterated-ripple balance (the seed formulation): emit
-  /// same-level shadows, drain/refine to a local fixed point, exchange, and
-  /// repeat until a global fixed point. Identical result, higher constant.
+  /// Reference iterated-ripple balance (the seed formulation, kept as the
+  /// differential-testing oracle): emit same-level shadows, drain/refine to
+  /// a local fixed point, exchange, and repeat until a global fixed point.
+  /// Identical result, higher constant.
   void balance_ripple();
 
   /// Incremental balance for a forest that was 2:1 balanced before the
@@ -163,10 +157,9 @@ class Forest {
   /// single pass with its seeding restricted to sibling families near the
   /// delta closure — O(|delta|) seeding instead of O(N) — and appends every
   /// leaf it refines away to `delta`. Falls back to the full balance() when
-  /// the global delta exceeds ESAMR_DELTA_THRESHOLD (default 0.10) of the
-  /// mesh, when ESAMR_INCR=0, or when a reference/paranoid oracle env is
-  /// set; the fallback marks delta.overflow so node/ghost caches rebuild.
-  /// Returns true iff the incremental path ran.
+  /// the global delta exceeds 10% of the mesh or some rank's delta already
+  /// overflowed; the fallback marks delta.overflow so node/ghost caches
+  /// rebuild. Returns true iff the incremental path ran.
   bool balance_incremental(DeltaSet<Dim>& delta);
 
   /// Rank owning the SFC position of `o`'s first descendant. `o` must be

@@ -99,8 +99,7 @@ void leaf_adjacent_owners(const Forest<Dim>& forest, int t, const Octant<Dim>& o
 namespace {
 
 /// The local half of build: scan the leaves, fill mirrors/mirror_lists, and
-/// pack the per-destination octant buffers. Shared by the async build and
-/// its blocking twin so the two are identical by construction.
+/// pack the per-destination octant buffers.
 template <int Dim>
 GhostLayer<Dim> ghost_scan(const Forest<Dim>& forest, int layers,
                            std::vector<std::vector<OctMsg>>& send) {
@@ -346,21 +345,6 @@ GhostLayer<Dim> GhostLayer<Dim>::build(const Forest<Dim>& forest, int layers) {
 }
 
 template <int Dim>
-GhostLayer<Dim> GhostLayer<Dim>::build_blocking(const Forest<Dim>& forest, int layers) {
-  par::Comm& comm = forest.comm();
-  const int p = comm.size();
-  std::vector<std::vector<OctMsg>> send;
-  GhostLayer layer = ghost_scan(forest, layers, send);
-  const auto leaf_guards = forest.check_guard_leaves("ghost leaves");
-  const auto recv = comm.alltoallv(send);
-  layer.rank_offset.assign(static_cast<std::size_t>(p) + 1, 0);
-  for (int r = 0; r < p; ++r) {
-    ghost_append(layer, r, std::span<const OctMsg>(recv[static_cast<std::size_t>(r)]));
-  }
-  return layer;
-}
-
-template <int Dim>
 GhostLayer<Dim> GhostLayer<Dim>::build_cached(const Forest<Dim>& forest,
                                               GhostScanCache<Dim>& cache) {
   par::Comm& comm = forest.comm();
@@ -386,8 +370,7 @@ GhostLayer<Dim> GhostLayer<Dim>::build_incremental(const Forest<Dim>& forest,
   par::Comm& comm = forest.comm();
   const int p = comm.size();
   const int me = comm.rank();
-  const bool ok_local = incremental_enabled() && cache.valid &&
-                        cache.markers == forest.markers() &&
+  const bool ok_local = cache.valid && cache.markers == forest.markers() &&
                         prev.rank_offset.size() == static_cast<std::size_t>(p) + 1;
   if (comm.allreduce(static_cast<int>(ok_local), par::ReduceOp::logical_and) == 0) {
     return build_cached(forest, cache);

@@ -80,10 +80,6 @@ struct GhostLayer {
   /// superset of the k-neighborhood on strongly graded meshes.
   static GhostLayer build(const Forest<Dim>& forest, int layers = 1);
 
-  /// Blocking twin of build (one alltoallv after the scan); identical
-  /// result, kept as the differential-testing oracle.
-  static GhostLayer build_blocking(const Forest<Dim>& forest, int layers = 1);
-
   /// Full single-layer build that also (re)captures the per-leaf target
   /// cache for subsequent incremental builds. Identical result to build().
   static GhostLayer build_cached(const Forest<Dim>& forest, GhostScanCache<Dim>& cache);
@@ -93,7 +89,7 @@ struct GhostLayer {
   /// octant list is unchanged receives a one-octant sentinel instead of the
   /// list (the receiver splices that rank's segment from `prev`). Result is
   /// bit-identical to build(); falls back to build_cached when the cache is
-  /// invalid, the partition changed, or ESAMR_INCR=0 (collective decision).
+  /// invalid or the partition changed (collective decision).
   /// The cache is updated in place either way.
   static GhostLayer build_incremental(const Forest<Dim>& forest, const GhostLayer& prev,
                                       GhostScanCache<Dim>& cache);

@@ -1,28 +1,32 @@
 // "Nodes" (paper §II-C): build the globally unique numbering of independent
 // node points and the hanging-node constraint expansions.
 //
-// Two protocols share this file:
+// One engine (number_stale) serves the full and the incremental build; a
+// full build is the incremental case with nothing cached and every local
+// element stale. For the stale elements it
 //
-//  * the batched protocol (default): classification and gid assignment are
-//    identical to the reference, but resolution is a memoized recursive
-//    expansion instead of a global fixed-point rescan, hash maps replace the
-//    ordered std::map hot paths, and each answer ships the answering rank's
-//    FULL transitive expansion (gids attached wherever known) rather than a
-//    single hop. Candidate owners come from the post-balance ghost layer, so
-//    in the common case everything is settled in one request batch and one
-//    answer batch; only constraint chains that cross three or more ranks
-//    (rare, measured by OpStats::nodes_rounds) need another round. The loop
-//    is allreduce-terminated with the same 64-round safety cap.
+//  1. classifies every corner against the local + ghost leaf directory,
+//  2. merges the fresh owned independent keys with the caller's surviving
+//     ones and assigns contiguous per-rank ids (one allgather),
+//  3. resolves every corner by a memoized recursive expansion onto
+//     independent gids. What this rank cannot close it asks of the rank that
+//     can advance the chain, and each answer ships the answerer's FULL
+//     transitive expansion (gids attached) rather than a single hop.
+//     Candidate owners come from the post-balance ghost layer, so in the
+//     common case one request batch and one answer batch settle everything;
+//     only constraint chains that cross three or more ranks (rare, measured
+//     by OpStats::nodes_rounds) need another round. The loop is
+//     allreduce-terminated with a 64-round safety cap,
+//  4. fills the stale elements' slots.
 //
-//  * the reference protocol (ESAMR_NODES_REFERENCE=1): the original
-//    formulation — iterative rounds over a `want` set re-scanned to a local
-//    fixed point, one-hop answers — kept as a differential-testing oracle.
+// build_incremental adds the patch-only work around the engine: aligning the
+// new elements against the cached leaves to find the stale ones, selecting
+// the owned keys that survive, and the monotone old -> new gid remap of the
+// reused slots.
 #include "forest/nodes.h"
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <map>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -39,20 +43,7 @@ struct KeyMsg {
   std::int32_t tree, x, y, z;
 };
 
-constexpr int kAnsIndepGid = 0;    // answerer owns the node; gid attached
-constexpr int kAnsIndepOwner = 1;  // node independent; re-ask the owner
-constexpr int kAnsDependent = 2;   // node hangs; masters attached
-
-struct AnsMsg {
-  KeyMsg key;
-  std::int32_t kind;
-  std::int64_t gid_or_owner;
-  std::int32_t nmasters;
-  KeyMsg masters[4];
-  std::int32_t ask[4];
-};
-
-/// Answer record kinds of the batched protocol (serialized int64 stream).
+/// Answer record kinds (serialized int64 stream).
 constexpr std::int64_t kRecExpansion = 0;  // n x (gid, weight bits, key)
 constexpr std::int64_t kRecOwner = 1;      // node independent; re-ask owner
 constexpr std::int64_t kRecMasters = 2;    // n x (key, ask rank)
@@ -292,18 +283,11 @@ struct NodeClassifier {
   }
 };
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Batched protocol (default).
-// ---------------------------------------------------------------------------
-
 /// Open-addressed hash table unifying the classification and resolution state
-/// of a node key. One probe serves what the reference protocol pays two
-/// ordered-map lookups for (classified + resolved), entries live in a flat
-/// vector (indices stay valid across growth), and element corners cache their
-/// entry index from pass 1 so the resolution scan and the final fill do no
-/// hashing at all.
+/// of a node key. One probe serves both questions (classified? resolved?),
+/// entries live in a flat vector (indices stay valid across growth), and
+/// element corners cache their entry index from pass 1 so the resolution scan
+/// and the final fill do no hashing at all.
 template <int Dim>
 struct NodeTable {
   using Key = typename NodeNumbering<Dim>::Key;
@@ -336,9 +320,6 @@ struct NodeTable {
     return i;
   }
 
-  /// Entry index of `k`, or -1.
-  std::int32_t find(const Key& k) const { return slot[probe(k)]; }
-
   /// Entry index of `k`, inserting an unclassified, unresolved entry if new.
   std::int32_t get_or_insert(const Key& k) {
     std::size_t i = probe(k);
@@ -360,37 +341,69 @@ struct NodeTable {
   }
 };
 
+/// A local element whose corner slots the engine builds.
 template <int Dim>
-static NodeNumbering<Dim> build_batched(const Forest<Dim>& forest, const GhostLayer<Dim>& ghost) {
-  using Oct = Octant<Dim>;
-  using T = Topo<Dim>;
+struct StaleElem {
+  std::int32_t tree;
+  Octant<Dim> oct;
+  std::int64_t li;  // local element index
+};
+
+/// The (gid, key) records of a numbering, sorted by gid and deduplicated.
+template <typename GidKeys>
+void sort_gid_keys(GidKeys& v) {
+  std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) { return a.first < b.first; });
+  v.erase(std::unique(v.begin(), v.end(),
+                      [](const auto& a, const auto& b) { return a.first == b.first; }),
+          v.end());
+}
+
+}  // namespace
+
+/// The Nodes engine (collective; see the file header). Numbers the owned set
+/// `survivors` ∪ {owned corners of `stale`} (`survivors` sorted), resolves
+/// the corners of the stale elements and fills their rows of out.elements,
+/// which is sized to every local element. out.gid_keys holds the referenced
+/// (gid, key) records unsorted, so the caller can add its own before
+/// sort_gid_keys.
+template <int Dim>
+static NodeNumbering<Dim> number_stale(
+    const Forest<Dim>& forest, const GhostLayer<Dim>& ghost,
+    const std::vector<StaleElem<Dim>>& stale,
+    const std::vector<typename NodeNumbering<Dim>::Key>& survivors) {
   using Key = typename NodeNumbering<Dim>::Key;
   using Contrib = typename NodeNumbering<Dim>::Contrib;
-  constexpr int nc = T::num_corners;
+  constexpr int nc = Topo<Dim>::num_corners;
   par::Comm& comm = forest.comm();
   const int p = comm.size();
   const int me = comm.rank();
   OpStats& ops = op_stats();
 
-  const NodeClassifier<Dim> nclass(forest, ghost);
-
-  // --- Pass 1: classify all corners of local elements ------------------------
-  const auto n_local = static_cast<std::size_t>(forest.num_local());
-  NodeTable<Dim> tab(n_local * 2);
-  std::vector<std::array<std::int32_t, nc>> elem_ent(n_local);  // entry index per corner
+  // --- Pass 1: classify the corners of the stale elements --------------------
+  // Lazy: a rank with nothing stale builds the leaf directory only if the
+  // resolution phase routes a request its way.
+  std::optional<NodeClassifier<Dim>> nclass_opt;
+  const auto nclass = [&]() -> const NodeClassifier<Dim>& {
+    if (!nclass_opt) nclass_opt.emplace(forest, ghost);
+    return *nclass_opt;
+  };
+  NodeTable<Dim> tab(stale.size() * 2 + 16);
+  std::vector<std::array<std::int32_t, nc>> stale_ent(stale.size());  // entry index per corner
   // Direct-mapped front cache for the 2^Dim-fold corner reuse between
   // SFC-adjacent elements: a hit costs one L2 touch instead of a probe walk
-  // through the (much larger) table and entry arrays.
-  constexpr std::size_t kCacheBits = 15;
-  std::vector<std::pair<Key, std::int32_t>> front(std::size_t{1} << kCacheBits,
-                                                  {Key{-1, -1, -1, -1}, -1});
-  std::size_t li = 0;
-  forest.for_each_local([&](int t, const Oct& o) {
-    nclass.seed_hint(t, o);
+  // through the (much larger) table and entry arrays. Two to four lines per
+  // element (about one distinct corner each), capped to stay L2-resident.
+  const int cache_bits = std::clamp(static_cast<int>(std::bit_width(stale.size())) + 1, 6, 15);
+  const std::size_t cache_mask = (std::size_t{1} << cache_bits) - 1;
+  std::vector<std::pair<Key, std::int32_t>> front(cache_mask + 1, {Key{-1, -1, -1, -1}, -1});
+  for (std::size_t s = 0; s < stale.size(); ++s) {
+    const StaleElem<Dim>& se = stale[s];
+    const NodeClassifier<Dim>& cl = nclass();
+    cl.seed_hint(se.tree, se.oct);
     for (int c = 0; c < nc; ++c) {
-      const auto cp = o.corner_point(c);
-      const Key k = nclass.canonical(t, cp);
-      auto& line = front[KeyHash{}(k) & ((std::size_t{1} << kCacheBits) - 1)];
+      const auto cp = se.oct.corner_point(c);
+      const Key k = cl.canonical(se.tree, cp);
+      auto& line = front[KeyHash{}(k) & cache_mask];
       std::int32_t ei;
       if (line.first == k) {
         ei = line.second;
@@ -399,34 +412,40 @@ static NodeNumbering<Dim> build_batched(const Forest<Dim>& forest, const GhostLa
         line = {k, ei};
         auto& e = tab.entries[static_cast<std::size_t>(ei)];
         if (!e.classified) {
-          e.cls = nclass.classify(t, cp);
+          e.cls = cl.classify(se.tree, cp);
           e.classified = true;
         }
       }
-      elem_ent[li][static_cast<std::size_t>(c)] = ei;
+      stale_ent[s][static_cast<std::size_t>(c)] = ei;
     }
-    ++li;
-  });
-
+  }
   // Entries added after this point are masters/answers, not element corners.
   const std::size_t n_pass1 = tab.entries.size();
 
-  // --- Assign ids to owned independent nodes (before any resolution, so
-  // answers can carry gids) --------------------------------------------------
-  NodeNumbering<Dim> out;
-  std::vector<std::pair<std::int64_t, Key>> known_gid_keys;  // owned or fetched
-  std::unordered_map<std::int64_t, Key> key_of_gid;          // for expansion answers
-  std::vector<std::pair<Key, std::int32_t>> owned;  // (key, entry) to skip re-probing
+  // --- Owned set and ids (before any resolution, so answers carry gids) ------
+  // The fresh owned keys are the pass-1 independent keys this rank owns; a
+  // fresh key may repeat a survivor. Their entries resolve right here.
+  std::vector<std::pair<Key, std::int32_t>> fresh;  // (key, entry)
   for (std::size_t i = 0; i < n_pass1; ++i) {
     const auto& e = tab.entries[i];
-    if (e.classified && e.cls.independent && e.cls.owner == me) {
-      owned.emplace_back(e.key, static_cast<std::int32_t>(i));
+    if (e.cls.independent && e.cls.owner == me) {
+      fresh.emplace_back(e.key, static_cast<std::int32_t>(i));
     }
   }
-  std::sort(owned.begin(), owned.end(),
+  std::sort(fresh.begin(), fresh.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.owned_keys.reserve(owned.size());
-  for (const auto& [k, ei] : owned) out.owned_keys.push_back(k);
+  NodeNumbering<Dim> out;
+  out.owned_keys.reserve(survivors.size() + fresh.size());
+  std::vector<std::int64_t> fresh_at;  // index of fresh[i] in owned_keys
+  fresh_at.reserve(fresh.size());
+  auto sv = survivors.begin();
+  for (const auto& [k, ei] : fresh) {
+    for (; sv != survivors.end() && *sv < k; ++sv) out.owned_keys.push_back(*sv);
+    if (sv != survivors.end() && *sv == k) ++sv;
+    fresh_at.push_back(static_cast<std::int64_t>(out.owned_keys.size()));
+    out.owned_keys.push_back(k);
+  }
+  out.owned_keys.insert(out.owned_keys.end(), sv, survivors.end());
   out.num_owned = static_cast<std::int64_t>(out.owned_keys.size());
   const auto counts = comm.allgather(out.num_owned);
   out.rank_offsets.assign(static_cast<std::size_t>(p) + 1, 0);
@@ -436,13 +455,28 @@ static NodeNumbering<Dim> build_batched(const Forest<Dim>& forest, const GhostLa
   }
   out.owned_offset = out.rank_offsets[static_cast<std::size_t>(me)];
   out.num_global = out.rank_offsets[static_cast<std::size_t>(p)];
-  for (std::size_t i = 0; i < owned.size(); ++i) {
-    const std::int64_t g = out.owned_offset + static_cast<std::int64_t>(i);
-    auto& e = tab.entries[static_cast<std::size_t>(owned[i].second)];
-    e.res.assign(1, Contrib{g, 1.0});
-    known_gid_keys.emplace_back(g, owned[i].first);
-    key_of_gid.emplace(g, owned[i].first);
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    tab.entries[static_cast<std::size_t>(fresh[i].second)].res.assign(
+        1, Contrib{out.owned_offset + fresh_at[i], 1.0});
   }
+  out.gid_keys.reserve(out.owned_keys.size());
+  for (std::size_t i = 0; i < out.owned_keys.size(); ++i) {
+    out.gid_keys.emplace_back(out.owned_offset + static_cast<std::int64_t>(i), out.owned_keys[i]);
+  }
+  // Keys of the gids learned from answers, for re-shipping expansions.
+  std::unordered_map<std::int64_t, Key> fetched;
+  const auto key_of_gid = [&](std::int64_t g) -> const Key& {
+    return (g >= out.owned_offset && g < out.owned_offset + out.num_owned)
+               ? out.owned_keys[static_cast<std::size_t>(g - out.owned_offset)]
+               : fetched.at(g);
+  };
+  const auto owned_gid_of = [&](const Key& k) -> std::int64_t {
+    const auto it = std::lower_bound(out.owned_keys.begin(), out.owned_keys.end(), k);
+    if (it == out.owned_keys.end() || !(*it == k)) {
+      throw std::runtime_error("nodes: owned key missing from the owned set");
+    }
+    return out.owned_offset + (it - out.owned_keys.begin());
+  };
 
   // --- Resolution -------------------------------------------------------------
   // The owned-key array is complete and rank-owned for all resolution rounds.
@@ -452,13 +486,25 @@ static NodeNumbering<Dim> build_batched(const Forest<Dim>& forest, const GhostLa
   std::set<std::pair<Key, int>> asked;
   std::vector<std::vector<KeyMsg>> req(static_cast<std::size_t>(p));
 
+  // Classify a key routed to this rank: it owns the node or its constraining
+  // leaf, so the point touches a local leaf and every touching leaf is in
+  // local + ghost storage.
+  const auto classify_entry = [&](std::int32_t ei) {
+    auto& e = tab.entries[static_cast<std::size_t>(ei)];
+    e.cls = nclass().classify(e.key[0], {e.key[1], e.key[2], e.key[3]});
+    e.classified = true;
+  };
+
   // Memoized recursive expansion onto independent gids. Constraint chains are
   // acyclic (the constraining entity's level strictly decreases), so plain
-  // recursion terminates. On a miss, `collect` routes one request to the rank
-  // that can advance the chain: the owner for an independent key, the rank
-  // that classified the constraining leaf (`hint`) for an unclassified one.
-  // Entries may grow during recursion, so state is re-fetched by index after
-  // every recursive call.
+  // recursion terminates. An unclassified key whose routing hint is this rank
+  // is classified on the spot (only the incremental case, whose pass 1 saw
+  // just the stale elements, meets one), and an independent key this rank
+  // owns takes its gid from the owned set. On any other miss, `collect`
+  // routes one request to the rank that can advance the chain: the owner for
+  // an independent key, the rank that classified the constraining leaf
+  // (`hint`) for an unclassified one. Entries may grow during recursion, so
+  // state is re-fetched by index after every recursive call.
   const auto expand = [&](auto&& self, std::int32_t ei, int hint, bool collect) -> bool {
     if (!tab.entries[static_cast<std::size_t>(ei)].res.empty()) return true;
     const auto note = [&](int target) {
@@ -469,13 +515,21 @@ static NodeNumbering<Dim> build_batched(const Forest<Dim>& forest, const GhostLa
         req[static_cast<std::size_t>(target)].push_back(KeyMsg{k[0], k[1], k[2], k[3]});
       }
     };
-    {
-      const auto& e = tab.entries[static_cast<std::size_t>(ei)];
-      if (!e.classified) {
+    if (!tab.entries[static_cast<std::size_t>(ei)].classified) {
+      if (hint != me) {
         note(hint);
         return false;
       }
+      classify_entry(ei);
+    }
+    {
+      const auto& e = tab.entries[static_cast<std::size_t>(ei)];
       if (e.cls.independent) {
+        if (e.cls.owner == me) {
+          const std::int64_t g = owned_gid_of(e.key);
+          tab.entries[static_cast<std::size_t>(ei)].res.assign(1, Contrib{g, 1.0});
+          return true;
+        }
         note(e.cls.owner);  // gid not yet fetched from the owner
         return false;
       }
@@ -500,8 +554,8 @@ static NodeNumbering<Dim> build_batched(const Forest<Dim>& forest, const GhostLa
       if (!self(self, mi[i], ask[i], collect)) all = false;
     }
     if (!all) return false;
-    // Flat accumulation (a handful of masters x contribs); sorted by gid to
-    // match the reference protocol's std::map ordering exactly.
+    // Flat accumulation (a handful of masters x contribs), in master order per
+    // gid, then sorted by gid.
     std::vector<Contrib> v;
     const double w = 1.0 / static_cast<double>(nm);
     for (std::size_t i = 0; i < nm; ++i) {
@@ -525,19 +579,13 @@ static NodeNumbering<Dim> build_batched(const Forest<Dim>& forest, const GhostLa
   // Round 0 walks each distinct pass-1 entry once (every element corner maps
   // to one); later rounds only the still-pending entries (the frontier), so
   // local-only regions are scanned exactly once.
-  std::vector<std::int32_t> pending;
+  std::vector<std::int32_t> pending(n_pass1);
+  for (std::size_t i = 0; i < n_pass1; ++i) pending[i] = static_cast<std::int32_t>(i);
   for (int round = 0;; ++round) {
     if (round > 64) throw std::runtime_error("nodes: resolution did not converge");
     std::vector<std::int32_t> still;
-    if (round == 0) {
-      for (std::size_t i = 0; i < n_pass1; ++i) {
-        const auto ei = static_cast<std::int32_t>(i);
-        if (!expand(expand, ei, -1, true)) still.push_back(ei);
-      }
-    } else {
-      for (const std::int32_t ei : pending) {
-        if (!expand(expand, ei, -1, true)) still.push_back(ei);
-      }
+    for (const std::int32_t ei : pending) {
+      if (!expand(expand, ei, -1, true)) still.push_back(ei);
     }
     pending = std::move(still);
     const int any =
@@ -561,18 +609,15 @@ static NodeNumbering<Dim> build_batched(const Forest<Dim>& forest, const GhostLa
     for (int src = 0; src < p; ++src) {
       auto& buf = ans[static_cast<std::size_t>(src)];
       for (const KeyMsg& km : req_in[static_cast<std::size_t>(src)]) {
-        const Key k{km.tree, km.x, km.y, km.z};
-        const std::int32_t ei = tab.find(k);
-        if (ei < 0 || !tab.entries[static_cast<std::size_t>(ei)].classified) {
-          throw std::runtime_error("nodes: request for a key this rank never classified");
-        }
+        const std::int32_t ei = tab.get_or_insert(Key{km.tree, km.x, km.y, km.z});
+        if (!tab.entries[static_cast<std::size_t>(ei)].classified) classify_entry(ei);
         buf.insert(buf.end(), {km.tree, km.x, km.y, km.z});
         if (expand(expand, ei, -1, false)) {
           const auto& v = tab.entries[static_cast<std::size_t>(ei)].res;
           buf.push_back(kRecExpansion);
           buf.push_back(static_cast<std::int64_t>(v.size()));
           for (const Contrib& c : v) {
-            const Key& ck = key_of_gid.at(c.gid);
+            const Key& ck = key_of_gid(c.gid);
             buf.insert(buf.end(),
                        {c.gid, std::bit_cast<std::int64_t>(c.weight), ck[0], ck[1], ck[2], ck[3]});
           }
@@ -619,8 +664,8 @@ static NodeNumbering<Dim> build_batched(const Forest<Dim>& forest, const GhostLa
             const std::int32_t ci = tab.get_or_insert(ck);
             auto& ce = tab.entries[static_cast<std::size_t>(ci)];
             if (ce.res.empty()) ce.res.assign(1, Contrib{gid, 1.0});
-            known_gid_keys.emplace_back(gid, ck);
-            key_of_gid.emplace(gid, ck);
+            out.gid_keys.emplace_back(gid, ck);
+            fetched.emplace(gid, ck);
           }
           tab.entries[static_cast<std::size_t>(ei)].res = std::move(v);
         } else if (kind == kRecOwner) {
@@ -647,27 +692,34 @@ static NodeNumbering<Dim> build_batched(const Forest<Dim>& forest, const GhostLa
     }
   }
 
-  // --- Fill per-element slots (entry indices cached from pass 1) --------------
-  out.elements.resize(n_local);
-  for (std::size_t e = 0; e < n_local; ++e) {
+  // --- Fill the stale rows (entry indices cached from pass 1) ----------------
+  out.elements.resize(static_cast<std::size_t>(forest.num_local()));
+  for (std::size_t s = 0; s < stale.size(); ++s) {
+    auto& row = out.elements[static_cast<std::size_t>(stale[s].li)];
     for (int c = 0; c < nc; ++c) {
-      out.elements[e][static_cast<std::size_t>(c)] =
-          tab.entries[static_cast<std::size_t>(elem_ent[e][static_cast<std::size_t>(c)])].res;
+      row[static_cast<std::size_t>(c)] =
+          tab.entries[static_cast<std::size_t>(stale_ent[s][static_cast<std::size_t>(c)])].res;
     }
   }
-  // The gid -> key records accumulated above (owned + fetched), deduplicated.
-  std::sort(known_gid_keys.begin(), known_gid_keys.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  known_gid_keys.erase(std::unique(known_gid_keys.begin(), known_gid_keys.end(),
-                                   [](const auto& a, const auto& b) { return a.first == b.first; }),
-                       known_gid_keys.end());
-  out.gid_keys = std::move(known_gid_keys);
+  return out;
+}
+
+template <int Dim>
+NodeNumbering<Dim> NodeNumbering<Dim>::build(const Forest<Dim>& forest,
+                                             const GhostLayer<Dim>& ghost) {
+  std::vector<StaleElem<Dim>> all;
+  all.reserve(static_cast<std::size_t>(forest.num_local()));
+  forest.for_each_local([&](int t, const Octant<Dim>& o) {
+    all.push_back(StaleElem<Dim>{t, o, static_cast<std::int64_t>(all.size())});
+  });
+  NodeNumbering out = number_stale<Dim>(forest, ghost, all, {});
+  sort_gid_keys(out.gid_keys);
   return out;
 }
 
 // ---------------------------------------------------------------------------
 // Incremental patching (build_incremental): reuse the previous numbering
-// outside the delta neighborhood, re-run the batched protocol only inside.
+// outside the delta neighborhood, run the engine only on the stale elements.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -687,16 +739,14 @@ constexpr int kNodesRings = 3;
 }  // namespace
 
 template <int Dim>
-static NodeNumbering<Dim> patch_batched(const Forest<Dim>& forest, const GhostLayer<Dim>& ghost,
-                                        DeltaSet<Dim>& delta, NodesCache<Dim>& cache) {
+static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>& ghost,
+                                DeltaSet<Dim>& delta, NodesCache<Dim>& cache) {
   using Oct = Octant<Dim>;
-  using T = Topo<Dim>;
   using Key = typename NodeNumbering<Dim>::Key;
   using Contrib = typename NodeNumbering<Dim>::Contrib;
-  constexpr int nc = T::num_corners;
+  constexpr int nc = Topo<Dim>::num_corners;
   par::Comm& comm = forest.comm();
   const Connectivity<Dim>& conn = forest.conn();
-  const int p = comm.size();
   const int me = comm.rank();
   OpStats& ops = op_stats();
 
@@ -760,12 +810,7 @@ static NodeNumbering<Dim> patch_batched(const Forest<Dim>& forest, const GhostLa
   //       the conservative kNodesRings element-ball.
   // Every other element must exist unchanged in the snapshot.
   std::vector<std::int64_t> old_of(n_local, -1);  // reused: old local index
-  struct StaleElem {
-    std::int32_t tree;
-    Oct oct;
-    std::int64_t li;
-  };
-  std::vector<StaleElem> stale;
+  std::vector<StaleElem<Dim>> stale;
   const auto old_key_of = [&](std::int64_t g) -> const Key& {
     return (g >= old.owned_offset && g < old.owned_offset + old.num_owned)
                ? old.owned_keys[static_cast<std::size_t>(g - old.owned_offset)]
@@ -860,7 +905,7 @@ static NodeNumbering<Dim> patch_batched(const Forest<Dim>& forest, const GhostLa
           }
           if (!is_stale) old_of[static_cast<std::size_t>(li)] = og;
         }
-        if (is_stale) stale.push_back(StaleElem{t, o, li});
+        if (is_stale) stale.push_back(StaleElem<Dim>{t, o, li});
         ++li;
       }
       old_base += static_cast<std::int64_t>(olds.size());
@@ -869,87 +914,20 @@ static NodeNumbering<Dim> patch_batched(const Forest<Dim>& forest, const GhostLa
   ops.nodes_patched += static_cast<std::int64_t>(stale.size());
   ops.nodes_reused += static_cast<std::int64_t>(n_local) - static_cast<std::int64_t>(stale.size());
 
-  // --- Classify the corners of stale elements (pass 1 of the patch) -----------
-  // Lazy: ranks with no stale elements build the leaf directory only if the
-  // resolution phase routes a request their way.
-  std::optional<NodeClassifier<Dim>> nclass_opt;
-  const auto nclass_get = [&]() -> const NodeClassifier<Dim>& {
-    if (!nclass_opt) nclass_opt.emplace(forest, ghost);
-    return *nclass_opt;
-  };
-  NodeTable<Dim> tab(stale.size() * 2 + 16);
-  std::vector<std::array<std::int32_t, nc>> stale_ent(stale.size());
-  constexpr std::size_t kCacheBits = 12;
-  std::vector<std::pair<Key, std::int32_t>> front(std::size_t{1} << kCacheBits,
-                                                  {Key{-1, -1, -1, -1}, -1});
-  for (std::size_t s = 0; s < stale.size(); ++s) {
-    const auto& se = stale[s];
-    const NodeClassifier<Dim>& nclass = nclass_get();
-    nclass.seed_hint(se.tree, se.oct);
-    for (int c = 0; c < nc; ++c) {
-      const auto cp = se.oct.corner_point(c);
-      const Key k = nclass.canonical(se.tree, cp);
-      auto& line = front[KeyHash{}(k) & ((std::size_t{1} << kCacheBits) - 1)];
-      std::int32_t ei;
-      if (line.first == k) {
-        ei = line.second;
-      } else {
-        ei = tab.get_or_insert(k);
-        line = {k, ei};
-        auto& e = tab.entries[static_cast<std::size_t>(ei)];
-        if (!e.classified) {
-          e.cls = nclass.classify(se.tree, cp);
-          e.classified = true;
-        }
-      }
-      stale_ent[s][static_cast<std::size_t>(c)] = ei;
-    }
-  }
-  const std::size_t n_pass1 = tab.entries.size();
-
-  // --- New owned set -----------------------------------------------------------
+  // --- Surviving owned keys --------------------------------------------------
   // A point's classification depends only on its touching leaves, and a
   // touching leaf changed iff the point lies in the closed raw delta region
-  // (in some tree frame): old owned nodes outside it survive verbatim. Fresh
-  // candidates come from the stale-element corners. The merged sorted set is
-  // exactly what a full rebuild would own, so the assigned ids coincide.
+  // (in some tree frame): old owned nodes outside it survive verbatim. The
+  // engine merges them with the stale corners' owned keys into exactly the
+  // set a full rebuild would own, so the assigned ids coincide.
   std::vector<Key> survivors;
   survivors.reserve(old.owned_keys.size());
   for (const Key& k : old.owned_keys) {
     if (!point_in_delta(k[0], {k[1], k[2], k[3]})) survivors.push_back(k);
   }
-  std::vector<Key> cands;
-  for (std::size_t i = 0; i < n_pass1; ++i) {
-    const auto& e = tab.entries[i];
-    if (e.classified && e.cls.independent && e.cls.owner == me) cands.push_back(e.key);
-  }
-  std::sort(cands.begin(), cands.end());
+  NodeNumbering<Dim> out = number_stale<Dim>(forest, ghost, stale, survivors);
 
-  NodeNumbering<Dim> out;
-  out.owned_keys.reserve(survivors.size() + cands.size());
-  std::merge(survivors.begin(), survivors.end(), cands.begin(), cands.end(),
-             std::back_inserter(out.owned_keys));
-  out.owned_keys.erase(std::unique(out.owned_keys.begin(), out.owned_keys.end()),
-                       out.owned_keys.end());
-  out.num_owned = static_cast<std::int64_t>(out.owned_keys.size());
-  const auto counts = comm.allgather(out.num_owned);
-  out.rank_offsets.assign(static_cast<std::size_t>(p) + 1, 0);
-  for (int r = 0; r < p; ++r) {
-    out.rank_offsets[static_cast<std::size_t>(r) + 1] =
-        out.rank_offsets[static_cast<std::size_t>(r)] + counts[static_cast<std::size_t>(r)];
-  }
-  out.owned_offset = out.rank_offsets[static_cast<std::size_t>(me)];
-  out.num_global = out.rank_offsets[static_cast<std::size_t>(p)];
-
-  std::vector<std::pair<std::int64_t, Key>> known_gid_keys;
-  std::unordered_map<std::int64_t, Key> key_of_gid;
-  for (std::size_t i = 0; i < out.owned_keys.size(); ++i) {
-    const std::int64_t g = out.owned_offset + static_cast<std::int64_t>(i);
-    known_gid_keys.emplace_back(g, out.owned_keys[i]);
-    key_of_gid.emplace(g, out.owned_keys[i]);
-  }
-
-  // --- Old -> new gid remap ----------------------------------------------------
+  // --- Old -> new gid remap of the reused rows -------------------------------
   // Per-rank id blocks are preserved and the within-rank shift is monotone in
   // key order (subtract invalidated predecessors, add fresh ones), so the
   // remap is strictly increasing: spliced sorted-by-gid contribution lists
@@ -982,229 +960,9 @@ static NodeNumbering<Dim> patch_batched(const Forest<Dim>& forest, const GhostLa
         (std::lower_bound(rem.begin(), rem.end(), k) - rem.begin()) +
         (std::lower_bound(add.begin(), add.end(), k) - add.begin());
     memo = ng;
-    known_gid_keys.emplace_back(ng, k);
+    out.gid_keys.emplace_back(ng, k);
     return ng;
   };
-
-
-  // --- Resolution (patch table only) -------------------------------------------
-  const par::check::RegionGuard owned_guard(comm, out.owned_keys.data(),
-                                            out.owned_keys.size() * sizeof(Key),
-                                            "nodes owned keys (patch)");
-  std::set<std::pair<Key, int>> asked;
-  std::vector<std::vector<KeyMsg>> req(static_cast<std::size_t>(p));
-
-  const auto owned_gid_of = [&](const Key& k) -> std::int64_t {
-    const auto it = std::lower_bound(out.owned_keys.begin(), out.owned_keys.end(), k);
-    if (it == out.owned_keys.end() || !(*it == k)) {
-      throw std::runtime_error("nodes: patched owned key missing from the owned set");
-    }
-    return out.owned_offset + (it - out.owned_keys.begin());
-  };
-  const auto classify_key = [&](std::int32_t ei) {
-    const Key k = tab.entries[static_cast<std::size_t>(ei)].key;
-    auto& e = tab.entries[static_cast<std::size_t>(ei)];
-    e.cls = nclass_get().classify(k[0], {k[1], k[2], k[3]});
-    e.classified = true;
-  };
-
-  // Same memoized expansion as build_batched, with two patch-only twists:
-  // an unclassified key whose routing hint is this rank is classified on the
-  // spot (a full rebuild would have classified it in pass 1 — its
-  // constraining leaf is local, so all touching leaves are known), and an
-  // independent key this rank owns takes its gid straight from the merged
-  // owned set instead of a pre-seeded entry.
-  const auto expand = [&](auto&& self, std::int32_t ei, int hint, bool collect) -> bool {
-    if (!tab.entries[static_cast<std::size_t>(ei)].res.empty()) return true;
-    const auto note = [&](int target) {
-      if (!collect) return;
-      if (target < 0) throw std::runtime_error("nodes: unclassified key without hint");
-      const Key& k = tab.entries[static_cast<std::size_t>(ei)].key;
-      if (asked.insert({k, target}).second) {
-        req[static_cast<std::size_t>(target)].push_back(KeyMsg{k[0], k[1], k[2], k[3]});
-      }
-    };
-    {
-      if (!tab.entries[static_cast<std::size_t>(ei)].classified) {
-        if (hint == me) {
-          classify_key(ei);
-        } else {
-          note(hint);
-          return false;
-        }
-      }
-      const auto& e = tab.entries[static_cast<std::size_t>(ei)];
-      if (e.cls.independent) {
-        if (e.cls.owner == me) {
-          const std::int64_t g = owned_gid_of(e.key);
-          tab.entries[static_cast<std::size_t>(ei)].res.assign(1, Contrib{g, 1.0});
-          return true;
-        }
-        note(e.cls.owner);
-        return false;
-      }
-    }
-    std::array<Key, 4> masters;
-    std::array<int, 4> ask{};
-    std::size_t nm;
-    {
-      const auto& cls = tab.entries[static_cast<std::size_t>(ei)].cls;
-      nm = cls.masters.size();
-      for (std::size_t i = 0; i < nm; ++i) {
-        masters[i] = cls.masters[i];
-        ask[i] = cls.ask[i];
-      }
-    }
-    bool all = true;
-    std::array<std::int32_t, 4> mi;
-    for (std::size_t i = 0; i < nm; ++i) {
-      mi[i] = tab.get_or_insert(masters[i]);
-      if (!self(self, mi[i], ask[i], collect)) all = false;
-    }
-    if (!all) return false;
-    std::vector<Contrib> v;
-    const double w = 1.0 / static_cast<double>(nm);
-    for (std::size_t i = 0; i < nm; ++i) {
-      for (const Contrib& c : tab.entries[static_cast<std::size_t>(mi[i])].res) {
-        bool found = false;
-        for (Contrib& x : v) {
-          if (x.gid == c.gid) {
-            x.weight += w * c.weight;
-            found = true;
-            break;
-          }
-        }
-        if (!found) v.push_back(Contrib{c.gid, w * c.weight});
-      }
-    }
-    std::sort(v.begin(), v.end(), [](const Contrib& a, const Contrib& b) { return a.gid < b.gid; });
-    tab.entries[static_cast<std::size_t>(ei)].res = std::move(v);
-    return true;
-  };
-
-  std::vector<std::int32_t> pending;
-  for (int round = 0;; ++round) {
-    if (round > 64) throw std::runtime_error("nodes: resolution did not converge");
-    std::vector<std::int32_t> still;
-    if (round == 0) {
-      for (std::size_t i = 0; i < n_pass1; ++i) {
-        const auto ei = static_cast<std::int32_t>(i);
-        if (!expand(expand, ei, -1, true)) still.push_back(ei);
-      }
-    } else {
-      for (const std::int32_t ei : pending) {
-        if (!expand(expand, ei, -1, true)) still.push_back(ei);
-      }
-    }
-    pending = std::move(still);
-    const int any =
-        comm.allreduce(static_cast<int>(!pending.empty()), par::ReduceOp::logical_or);
-    if (!any) break;
-
-    ops.nodes_rounds++;
-    for (const auto& buf : req) {
-      if (buf.empty()) continue;
-      ops.nodes_request_batches++;
-      ops.nodes_requests_sent += static_cast<std::int64_t>(buf.size());
-    }
-    const auto req_in = comm.alltoallv(req);
-    for (auto& buf : req) buf.clear();
-
-    std::vector<std::vector<std::int64_t>> ans(static_cast<std::size_t>(p));
-    for (int src = 0; src < p; ++src) {
-      auto& buf = ans[static_cast<std::size_t>(src)];
-      for (const KeyMsg& km : req_in[static_cast<std::size_t>(src)]) {
-        const Key k{km.tree, km.x, km.y, km.z};
-        std::int32_t ei = tab.find(k);
-        if (ei < 0) ei = tab.get_or_insert(k);
-        if (!tab.entries[static_cast<std::size_t>(ei)].classified) {
-          // On-demand: a requested key was routed here because this rank owns
-          // the node or its constraining leaf, so the point touches a local
-          // leaf and every touching leaf is in local+ghost storage.
-          classify_key(ei);
-        }
-        buf.insert(buf.end(), {km.tree, km.x, km.y, km.z});
-        if (expand(expand, ei, -1, false)) {
-          const auto& v = tab.entries[static_cast<std::size_t>(ei)].res;
-          buf.push_back(kRecExpansion);
-          buf.push_back(static_cast<std::int64_t>(v.size()));
-          for (const Contrib& c : v) {
-            const Key& ck = key_of_gid.at(c.gid);
-            buf.insert(buf.end(),
-                       {c.gid, std::bit_cast<std::int64_t>(c.weight), ck[0], ck[1], ck[2], ck[3]});
-          }
-        } else {
-          const auto& cls = tab.entries[static_cast<std::size_t>(ei)].cls;
-          if (cls.independent) {
-            buf.push_back(kRecOwner);
-            buf.push_back(cls.owner);
-          } else {
-            buf.push_back(kRecMasters);
-            buf.push_back(static_cast<std::int64_t>(cls.masters.size()));
-            for (std::size_t i = 0; i < cls.masters.size(); ++i) {
-              const Key& m = cls.masters[i];
-              buf.insert(buf.end(), {m[0], m[1], m[2], m[3], cls.ask[i]});
-            }
-          }
-        }
-      }
-    }
-    const auto ans_in = comm.alltoallv(ans);
-    for (const auto& from : ans_in) {
-      for (std::size_t i = 0; i < from.size();) {
-        const Key k{static_cast<std::int32_t>(from[i]), static_cast<std::int32_t>(from[i + 1]),
-                    static_cast<std::int32_t>(from[i + 2]), static_cast<std::int32_t>(from[i + 3])};
-        const std::int64_t kind = from[i + 4];
-        const std::int64_t n = from[i + 5];
-        i += 6;
-        ops.nodes_answers_recv++;
-        const std::int32_t ei = tab.get_or_insert(k);
-        if (kind == kRecExpansion) {
-          std::vector<Contrib> v;
-          v.reserve(static_cast<std::size_t>(n));
-          for (std::int64_t e = 0; e < n; ++e) {
-            const std::int64_t gid = from[i];
-            const double w = std::bit_cast<double>(from[i + 1]);
-            const Key ck{static_cast<std::int32_t>(from[i + 2]),
-                         static_cast<std::int32_t>(from[i + 3]),
-                         static_cast<std::int32_t>(from[i + 4]),
-                         static_cast<std::int32_t>(from[i + 5])};
-            i += 6;
-            v.push_back(Contrib{gid, w});
-            const std::int32_t ci = tab.get_or_insert(ck);
-            auto& ce = tab.entries[static_cast<std::size_t>(ci)];
-            if (ce.res.empty()) ce.res.assign(1, Contrib{gid, 1.0});
-            known_gid_keys.emplace_back(gid, ck);
-            key_of_gid.emplace(gid, ck);
-          }
-          tab.entries[static_cast<std::size_t>(ei)].res = std::move(v);
-        } else if (kind == kRecOwner) {
-          auto& e = tab.entries[static_cast<std::size_t>(ei)];
-          e.cls = Classification<Dim>{};
-          e.cls.independent = true;
-          e.cls.owner = static_cast<int>(n);
-          e.classified = true;
-        } else {
-          auto& e = tab.entries[static_cast<std::size_t>(ei)];
-          e.cls = Classification<Dim>{};
-          e.cls.independent = false;
-          for (std::int64_t rec = 0; rec < n; ++rec) {
-            e.cls.masters.push_back(Key{static_cast<std::int32_t>(from[i]),
-                                        static_cast<std::int32_t>(from[i + 1]),
-                                        static_cast<std::int32_t>(from[i + 2]),
-                                        static_cast<std::int32_t>(from[i + 3])});
-            e.cls.ask.push_back(static_cast<int>(from[i + 4]));
-            i += 5;
-          }
-          e.classified = true;
-        }
-      }
-    }
-  }
-
-
-  // --- Fill per-element slots ---------------------------------------------------
-  out.elements.resize(n_local);
   for (std::size_t li = 0; li < n_local; ++li) {
     const std::int64_t ol = old_of[li];
     if (ol < 0) continue;
@@ -1214,21 +972,9 @@ static NodeNumbering<Dim> patch_batched(const Forest<Dim>& forest, const GhostLa
       for (Contrib& cb : slot) cb.gid = remap(cb.gid);
     }
   }
-  for (std::size_t s = 0; s < stale.size(); ++s) {
-    const auto li = static_cast<std::size_t>(stale[s].li);
-    for (int c = 0; c < nc; ++c) {
-      out.elements[li][static_cast<std::size_t>(c)] =
-          tab.entries[static_cast<std::size_t>(stale_ent[s][static_cast<std::size_t>(c)])].res;
-    }
-  }
-  // gid -> key records: owned + patch-fetched + remap-recorded covers exactly
-  // the gids referenced by the element slots, same as a full rebuild.
-  std::sort(known_gid_keys.begin(), known_gid_keys.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  known_gid_keys.erase(std::unique(known_gid_keys.begin(), known_gid_keys.end(),
-                                   [](const auto& a, const auto& b) { return a.first == b.first; }),
-                       known_gid_keys.end());
-  out.gid_keys = std::move(known_gid_keys);
+  // gid -> key records: owned + fetched + remap-recorded covers exactly the
+  // gids referenced by the element slots, same as a full rebuild.
+  sort_gid_keys(out.gid_keys);
   return out;
 }
 
@@ -1238,13 +984,11 @@ const NodeNumbering<Dim>& NodeNumbering<Dim>::build_incremental(const Forest<Dim
                                                                 DeltaSet<Dim>& delta,
                                                                 NodesCache<Dim>& cache) {
   par::Comm& comm = forest.comm();
-  const char* ref = std::getenv("ESAMR_NODES_REFERENCE");
-  const bool bad_local = !incremental_enabled() || (ref != nullptr && ref[0] == '1') ||
-                         !cache.valid || delta.overflow || cache.markers != forest.markers();
+  const bool bad_local = !cache.valid || delta.overflow || cache.markers != forest.markers();
   if (comm.allreduce(static_cast<int>(bad_local), par::ReduceOp::logical_or) != 0) {
     cache.numbering = build(forest, ghost);
   } else {
-    cache.numbering = patch_batched<Dim>(forest, ghost, delta, cache);
+    cache.numbering = patch<Dim>(forest, ghost, delta, cache);
   }
   cache.markers = forest.markers();
   cache.leaves.assign(static_cast<std::size_t>(forest.num_trees()), {});
@@ -1253,244 +997,6 @@ const NodeNumbering<Dim>& NodeNumbering<Dim>::build_incremental(const Forest<Dim
   }
   cache.valid = true;
   return cache.numbering;
-}
-
-// ---------------------------------------------------------------------------
-// Reference protocol (ESAMR_NODES_REFERENCE=1): the original iterative
-// formulation, kept as a differential-testing oracle.
-// ---------------------------------------------------------------------------
-template <int Dim>
-static NodeNumbering<Dim> build_reference(const Forest<Dim>& forest,
-                                          const GhostLayer<Dim>& ghost) {
-  using Oct = Octant<Dim>;
-  using T = Topo<Dim>;
-  using Key = typename NodeNumbering<Dim>::Key;
-  using Cls = Classification<Dim>;
-  using Contrib = typename NodeNumbering<Dim>::Contrib;
-  constexpr int nc = T::num_corners;
-  par::Comm& comm = forest.comm();
-  const int p = comm.size();
-  const int me = comm.rank();
-  OpStats& ops = op_stats();
-
-  const NodeClassifier<Dim> nclass(forest, ghost);
-
-  // --- Pass 1: classify all corners of local elements ------------------------
-  std::map<Key, Cls> classified;
-  const auto n_local = static_cast<std::size_t>(forest.num_local());
-  std::vector<std::array<Key, nc>> elem_keys(n_local);
-  std::size_t li = 0;
-  forest.for_each_local([&](int t, const Oct& o) {
-    for (int c = 0; c < nc; ++c) {
-      const auto cp = o.corner_point(c);
-      const Key k = nclass.canonical(t, cp);
-      elem_keys[li][static_cast<std::size_t>(c)] = k;
-      if (!classified.contains(k)) classified.emplace(k, nclass.classify(t, cp));
-    }
-    ++li;
-  });
-
-  // --- Assign ids to owned independent nodes --------------------------------
-  NodeNumbering<Dim> out;
-  std::map<Key, std::int64_t> gid_of;  // keys with known gid (owned or fetched)
-  for (const auto& [k, cls] : classified) {
-    if (cls.independent && cls.owner == me) out.owned_keys.push_back(k);
-  }
-  std::sort(out.owned_keys.begin(), out.owned_keys.end());
-  out.num_owned = static_cast<std::int64_t>(out.owned_keys.size());
-  const auto counts = comm.allgather(out.num_owned);
-  out.rank_offsets.assign(static_cast<std::size_t>(p) + 1, 0);
-  for (int r = 0; r < p; ++r) {
-    out.rank_offsets[static_cast<std::size_t>(r) + 1] =
-        out.rank_offsets[static_cast<std::size_t>(r)] + counts[static_cast<std::size_t>(r)];
-  }
-  out.owned_offset = out.rank_offsets[static_cast<std::size_t>(me)];
-  out.num_global = out.rank_offsets[static_cast<std::size_t>(p)];
-  for (std::size_t i = 0; i < out.owned_keys.size(); ++i) {
-    gid_of[out.owned_keys[i]] = out.owned_offset + static_cast<std::int64_t>(i);
-  }
-
-  // --- Resolution rounds -----------------------------------------------------
-  const par::check::RegionGuard owned_guard(comm, out.owned_keys.data(),
-                                            out.owned_keys.size() * sizeof(Key),
-                                            "nodes owned keys (reference)");
-  // `want` = keys whose expansion onto independent gids we need.
-  std::map<Key, std::vector<Contrib>> resolved;
-  std::set<Key> want;
-  std::map<Key, int> ask_hint;  // where to ask about keys we did not classify
-  std::set<std::pair<Key, int>> asked;
-  for (const auto& ek : elem_keys) {
-    for (const Key& k : ek) want.insert(k);
-  }
-
-  const auto to_msg = [](const Key& k) { return KeyMsg{k[0], k[1], k[2], k[3]}; };
-  const auto from_msg = [](const KeyMsg& m) { return Key{m.tree, m.x, m.y, m.z}; };
-
-  for (int round = 0;; ++round) {
-    if (round > 64) throw std::runtime_error("nodes: resolution did not converge");
-    // Local expansion to a fixed point.
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (const Key& k : want) {
-        if (resolved.contains(k)) continue;
-        const auto it = classified.find(k);
-        if (it == classified.end()) continue;
-        const Cls& cls = it->second;
-        if (cls.independent) {
-          const auto g = gid_of.find(k);
-          if (g != gid_of.end()) {
-            resolved[k] = {Contrib{g->second, 1.0}};
-            progress = true;
-          }
-        } else {
-          bool all = true;
-          for (const Key& m : cls.masters) {
-            if (!resolved.contains(m)) all = false;
-          }
-          if (all) {
-            std::map<std::int64_t, double> acc;
-            const double w = 1.0 / static_cast<double>(cls.masters.size());
-            for (const Key& m : cls.masters) {
-              for (const Contrib& c : resolved[m]) acc[c.gid] += w * c.weight;
-            }
-            auto& v = resolved[k];
-            for (const auto& [g, ww] : acc) v.push_back(Contrib{g, ww});
-            progress = true;
-          }
-        }
-      }
-      // Pull masters of classified dependents into `want`.
-      std::vector<Key> grow;
-      for (const Key& k : want) {
-        const auto it = classified.find(k);
-        if (it == classified.end() || it->second.independent) continue;
-        for (std::size_t i = 0; i < it->second.masters.size(); ++i) {
-          const Key& m = it->second.masters[i];
-          if (!want.contains(m)) {
-            grow.push_back(m);
-            ask_hint.emplace(m, it->second.ask[i]);
-          }
-        }
-      }
-      if (!grow.empty()) progress = true;
-      for (const Key& k : grow) want.insert(k);
-    }
-
-    // Build requests.
-    std::vector<std::vector<KeyMsg>> req(static_cast<std::size_t>(p));
-    bool outstanding = false;
-    for (const Key& k : want) {
-      if (resolved.contains(k)) continue;
-      outstanding = true;
-      int target = -1;
-      const auto it = classified.find(k);
-      if (it != classified.end() && it->second.independent) {
-        target = it->second.owner;  // fetch the gid from the owner
-      } else if (it == classified.end()) {
-        const auto h = ask_hint.find(k);
-        if (h == ask_hint.end()) throw std::runtime_error("nodes: unclassified key without hint");
-        target = h->second;
-      } else {
-        continue;  // dependent with unresolved masters: they carry the requests
-      }
-      if (asked.insert({k, target}).second) {
-        req[static_cast<std::size_t>(target)].push_back(to_msg(k));
-      }
-    }
-
-    const int any = comm.allreduce(static_cast<int>(outstanding), par::ReduceOp::logical_or);
-    if (!any) break;
-
-    ops.nodes_rounds++;
-    for (const auto& buf : req) {
-      if (buf.empty()) continue;
-      ops.nodes_request_batches++;
-      ops.nodes_requests_sent += static_cast<std::int64_t>(buf.size());
-    }
-    const auto req_in = comm.alltoallv(req);
-
-    // Answer every incoming request from the local classification.
-    std::vector<std::vector<AnsMsg>> ans(static_cast<std::size_t>(p));
-    for (int src = 0; src < p; ++src) {
-      for (const KeyMsg& km : req_in[static_cast<std::size_t>(src)]) {
-        const Key k = from_msg(km);
-        const auto it = classified.find(k);
-        if (it == classified.end()) {
-          throw std::runtime_error("nodes: request for a key this rank never classified");
-        }
-        AnsMsg a{};
-        a.key = km;
-        const Cls& cls = it->second;
-        if (cls.independent) {
-          const auto g = gid_of.find(k);
-          if (g != gid_of.end()) {
-            a.kind = kAnsIndepGid;
-            a.gid_or_owner = g->second;
-          } else {
-            a.kind = kAnsIndepOwner;
-            a.gid_or_owner = cls.owner;
-          }
-        } else {
-          a.kind = kAnsDependent;
-          a.nmasters = static_cast<std::int32_t>(cls.masters.size());
-          for (std::size_t i = 0; i < cls.masters.size(); ++i) {
-            a.masters[i] = to_msg(cls.masters[i]);
-            a.ask[i] = cls.ask[i];
-          }
-        }
-        ans[static_cast<std::size_t>(src)].push_back(a);
-      }
-    }
-    const auto ans_in = comm.alltoallv(ans);
-    for (const auto& from : ans_in) {
-      for (const AnsMsg& a : from) {
-        ops.nodes_answers_recv++;
-        const Key k = from_msg(a.key);
-        if (a.kind == kAnsIndepGid) {
-          gid_of[k] = a.gid_or_owner;
-          Cls cls;
-          cls.independent = true;
-          cls.owner = out.owner_of_gid(a.gid_or_owner);
-          classified.emplace(k, cls);
-        } else if (a.kind == kAnsIndepOwner) {
-          Cls cls;
-          cls.independent = true;
-          cls.owner = static_cast<int>(a.gid_or_owner);
-          classified.insert_or_assign(k, cls);
-        } else {
-          Cls cls;
-          cls.independent = false;
-          for (int i = 0; i < a.nmasters; ++i) {
-            cls.masters.push_back(from_msg(a.masters[i]));
-            cls.ask.push_back(a.ask[i]);
-          }
-          classified.insert_or_assign(k, cls);
-        }
-      }
-    }
-  }
-
-  // --- Fill per-element slots -------------------------------------------------
-  out.elements.resize(n_local);
-  for (std::size_t e = 0; e < n_local; ++e) {
-    for (int c = 0; c < nc; ++c) {
-      out.elements[e][static_cast<std::size_t>(c)] = resolved.at(elem_keys[e][static_cast<std::size_t>(c)]);
-    }
-  }
-  // Invert the gid map for locally referenced nodes.
-  out.gid_keys.reserve(gid_of.size());
-  for (const auto& [k, g] : gid_of) out.gid_keys.emplace_back(g, k);
-  std::sort(out.gid_keys.begin(), out.gid_keys.end());
-  return out;
-}
-
-template <int Dim>
-NodeNumbering<Dim> NodeNumbering<Dim>::build(const Forest<Dim>& forest,
-                                             const GhostLayer<Dim>& ghost) {
-  const char* ref = std::getenv("ESAMR_NODES_REFERENCE");
-  if (ref != nullptr && ref[0] == '1') return build_reference<Dim>(forest, ghost);
-  return build_batched<Dim>(forest, ghost);
 }
 
 template <int Dim>

@@ -82,16 +82,15 @@ struct NodeNumbering {
   /// Build the numbering for a 2:1-balanced forest with its ghost layer.
   static NodeNumbering build(const Forest<Dim>& forest, const GhostLayer<Dim>& ghost);
 
-  /// Incremental build after a tracked adapt step (collective). Instead of
-  /// re-classifying every element corner, only elements overlapping the delta
-  /// regions widened by a fixed number of insulation rings are re-classified;
-  /// owned nodes whose every touching leaf is unchanged survive with their
-  /// relative order intact, so spliced contribution lists only need a
-  /// monotone gid remap. The result — ids included — is identical to a full
-  /// build() on the new forest. Falls back to build() (and recaptures the
-  /// cache) when the cache is invalid, the partition changed, the delta
-  /// overflowed, ESAMR_INCR=0, or ESAMR_NODES_REFERENCE=1; the decision is
-  /// collective. Returns the numbering now held by `cache`.
+  /// Incremental build after a tracked adapt step (collective). It runs the
+  /// same engine as build(), but only on the elements near the delta
+  /// regions; owned nodes whose every touching leaf is unchanged survive
+  /// with their relative order intact, so the reused contribution lists only
+  /// need a monotone gid remap. The result — ids included — is identical to
+  /// a full build() on the new forest. Falls back to build() (and recaptures
+  /// the cache) when the cache is invalid, the partition changed, or the
+  /// delta overflowed; the decision is collective. Returns the numbering now
+  /// held by `cache`.
   static const NodeNumbering& build_incremental(const Forest<Dim>& forest,
                                                 const GhostLayer<Dim>& ghost,
                                                 DeltaSet<Dim>& delta, NodesCache<Dim>& cache);

@@ -2,10 +2,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <exception>
-#include <string_view>
 #include <thread>
 
 #include "par/request.h"
@@ -702,30 +700,7 @@ void run(int nranks, const RunOptions& opts, const std::function<void(Comm&)>& f
   }
 }
 
-void run(int nranks, const std::function<void(Comm&)>& fn) {
-  RunOptions opts;
-  if (const char* env = std::getenv("ESAMR_COMM_BACKEND")) {
-    const std::string_view v(env);
-    if (v == "reference") {
-      opts.backend = Backend::reference;
-    } else if (v == "p2p") {
-      opts.backend = Backend::p2p;
-    } else if (!v.empty()) {
-      throw std::runtime_error("par::run: bad ESAMR_COMM_BACKEND (want reference|p2p)");
-    }
-  }
-  if (const char* env = std::getenv("ESAMR_INTEGRITY")) {
-    const std::string_view v(env);
-    if (v == "0") {
-      opts.integrity = false;
-    } else if (v == "1") {
-      opts.integrity = true;
-    } else if (!v.empty()) {
-      throw std::runtime_error("par::run: bad ESAMR_INTEGRITY (want 0|1)");
-    }
-  }
-  run(nranks, opts, fn);
-}
+void run(int nranks, const std::function<void(Comm&)>& fn) { run(nranks, RunOptions{}, fn); }
 
 double thread_cpu_seconds() {
   timespec ts{};

@@ -18,8 +18,6 @@
 //   - Backend::reference: the original shared-slot implementations (write own
 //     slot; barrier; read peers' slots; barrier), kept as a differential
 //     -testing oracle (tests/test_collectives.cc).
-// The environment variable ESAMR_COMM_BACKEND=reference|p2p overrides the
-// default for par::run calls that do not pass explicit RunOptions.
 //
 // Every rank carries a CommStats (par/stats.h) with message/byte counters and
 // blocked-time accounting, and RunOptions can enable deterministic fault
@@ -86,8 +84,7 @@ struct RunOptions {
   /// on every payload (point-to-point, collective-internal, and the
   /// reference backend's shared slots) and receivers verify it before the
   /// bytes are used, throwing CorruptMessage on mismatch. Default on; set
-  /// false (or ESAMR_INTEGRITY=0 for par::run calls without explicit
-  /// options) to measure the unprotected fast path (bench_comm).
+  /// false to measure the unprotected fast path (bench_comm).
   bool integrity = true;
   /// Link-level retransmission of corrupt messages (see ArqConfig). Active
   /// only when `integrity` is also on.
@@ -711,7 +708,7 @@ class Comm {
 /// Exceptions thrown by any rank are re-thrown (first one) after all join.
 void run(int nranks, const RunOptions& opts, const std::function<void(Comm&)>& fn);
 
-/// As above with default options (ESAMR_COMM_BACKEND may override backend).
+/// As above with default options.
 void run(int nranks, const std::function<void(Comm&)>& fn);
 
 /// SPMD section that collects a per-rank result; result[r] is rank r's return.

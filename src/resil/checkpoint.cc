@@ -878,7 +878,7 @@ void write_delta_checkpoint_ring(const forest::Forest<Dim>& f, std::uint64_t con
     }
   }
   link = comm.bcast(link, 0);
-  const bool want_full = link[0] == 0 || delta.overflow || !forest::incremental_enabled();
+  const bool want_full = link[0] == 0 || delta.overflow;
   if (comm.allreduce(static_cast<int>(want_full), par::ReduceOp::logical_or) != 0) {
     write_checkpoint_ring<Dim>(f, conn_id, step, fields, ring);
     return;

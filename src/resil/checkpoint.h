@@ -162,8 +162,8 @@ Restored<Dim> restore_latest(par::Comm& comm, const forest::Connectivity<Dim>& c
 /// the base snapshot need a full snapshot instead. The file is CRC-sealed
 /// like a full snapshot and chained to its predecessor by (base seq,
 /// prev seq, prev header CRC). Falls back to a full write_checkpoint_ring
-/// (collective decision) when the ring has no full-snapshot anchor, the
-/// delta overflowed, or ESAMR_INCR=0. OpStats::ckpt_delta_bytes counts the
+/// (collective decision) when the ring has no full-snapshot anchor or the
+/// delta overflowed. OpStats::ckpt_delta_bytes counts the
 /// bytes of delta files committed.
 template <int Dim>
 void write_delta_checkpoint_ring(const forest::Forest<Dim>& f, std::uint64_t conn_id,

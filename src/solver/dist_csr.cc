@@ -124,55 +124,34 @@ void DistCsr::matvec(std::span<const double> x, std::span<double> y) const {
   const int p = comm_->size();
   const int me = comm_->rank();
   std::vector<double> ghost(ghost_cols_.size());
-  // Both modes compute y in the same owned-then-ghost order (each pass in
-  // CSR order), so async overlap and the blocking swap are bit-identical.
-  if (overlap_ && comm_->backend() == par::Backend::p2p) {
-    std::vector<par::Request> recvs(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      if (r != me && !recv_slot_[static_cast<std::size_t>(r)].empty()) {
-        recvs[static_cast<std::size_t>(r)] = comm_->irecv(r, tag_halo_swap);
-      }
+  std::vector<par::Request> recvs(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) {
+    if (r != me && !recv_slot_[static_cast<std::size_t>(r)].empty()) {
+      recvs[static_cast<std::size_t>(r)] = comm_->irecv(r, tag_halo_swap);
     }
-    std::vector<par::Request> sends;
-    for (int r = 0; r < p; ++r) {
-      const auto& idx = send_idx_[static_cast<std::size_t>(r)];
-      if (r == me || idx.empty()) continue;
-      std::vector<double> vals;
-      vals.reserve(idx.size());
-      for (const std::int32_t i : idx) vals.push_back(x[static_cast<std::size_t>(i)]);
-      sends.push_back(comm_->isend(r, tag_halo_swap, std::move(vals)));
-    }
-    // Owned-column pass while the halo is in flight.
-    owned_pass(x, y);
-    for (int r = 0; r < p; ++r) {
-      auto& rq = recvs[static_cast<std::size_t>(r)];
-      if (!rq.valid()) continue;
-      rq.wait();
-      const auto vals = rq.message().view<double>();
-      const auto& slots = recv_slot_[static_cast<std::size_t>(r)];
-      for (std::size_t k = 0; k < slots.size(); ++k) {
-        ghost[static_cast<std::size_t>(slots[k])] = vals[k];
-      }
-    }
-    par::wait_all(sends);
-  } else {
-    std::vector<std::vector<double>> send(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      send[static_cast<std::size_t>(r)].reserve(send_idx_[static_cast<std::size_t>(r)].size());
-      for (const std::int32_t i : send_idx_[static_cast<std::size_t>(r)]) {
-        send[static_cast<std::size_t>(r)].push_back(x[static_cast<std::size_t>(i)]);
-      }
-    }
-    const auto recv = comm_->alltoallv(send);
-    for (int r = 0; r < p; ++r) {
-      const auto& slots = recv_slot_[static_cast<std::size_t>(r)];
-      const auto& vals = recv[static_cast<std::size_t>(r)];
-      for (std::size_t k = 0; k < slots.size(); ++k) {
-        ghost[static_cast<std::size_t>(slots[k])] = vals[k];
-      }
-    }
-    owned_pass(x, y);
   }
+  std::vector<par::Request> sends;
+  for (int r = 0; r < p; ++r) {
+    const auto& idx = send_idx_[static_cast<std::size_t>(r)];
+    if (r == me || idx.empty()) continue;
+    std::vector<double> vals;
+    vals.reserve(idx.size());
+    for (const std::int32_t i : idx) vals.push_back(x[static_cast<std::size_t>(i)]);
+    sends.push_back(comm_->isend(r, tag_halo_swap, std::move(vals)));
+  }
+  // Owned-column pass while the halo is in flight.
+  owned_pass(x, y);
+  for (int r = 0; r < p; ++r) {
+    auto& rq = recvs[static_cast<std::size_t>(r)];
+    if (!rq.valid()) continue;
+    rq.wait();
+    const auto vals = rq.message().view<double>();
+    const auto& slots = recv_slot_[static_cast<std::size_t>(r)];
+    for (std::size_t k = 0; k < slots.size(); ++k) {
+      ghost[static_cast<std::size_t>(slots[k])] = vals[k];
+    }
+  }
+  par::wait_all(sends);
   ghost_pass(ghost, y);
 }
 

@@ -40,19 +40,11 @@ class DistCsr {
 
   /// y = A x; x and y hold the owned rows only (halo exchanged internally).
   ///
-  /// With overlap on (default, p2p backend) the halo swap is asynchronous:
-  /// receives are posted, packed x-values are isent (storage adopted), the
-  /// owned-column pass runs while the halo is in flight, and the ghost-column
-  /// pass folds in received values read in place. The accumulation order
-  /// (owned terms first, then ghost terms, each in CSR order) is identical in
-  /// both modes, so overlap on/off produce bit-identical y.
+  /// The halo swap is asynchronous: receives are posted, packed x-values are
+  /// isent (storage adopted), the owned-column pass runs while the halo is in
+  /// flight, and the ghost-column pass folds in received values read in
+  /// place. Owned terms accumulate first, then ghost terms, each in CSR order.
   void matvec(std::span<const double> x, std::span<double> y) const;
-
-  /// Toggle async halo overlap in matvec (on by default; the blocking
-  /// alltoallv swap is kept as the differential twin and is always used on
-  /// the reference backend, which has no async fast path).
-  void set_overlap(bool on) { overlap_ = on; }
-  bool overlap() const { return overlap_; }
 
   /// Diagonal entries of the owned rows.
   std::vector<double> diagonal() const;
@@ -84,8 +76,6 @@ class DistCsr {
   std::vector<std::vector<std::int32_t>> send_idx_;
   // Where received values land in the ghost slot array: per rank, ghost slots.
   std::vector<std::vector<std::int32_t>> recv_slot_;
-
-  bool overlap_ = true;  ///< async halo swap in matvec (see set_overlap)
 
   void owned_pass(std::span<const double> x, std::span<double> y) const;
   void ghost_pass(std::span<const double> ghost, std::span<double> y) const;

@@ -6,7 +6,6 @@
 // single-pass rewrite to the reference ripple, octant for octant.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 
 #include "forest/forest.h"
@@ -216,10 +215,9 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BalanceRanks, ::testing::Values(1, 2, 4, 7));
 namespace {
 
 /// Runs the Fig.-4 fractal workload on rotcubes at `nranks` with either the
-/// reference ripple or the single-pass Balance selected via environment, and
-/// returns the rank-0 gathered global leaf sequence.
+/// reference ripple or the single-pass Balance, and returns the rank-0
+/// gathered global leaf sequence.
 std::vector<std::pair<int, Octant<3>>> balanced_leaves(int nranks, bool reference, int depth) {
-  setenv("ESAMR_BALANCE_REFERENCE", reference ? "1" : "0", 1);
   std::vector<std::pair<int, Octant<3>>> leaves;
   par::run(nranks, [&](par::Comm& c) {
     const auto conn = Connectivity<3>::rotcubes();
@@ -230,11 +228,14 @@ std::vector<std::pair<int, Octant<3>>> balanced_leaves(int nranks, bool referenc
         return o.level == l && (id == 0 || id == 3 || id == 5 || id == 6);
       });
     }
-    f.balance();
+    if (reference) {
+      f.balance_ripple();
+    } else {
+      f.balance();
+    }
     const auto all = gather_all(f);
     if (c.rank() == 0) leaves = all;
   });
-  unsetenv("ESAMR_BALANCE_REFERENCE");
   return leaves;
 }
 

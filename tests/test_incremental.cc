@@ -20,6 +20,7 @@
 #include "forest/ghost.h"
 #include "forest/nodes.h"
 #include "forest/stats.h"
+#include "nodes_digest.h"
 #include "par/comm.h"
 #include "resil/checkpoint.h"
 
@@ -66,11 +67,6 @@ bool marked(std::uint64_t seed, int step, std::uint64_t salt, int mod, int t,
   return h % static_cast<std::uint64_t>(mod) == 0;
 }
 
-void fold(std::uint64_t& h, std::int64_t v) {
-  h ^= static_cast<std::uint64_t>(v);
-  h *= 1099511628211ull;
-}
-
 std::uint64_t forest_digest(const Forest<2>& f) {
   std::uint64_t h = 1469598103934665603ull;
   f.for_each_local([&](int t, const Octant<2>& o) {
@@ -102,33 +98,6 @@ std::uint64_t ghost_digest(const GhostLayer<2>& g) {
   for (const auto& lst : g.mirror_lists) {
     fold(h, static_cast<std::int64_t>(lst.size()));
     for (const std::int32_t i : lst) fold(h, i);
-  }
-  return h;
-}
-
-std::uint64_t nodes_digest(const NodeNumbering<2>& n) {
-  std::uint64_t h = 1469598103934665603ull;
-  fold(h, n.num_owned);
-  fold(h, n.owned_offset);
-  fold(h, n.num_global);
-  for (const std::int64_t r : n.rank_offsets) fold(h, r);
-  for (const auto& k : n.owned_keys) {
-    for (const std::int32_t v : k) fold(h, v);
-  }
-  for (const auto& [gid, k] : n.gid_keys) {
-    fold(h, gid);
-    for (const std::int32_t v : k) fold(h, v);
-  }
-  for (const auto& elem : n.elements) {
-    for (const auto& slot : elem) {
-      fold(h, static_cast<std::int64_t>(slot.size()));
-      for (const auto& cb : slot) {
-        fold(h, cb.gid);
-        std::int64_t wb;
-        std::memcpy(&wb, &cb.weight, sizeof(wb));
-        fold(h, wb);
-      }
-    }
   }
   return h;
 }

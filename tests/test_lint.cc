@@ -53,6 +53,7 @@ const std::vector<RuleCase>& cases() {
       {"payload_vector", "payload-vector",
        {"payload-vector legacy.h:12", "payload-vector legacy.h:9"}},
       {"raw_sleep", "raw-sleep", {"raw-sleep spin.cc:7"}},
+      {"raw_getenv", "raw-getenv", {"raw-getenv knob.cc:7", "raw-getenv knob.cc:8"}},
       {"comm_entry", "comm-entry", {"comm-entry comm.h:11", "comm-entry comm.h:12"}},
       {"checked_io", "checked-io",
        {"checked-io dump.cc:6", "checked-io dump.cc:7", "checked-io dump.cc:8"}},

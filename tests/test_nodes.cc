@@ -4,12 +4,16 @@
 //  * the numbering is independent of the rank count,
 //  * on affine macro meshes the constrained interpolation reproduces global
 //    linear functions exactly — this exercises hanging face/edge constraints
-//    and inter-tree canonicalization at once.
+//    and inter-tree canonicalization at once,
+//  * build() emits exactly the recorded digests (NodesGolden): every gid,
+//    weight bit, owned key and gid key on four inputs at four rank counts.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 
 #include "forest/nodes.h"
+#include "nodes_digest.h"
 
 using namespace esamr::forest;
 namespace par = esamr::par;
@@ -234,3 +238,103 @@ TEST_P(NodesRanks, ShellNodesConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, NodesRanks, ::testing::Values(1, 2, 3, 5));
+
+namespace {
+
+/// Build the numbering of a balanced, partitioned forest and fold every
+/// rank's nodes_digest, in rank order, into one global digest.
+template <int Dim>
+std::uint64_t global_nodes_digest(Forest<Dim>& f) {
+  f.partition();
+  f.balance();
+  f.partition();
+  const auto g = GhostLayer<Dim>::build(f);
+  const auto nodes = NodeNumbering<Dim>::build(f, g);
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint64_t d : f.comm().allgather(nodes_digest(nodes))) {
+    fold(h, static_cast<std::int64_t>(d));
+  }
+  return h;
+}
+
+struct GoldenInput {
+  const char* name;
+  std::uint64_t (*digest)(par::Comm&);
+};
+
+const GoldenInput kGoldenInputs[] = {
+    // Fig. 4 fractal on rotcubes: inter-tree canonicalization at twisted joins.
+    {"rotcubes_fractal_d4",
+     [](par::Comm& c) {
+       const auto conn = Connectivity<3>::rotcubes();
+       auto f = Forest<3>::new_uniform(c, &conn, 1);
+       for (int l = 1; l < 4; ++l) {
+         f.refine(l + 1, false, [&](int, const Octant<3>& o) {
+           const int id = o.child_id();
+           return o.level == l && (id == 0 || id == 3 || id == 5 || id == 6);
+         });
+       }
+       return global_nodes_digest(f);
+     }},
+    {"shell_random",
+     [](par::Comm& c) {
+       const auto conn = Connectivity<3>::shell();
+       auto f = Forest<3>::new_uniform(c, &conn, 1);
+       f.refine(3, true, [&](int t, const Octant<3>& o) {
+         return o.level < 3 && random_mark(t, o, 44, 5);
+       });
+       return global_nodes_digest(f);
+     }},
+    {"moebius_2d",
+     [](par::Comm& c) {
+       const auto conn = Connectivity<2>::moebius(5);
+       auto f = Forest<2>::new_uniform(c, &conn, 2);
+       f.refine(5, true, [&](int t, const Octant<2>& o) {
+         return o.level < 5 && random_mark(t, o, 5, 3);
+       });
+       return global_nodes_digest(f);
+     }},
+    // Corner-concentrated refinement: constraint chains across ranks.
+    {"corner_cascade_3d",
+     [](par::Comm& c) {
+       const auto conn = Connectivity<3>::unit();
+       auto f = Forest<3>::new_uniform(c, &conn, 1);
+       f.refine(5, true, [&](int, const Octant<3>& o) {
+         return o.x == 0 && o.y == 0 && o.z == 0 && o.level < 5;
+       });
+       return global_nodes_digest(f);
+     }},
+};
+
+/// Global digests of NodeNumbering::build on kGoldenInputs, per rank count.
+/// Recorded from the build that still shipped the separate full-build and
+/// reference protocols; the merged engine must reproduce them bit for bit.
+const std::map<int, std::array<std::uint64_t, 4>> kGoldenDigests = {
+    {1, {15403863147294489561ull, 16994733704208947595ull, 12791625188599600103ull,
+         14850433102407055480ull}},
+    {3, {8522349326037607413ull, 9039262585141140623ull, 8388227991027248329ull,
+         3578277336020923308ull}},
+    {4, {8089449971905489525ull, 11285824715365274155ull, 9477503391606317881ull,
+         6171056091998399683ull}},
+    {7, {5208298134487086254ull, 4375127375462378970ull, 4222116210796380643ull,
+         11943564185088520370ull}},
+};
+
+}  // namespace
+
+class NodesGolden : public ::testing::TestWithParam<int> {};
+
+TEST_P(NodesGolden, FullBuildMatchesRecordedDigests) {
+  const int p = GetParam();
+  const auto& want = kGoldenDigests.at(p);
+  for (std::size_t i = 0; i < std::size(kGoldenInputs); ++i) {
+    std::uint64_t got = 0;
+    par::run(p, [&](par::Comm& c) {
+      const std::uint64_t d = kGoldenInputs[i].digest(c);
+      if (c.rank() == 0) got = d;
+    });
+    EXPECT_EQ(got, want[i]) << kGoldenInputs[i].name << " at P=" << p;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, NodesGolden, ::testing::Values(1, 3, 4, 7));

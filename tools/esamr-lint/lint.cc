@@ -552,7 +552,7 @@ void analyze_bodies(FileAnalysis* fa) {
   }
 }
 
-// --- Rules 1, 3, 4, 5 (single-file token rules) ----------------------------
+// --- Single-file token rules -----------------------------------------------
 
 void rule_collective_divergence(FileAnalysis* fa) {
   const auto& t = fa->lx.toks;
@@ -613,6 +613,19 @@ void rule_raw_sleep(FileAnalysis* fa) {
         "raw-sleep", fa->path, t[i].line, t[i].col,
         "raw sleep_for outside par/backoff — unseeded, unaccounted delay; use "
         "par::detail::sleep_s/sleep_us or par::SeededBackoff (src/par/backoff.h)"});
+  }
+}
+
+void rule_raw_getenv(FileAnalysis* fa) {
+  if (ends_with(fa->path, "par/check.cc")) return;
+  const auto& t = fa->lx.toks;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (!is_ident(t, i) || t[i].text != "getenv") continue;
+    if (!is(t, i + 1, "(")) continue;
+    fa->findings.push_back(Finding{
+        "raw-getenv", fa->path, t[i].line, t[i].col,
+        "getenv outside par/check.cc — ESAMR_CHECK is the one environment switch; take "
+        "options through RunOptions or name the value as a constant"});
   }
 }
 
@@ -678,6 +691,7 @@ FileAnalysis analyze_file_ctx(const std::string& path, const std::string& text) 
   rule_collective_divergence(&fa);
   rule_payload_vector(&fa);
   rule_raw_sleep(&fa);
+  rule_raw_getenv(&fa);
   rule_comm_entry(&fa);
   rule_checked_io(&fa);
   return fa;
@@ -802,7 +816,7 @@ std::string json_escape(const std::string& s) {
 
 std::vector<std::string> rule_ids() {
   return {"collective-divergence", "determinism", "payload-vector",
-          "raw-sleep", "comm-entry", "checked-io"};
+          "raw-sleep", "raw-getenv", "comm-entry", "checked-io"};
 }
 
 Report analyze_source(const std::string& path, const std::string& text, const Options& opts) {

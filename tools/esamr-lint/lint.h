@@ -16,6 +16,8 @@
 //                          checkpoint sinks (cross-file call-graph closure)
 //   payload-vector         raw std::vector<uint8_t> payload type in src/par
 //   raw-sleep              std::this_thread::sleep_for outside par/backoff
+//   raw-getenv             getenv outside par/check.cc (ESAMR_CHECK is the
+//                          one environment switch)
 //   comm-entry             comm-entry declaration in par/comm.h or
 //                          par/request.h without a std::source_location
 //   checked-io             raw fopen/fwrite/fprintf outside io/checked_file.h
