@@ -1,10 +1,9 @@
-// Comm v2 benchmark driver: per-collective byte volume of the p2p
-// (tree/recursive-doubling/ring) backend against the reference shared-slot
-// backend, a Figure-7-style per-phase breakdown of the AMR pipeline with
-// real message counts and byte volume from CommStats, the runtime
-// overhead of the dynamic correctness checker (src/par/check.h) on a
-// comm-bound workload, and the cost of the CRC32C message-integrity
-// envelopes (RunOptions::integrity) on the same workload.
+// Comm v2 benchmark driver: per-collective message count and byte volume of
+// the tree/recursive-doubling/ring algorithms, a Figure-7-style per-phase
+// breakdown of the AMR pipeline with real message counts and byte volume
+// from CommStats, the runtime overhead of the dynamic correctness checker
+// (src/par/check.h) on a comm-bound workload, and the cost of the CRC32C
+// message-integrity envelopes (RunOptions::integrity) on the same workload.
 //
 // The paper's scalability analysis (§III) models collectives as O(log P)
 // tree algorithms over O(P) partition metadata; this driver shows the
@@ -12,8 +11,11 @@
 // where the AMR pipeline's communication goes phase by phase.
 //
 // Usage: bench_comm [P] [payload] [--json out.json]
+#include <cerrno>
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -28,8 +30,8 @@ namespace {
 
 struct VolumeRow {
   const char* collective;
-  std::int64_t ref_bytes;
-  std::int64_t p2p_bytes;
+  std::int64_t msgs;
+  std::int64_t bytes;
 };
 
 struct PhaseRow {
@@ -48,12 +50,11 @@ struct IntegrityRow {
   std::int64_t bytes_verified;
 };
 
-/// Total bytes moved by one collective with a `payload`-byte per-rank input.
-std::int64_t collective_volume(int p, par::Backend backend, par::Coll kind, std::size_t payload) {
-  par::RunOptions opts;
-  opts.backend = backend;
-  std::int64_t total = 0;
-  par::run(p, opts, [&](par::Comm& c) {
+/// Messages and bytes moved by one collective with a `payload`-byte per-rank
+/// input, summed over ranks.
+VolumeRow collective_volume(int p, par::Coll kind, std::size_t payload) {
+  VolumeRow row{par::coll_name(kind), 0, 0};
+  par::run(p, [&](par::Comm& c) {
     std::vector<std::byte> buf(payload, std::byte{1});
     c.stats().reset();
     switch (kind) {
@@ -73,37 +74,32 @@ std::int64_t collective_volume(int p, par::Backend backend, par::Coll kind, std:
       default: break;
     }
     const auto snap = c.stats_snapshot();
-    if (c.rank() == 0) total = snap.total.coll_bytes;
+    if (c.rank() == 0) {
+      row.msgs = snap.total.coll_msgs;
+      row.bytes = snap.total.coll_bytes;
+    }
   });
-  return total;
+  return row;
 }
 
 std::vector<VolumeRow> volume_table(int p, std::size_t payload) {
-  std::printf("=== collective byte volume, reference vs p2p backend (P=%d, %zu B/rank) ===\n", p,
-              payload);
-  std::printf("%-11s %14s %14s %8s\n", "collective", "reference B", "p2p B", "ratio");
+  std::printf("=== collective message volume (P=%d, %zu B/rank) ===\n", p, payload);
+  std::printf("%-11s %10s %14s\n", "collective", "msgs", "bytes");
   const par::Coll kinds[] = {par::Coll::bcast,     par::Coll::reduce,     par::Coll::allreduce,
                              par::Coll::allgather, par::Coll::allgatherv, par::Coll::alltoall};
   std::vector<VolumeRow> rows;
   for (const auto kind : kinds) {
-    const auto ref = collective_volume(p, par::Backend::reference, kind, payload);
-    const auto p2p = collective_volume(p, par::Backend::p2p, kind, payload);
-    rows.push_back(VolumeRow{par::coll_name(kind), ref, p2p});
-    if (p2p > 0) {
-      std::printf("%-11s %14" PRId64 " %14" PRId64 " %7.2fx\n", par::coll_name(kind), ref, p2p,
-                  static_cast<double>(ref) / static_cast<double>(p2p));
-    } else {
-      std::printf("%-11s %14" PRId64 " %14" PRId64 " %8s\n", par::coll_name(kind), ref, p2p, "-");
-    }
+    rows.push_back(collective_volume(p, kind, payload));
+    std::printf("%-11s %10" PRId64 " %14" PRId64 "\n", rows.back().collective, rows.back().msgs,
+                rows.back().bytes);
   }
-  std::printf("(tree/recursive-doubling/ring algorithms vs shared-slot data movement;\n");
-  std::printf(" accounting rule in src/par/stats.h. alltoall's 2.00x is purely the\n");
-  std::printf(" reference write+read double-count — its real volume is inherently equal)\n\n");
+  std::printf("(summed over ranks, each message counted once at its sender; alltoall\n");
+  std::printf(" sends payload/P + 1 bytes to every peer)\n\n");
   return rows;
 }
 
 std::vector<PhaseRow> phase_table(int p) {
-  std::printf("=== AMR pipeline comm volume per phase (P=%d, p2p backend) ===\n", p);
+  std::printf("=== AMR pipeline comm volume per phase (P=%d) ===\n", p);
   std::printf("%-10s %10s %10s %12s %10s\n", "phase", "busy ms", "msgs", "bytes", "blocked ms");
   std::vector<PhaseRow> rows;
   par::run(p, [&](par::Comm& comm) {
@@ -318,10 +314,9 @@ void write_json(const char* path, int p, std::size_t payload, const std::vector<
   std::fprintf(out, "  \"collective_volume\": [\n");
   for (std::size_t i = 0; i < vols.size(); ++i) {
     std::fprintf(out,
-                 "    {\"collective\": \"%s\", \"reference_bytes\": %" PRId64
-                 ", \"p2p_bytes\": %" PRId64 "}%s\n",
-                 vols[i].collective, vols[i].ref_bytes, vols[i].p2p_bytes,
-                 i + 1 < vols.size() ? "," : "");
+                 "    {\"collective\": \"%s\", \"msgs\": %" PRId64 ", \"bytes\": %" PRId64
+                 "}%s\n",
+                 vols[i].collective, vols[i].msgs, vols[i].bytes, i + 1 < vols.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n  \"phases\": [\n");
   for (std::size_t i = 0; i < phases.size(); ++i) {
@@ -364,6 +359,20 @@ void write_json(const char* path, int p, std::size_t payload, const std::vector<
   std::printf("wrote %s\n", path);
 }
 
+[[noreturn]] void usage() {
+  std::fprintf(stderr, "usage: bench_comm [P] [payload] [--json out.json]\n");
+  std::exit(2);
+}
+
+/// Parse a positive decimal integer no larger than `max`, or exit via usage().
+long long positive_arg(const char* s, long long max) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(s, &end, 10);
+  if (end == s || *end != '\0' || errno != 0 || v <= 0 || v > max) usage();
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -375,11 +384,13 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (positional == 0) {
-      p = std::atoi(argv[i]);
+      p = static_cast<int>(positive_arg(argv[i], INT_MAX));
+      ++positional;
+    } else if (positional == 1) {
+      payload = static_cast<std::size_t>(positive_arg(argv[i], LLONG_MAX));
       ++positional;
     } else {
-      payload = static_cast<std::size_t>(std::atoll(argv[i]));
-      ++positional;
+      usage();
     }
   }
   std::printf("=== Comm v2: instrumented collectives (src/par) ===\n\n");

@@ -25,8 +25,10 @@
 // timing both. The default weak-scaling run appends one adapt_loop case at
 // P=8 to its report, so BENCH_fig4.json pins the incremental-vs-rebuild
 // ratio too.
+#include <cerrno>
 #include <cinttypes>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -360,19 +362,37 @@ int main_adapt_loop(std::int64_t per_rank, const char* json_path) {
   return all_identical ? 0 : 1;
 }
 
+[[noreturn]] void usage() {
+  std::fprintf(stderr, "usage: bench_fig4 [adapt_loop] [per_rank] [--json out.json]\n");
+  std::exit(2);
+}
+
+/// Parse a positive decimal integer, or exit via usage().
+std::int64_t positive_arg(const char* s) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(s, &end, 10);
+  if (end == s || *end != '\0' || errno != 0 || v <= 0) usage();
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::int64_t per_rank = 6000;
   const char* json_path = nullptr;
   bool adapt_only = false;
+  bool have_per_rank = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "adapt_loop") == 0) {
       adapt_only = true;
+    } else if (!have_per_rank) {
+      per_rank = positive_arg(argv[i]);
+      have_per_rank = true;
     } else {
-      per_rank = std::atoll(argv[i]);
+      usage();
     }
   }
   if (adapt_only) return main_adapt_loop(per_rank, json_path);

@@ -13,7 +13,7 @@
 //
 //   1. Happens-before race detection. Every rank carries a vector clock
 //      advanced by each send/recv/barrier (collective-internal messages
-//      included, so the p2p backend's trees contribute precise edges).
+//      included, so the collective trees contribute precise edges).
 //      Algorithm code declares rank-owned memory regions via the RAII
 //      RegionGuard and annotates cross-rank-visible accesses with
 //      note_access(); an access to another rank's region that is not
@@ -28,8 +28,8 @@
 //      half in allgather — is reported naming both call sites instead of
 //      corrupting tag streams. At level 2 the checker additionally CRCs the
 //      rank-invariant *result* of bcast/allreduce/allgather(v) through the
-//      same ledger, catching non-deterministic combiners and slot
-//      corruption.
+//      same ledger, catching non-deterministic combiners and corrupted
+//      results.
 //
 //   3. Deadlock diagnosis. Blocked receives and barriers publish wait-for
 //      edges; a periodic detector freezes the world (all mailbox locks in
@@ -272,9 +272,9 @@ int effective_level(int opts_check);
 /// True if the comm's world runs with checking enabled.
 bool enabled(const Comm& comm);
 
-/// RAII declaration of a rank-owned memory region: the forest leaf arrays,
-/// field vectors, and shared collective slots register themselves around
-/// communication phases so detector 1 can attribute accesses.
+/// RAII declaration of a rank-owned memory region: the forest leaf arrays and
+/// field vectors register themselves around communication phases so
+/// detector 1 can attribute accesses.
 class RegionGuard {
  public:
   RegionGuard() = default;

@@ -1,6 +1,4 @@
-// Collective implementations for both Comm backends.
-//
-// p2p backend — real message-passing algorithms on send/recv:
+// Collective implementations: real message-passing algorithms on send/recv.
 //   bcast      binomial tree rooted at `root`
 //   reduce     binomial tree (reverse of bcast)
 //   allreduce  recursive doubling with the standard non-power-of-two
@@ -9,11 +7,6 @@
 //   allgatherv ring (P-1 rounds, neighbor exchange)
 //   exscan     rank chain (rank r receives the prefix from r-1)
 //   alltoallv  pairwise: P-1 buffered sends, then P-1 receives
-//
-// reference backend — the original shared-slot pattern ("write own slot;
-// barrier; read peers' slots; barrier"), kept as the differential-testing
-// oracle. Its bcast is root-only (the root writes one shared buffer and
-// everyone else reads it) rather than the historical full allgather.
 //
 // Internal collective traffic uses a mailbox plane separate from user
 // point-to-point traffic, so a wildcard user recv can never steal a
@@ -47,14 +40,6 @@ int pof2_below(int n) {
   int p = 1;
   while (p * 2 <= n) p *= 2;
   return p;
-}
-
-/// Barrier with blocked time charged to the rank (used inside reference
-/// collectives, where the barrier is part of the algorithm, not a user call).
-void timed_barrier(World* w, int rank, check::Site site = {}) {
-  const double t0 = wall_seconds();
-  w->barrier_wait(rank, site);
-  w->stats[static_cast<std::size_t>(rank)].barrier_blocked_s += wall_seconds() - t0;
 }
 
 }  // namespace
@@ -151,149 +136,7 @@ bool Comm::try_recv_coll_at(int tag_base, int source, int round, Coll kind, Mess
   return true;
 }
 
-// --- Reference backend (shared slots) --------------------------------------
-
-std::vector<std::vector<std::byte>> Comm::ref_gather(const void* data, std::size_t nbytes,
-                                                     bool count) {
-  const int p = size();
-  auto& slot = world_->slots[static_cast<std::size_t>(rank_)];
-  slot.resize(nbytes);
-  if (nbytes > 0) std::memcpy(slot.data(), data, nbytes);
-  // Seal (and under injection possibly corrupt) before the region guard: a
-  // truncating/duplicating fault reallocates the vector, and the guard must
-  // cover the bytes peers will actually read.
-  seal_shared(slot, world_->slot_seals[static_cast<std::size_t>(rank_)]);
-  // Dogfood detector 1 on the runtime's own shared-slot pattern: the slot is
-  // this rank's region until the collective completes; peers read it only
-  // after the barrier supplies the happens-before edge.
-  check::RegionGuard slot_guard(*this, slot.data(), slot.size(), "par::ref_gather slot");
-  timed_barrier(world_, rank_, coll_site_);
-  if (checker_ != nullptr) {
-    for (int r = 0; r < p; ++r) {
-      if (r == rank_) continue;
-      const auto& peer = world_->slots[static_cast<std::size_t>(r)];
-      check::note_access(*this, peer.data(), peer.size(), /*write=*/false);
-    }
-  }
-  for (int r = 0; r < p; ++r) {
-    verify_shared(world_->slots[static_cast<std::size_t>(r)],
-                  world_->slot_seals[static_cast<std::size_t>(r)], r, "ref_gather");
-  }
-  std::vector<std::vector<std::byte>> out(world_->slots.begin(), world_->slots.end());
-  if (count) {
-    auto& st = stats();
-    st.coll_msgs += p;  // one slot write + P-1 peer reads
-    st.coll_bytes += static_cast<std::int64_t>(nbytes);
-    for (int r = 0; r < p; ++r) {
-      if (r != rank_) st.coll_bytes += static_cast<std::int64_t>(out[static_cast<std::size_t>(r)].size());
-    }
-  }
-  timed_barrier(world_, rank_, coll_site_);
-  return out;
-}
-
-void Comm::ref_bcast(std::vector<std::byte>& buf, int root) {
-  auto& st = stats();
-  if (rank_ == root) {
-    world_->bvec = buf;
-    seal_shared(world_->bvec, world_->bvec_seal);
-    ++st.coll_msgs;
-    st.coll_bytes += static_cast<std::int64_t>(buf.size());
-  }
-  timed_barrier(world_, rank_, coll_site_);
-  if (rank_ != root) {
-    buf = world_->bvec;
-    verify_shared(buf, world_->bvec_seal, root, "ref_bcast");
-    ++st.coll_msgs;
-    st.coll_bytes += static_cast<std::int64_t>(buf.size());
-  }
-  timed_barrier(world_, rank_, coll_site_);
-}
-
-void Comm::ref_allreduce(void* inout, std::size_t nbytes, const Combine& op) {
-  const auto all = ref_gather(inout, nbytes, true);
-  std::vector<std::byte> acc(all[0]);
-  for (std::size_t r = 1; r < all.size(); ++r) op(acc.data(), all[r].data());
-  if (nbytes > 0) std::memcpy(inout, acc.data(), nbytes);
-}
-
-void Comm::ref_reduce(void* inout, std::size_t nbytes, int root, const Combine& op) {
-  const int p = size();
-  auto& slot = world_->slots[static_cast<std::size_t>(rank_)];
-  slot.resize(nbytes);
-  if (nbytes > 0) std::memcpy(slot.data(), inout, nbytes);
-  seal_shared(slot, world_->slot_seals[static_cast<std::size_t>(rank_)]);
-  auto& st = stats();
-  ++st.coll_msgs;
-  st.coll_bytes += static_cast<std::int64_t>(nbytes);
-  timed_barrier(world_, rank_, coll_site_);
-  if (rank_ == root) {
-    for (int r = 0; r < p; ++r) {
-      verify_shared(world_->slots[static_cast<std::size_t>(r)],
-                    world_->slot_seals[static_cast<std::size_t>(r)], r, "ref_reduce");
-    }
-    std::vector<std::byte> acc(world_->slots[0]);
-    for (int r = 1; r < p; ++r) op(acc.data(), world_->slots[static_cast<std::size_t>(r)].data());
-    st.coll_msgs += p - 1;
-    st.coll_bytes += static_cast<std::int64_t>(nbytes) * (p - 1);
-    if (nbytes > 0) std::memcpy(inout, acc.data(), nbytes);
-  }
-  timed_barrier(world_, rank_, coll_site_);
-}
-
-void Comm::ref_exscan(const void* mine, void* prefix, std::size_t nbytes, const Combine& op) {
-  auto& slot = world_->slots[static_cast<std::size_t>(rank_)];
-  slot.resize(nbytes);
-  if (nbytes > 0) std::memcpy(slot.data(), mine, nbytes);
-  seal_shared(slot, world_->slot_seals[static_cast<std::size_t>(rank_)]);
-  auto& st = stats();
-  ++st.coll_msgs;
-  st.coll_bytes += static_cast<std::int64_t>(nbytes);
-  timed_barrier(world_, rank_, coll_site_);
-  for (int r = 0; r < rank_; ++r) {
-    verify_shared(world_->slots[static_cast<std::size_t>(r)],
-                  world_->slot_seals[static_cast<std::size_t>(r)], r, "ref_exscan");
-    op(prefix, world_->slots[static_cast<std::size_t>(r)].data());
-    ++st.coll_msgs;
-    st.coll_bytes += static_cast<std::int64_t>(nbytes);
-  }
-  timed_barrier(world_, rank_, coll_site_);
-}
-
-std::vector<std::vector<std::byte>> Comm::ref_alltoall(
-    std::vector<std::vector<std::byte>> sendbufs) {
-  const int p = size();
-  auto& st = stats();
-  for (int d = 0; d < p; ++d) {
-    if (d != rank_) {
-      ++st.coll_msgs;
-      st.coll_bytes += static_cast<std::int64_t>(sendbufs[static_cast<std::size_t>(d)].size());
-    }
-  }
-  auto& seals = world_->a2a_seals[static_cast<std::size_t>(rank_)];
-  for (int d = 0; d < p; ++d) {
-    seal_shared(sendbufs[static_cast<std::size_t>(d)], seals[static_cast<std::size_t>(d)]);
-  }
-  world_->a2a[static_cast<std::size_t>(rank_)] = std::move(sendbufs);
-  timed_barrier(world_, rank_, coll_site_);
-  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(p));
-  for (int s = 0; s < p; ++s) {
-    // a2a[s][rank_] is read by exactly one rank (this one), so moving is safe.
-    out[static_cast<std::size_t>(s)] =
-        std::move(world_->a2a[static_cast<std::size_t>(s)][static_cast<std::size_t>(rank_)]);
-    verify_shared(out[static_cast<std::size_t>(s)],
-                  world_->a2a_seals[static_cast<std::size_t>(s)][static_cast<std::size_t>(rank_)],
-                  s, "ref_alltoall");
-    if (s != rank_) {
-      ++st.coll_msgs;
-      st.coll_bytes += static_cast<std::int64_t>(out[static_cast<std::size_t>(s)].size());
-    }
-  }
-  timed_barrier(world_, rank_, coll_site_);
-  return out;
-}
-
-// --- p2p backend ------------------------------------------------------------
+// --- Algorithms -------------------------------------------------------------
 
 void Comm::p2p_binomial_bcast(std::vector<std::byte>& buf, int root) {
   const int p = size();
@@ -663,13 +506,7 @@ Request Comm::iallreduce_bytes(const void* data, std::size_t nbytes, const Combi
   st->site = site;
   st->result.resize(nbytes);
   if (nbytes > 0) std::memcpy(st->result.data(), data, nbytes);
-  if (backend() == Backend::reference) {
-    // The shared-slot oracle has no split-phase form: degrade to the
-    // blocking algorithm and complete at post.
-    ref_allreduce(st->result.data(), nbytes, op);
-    coll_check_result_at(seq, site, st->result.data(), nbytes);
-    st->done = true;
-  } else if (size() == 1) {
+  if (size() == 1) {
     coll_check_result_at(seq, site, st->result.data(), nbytes);
     st->done = true;
   } else {
@@ -690,28 +527,22 @@ Request Comm::iallgatherv_bytes(const void* data, std::size_t nbytes, std::sourc
   st->kind = detail::RequestState::Kind::coll;
   st->comm = this;
   st->site = site;
-  if (backend() == Backend::reference) {
-    st->parts = ref_gather(data, nbytes, true);
+  st->parts.resize(static_cast<std::size_t>(size()));
+  auto& own = st->parts[static_cast<std::size_t>(rank_)];
+  own.resize(nbytes);
+  if (nbytes > 0) std::memcpy(own.data(), data, nbytes);
+  if (size() == 1) {
     coll_check_result_at(seq, site, st->parts);
     st->done = true;
   } else {
-    st->parts.resize(static_cast<std::size_t>(size()));
-    auto& own = st->parts[static_cast<std::size_t>(rank_)];
-    own.resize(nbytes);
-    if (nbytes > 0) std::memcpy(own.data(), data, nbytes);
-    if (size() == 1) {
-      coll_check_result_at(seq, site, st->parts);
-      st->done = true;
-    } else {
-      auto coll = std::make_unique<IallgathervOp>(tag_base, seq, site, size(), rank_);
-      coll->post(*this, *st);
-      st->coll = std::move(coll);
-    }
+    auto coll = std::make_unique<IallgathervOp>(tag_base, seq, site, size(), rank_);
+    coll->post(*this, *st);
+    st->coll = std::move(coll);
   }
   return Request(std::move(st));
 }
 
-// --- Dispatchers ------------------------------------------------------------
+// --- Blocking entry points --------------------------------------------------
 
 void Comm::bcast_bytes(std::vector<std::byte>& buf, int root, std::source_location loc) {
   ESAMR_ASSERT(root >= 0 && root < size(), rank_,
@@ -721,11 +552,7 @@ void Comm::bcast_bytes(std::vector<std::byte>& buf, int root, std::source_locati
   // The payload size is only meaningful on the root (non-roots are resized),
   // so it is not part of the cross-rank fingerprint.
   coll_begin(Coll::bcast, rank_ == root ? buf.size() : 0, 0, root, check::Site::of(loc));
-  if (backend() == Backend::reference) {
-    ref_bcast(buf, root);
-  } else {
-    p2p_binomial_bcast(buf, root);
-  }
+  p2p_binomial_bcast(buf, root);
   coll_check_result(buf.data(), buf.size());
 }
 
@@ -733,14 +560,8 @@ std::vector<std::vector<std::byte>> Comm::allgather_bytes(const void* data, std:
                                                           std::source_location loc) {
   perturb();
   coll_begin(Coll::allgather, nbytes, nbytes, -1, check::Site::of(loc));
-  std::vector<std::vector<std::byte>> out;
-  if (backend() == Backend::reference) {
-    out = ref_gather(data, nbytes, true);
-  } else if (is_pof2(size())) {
-    out = p2p_rd_allgather(data, nbytes);
-  } else {
-    out = p2p_ring_allgatherv(data, nbytes, Coll::allgather);
-  }
+  auto out = is_pof2(size()) ? p2p_rd_allgather(data, nbytes)
+                             : p2p_ring_allgatherv(data, nbytes, Coll::allgather);
   coll_check_result(out);
   return out;
 }
@@ -749,12 +570,7 @@ std::vector<std::vector<std::byte>> Comm::allgatherv_bytes(const void* data, std
                                                            std::source_location loc) {
   perturb();
   coll_begin(Coll::allgatherv, nbytes, 0, -1, check::Site::of(loc));
-  std::vector<std::vector<std::byte>> out;
-  if (backend() == Backend::reference) {
-    out = ref_gather(data, nbytes, true);
-  } else {
-    out = p2p_ring_allgatherv(data, nbytes, Coll::allgatherv);
-  }
+  auto out = p2p_ring_allgatherv(data, nbytes, Coll::allgatherv);
   coll_check_result(out);
   return out;
 }
@@ -768,7 +584,6 @@ std::vector<std::vector<std::byte>> Comm::alltoall_bytes(
   std::size_t payload = 0;
   for (const auto& b : sendbufs) payload += b.size();
   coll_begin(Coll::alltoall, payload, 0, -1, check::Site::of(loc));
-  if (backend() == Backend::reference) return ref_alltoall(std::move(sendbufs));
   return p2p_alltoall(std::move(sendbufs));
 }
 
@@ -776,11 +591,7 @@ void Comm::allreduce_bytes(void* inout, std::size_t nbytes, const Combine& op,
                            std::source_location loc) {
   perturb();
   coll_begin(Coll::allreduce, nbytes, nbytes, -1, check::Site::of(loc));
-  if (backend() == Backend::reference) {
-    ref_allreduce(inout, nbytes, op);
-  } else {
-    p2p_rd_allreduce(inout, nbytes, op);
-  }
+  p2p_rd_allreduce(inout, nbytes, op);
   coll_check_result(inout, nbytes);
 }
 
@@ -791,32 +602,25 @@ void Comm::reduce_bytes(void* inout, std::size_t nbytes, int root, const Combine
                    std::to_string(size()) + ")");
   perturb();
   coll_begin(Coll::reduce, nbytes, nbytes, root, check::Site::of(loc));
-  if (backend() == Backend::reference) {
-    ref_reduce(inout, nbytes, root, op);
-  } else {
-    p2p_binomial_reduce(inout, nbytes, root, op);
-  }
+  p2p_binomial_reduce(inout, nbytes, root, op);
 }
 
 void Comm::exscan_bytes(const void* mine, void* prefix, std::size_t nbytes, const Combine& op,
                         std::source_location loc) {
   perturb();
   coll_begin(Coll::exscan, nbytes, nbytes, -1, check::Site::of(loc));
-  if (backend() == Backend::reference) {
-    ref_exscan(mine, prefix, nbytes, op);
-  } else {
-    p2p_chain_exscan(mine, prefix, nbytes, op);
-  }
+  p2p_chain_exscan(mine, prefix, nbytes, op);
 }
 
 CommStatsSnapshot Comm::stats_snapshot() {
-  const auto raw = ref_gather(&stats(), sizeof(CommStats), false);
+  // Every rank's counters are frozen between the two barriers: a rank writes
+  // only its own CommStats, and none writes until all have copied. The
+  // barriers go straight to World so their blocked time is not charged.
+  world_->barrier_wait(rank_);
   CommStatsSnapshot snap;
-  snap.per_rank.resize(raw.size());
-  for (std::size_t r = 0; r < raw.size(); ++r) {
-    std::memcpy(&snap.per_rank[r], raw[r].data(), sizeof(CommStats));
-    snap.total += snap.per_rank[r];
-  }
+  snap.per_rank = world_->stats;
+  world_->barrier_wait(rank_);
+  for (const auto& s : snap.per_rank) snap.total += s;
   return snap;
 }
 

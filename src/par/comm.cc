@@ -151,8 +151,6 @@ int Comm::size() const noexcept { return world_->size; }
 
 const InjectConfig& Comm::inject_config() const noexcept { return world_->opts.inject; }
 
-Backend Comm::backend() const noexcept { return world_->opts.backend; }
-
 CommStats& Comm::stats() { return world_->stats[static_cast<std::size_t>(rank_)]; }
 
 const CommStats& Comm::stats() const { return world_->stats[static_cast<std::size_t>(rank_)]; }
@@ -393,37 +391,6 @@ void Comm::verify_envelope(Message& m, const char* what) {
             " retransmission(s), escalating";
   }
   throw CorruptMessage(rank_, m.source, diag);
-}
-
-void Comm::seal_shared(std::vector<std::byte>& buf, Seal& seal) {
-  seal = Seal{};
-  if (integrity_) {
-    seal.crc = check::Checker::crc32c(buf.data(), buf.size());
-    seal.nbytes = buf.size();
-    seal.stamped = true;
-  }
-  // Shared-slot writes count as messages on the (writer, P) corruption
-  // stream — P is not a real rank, so the stream is distinct from every
-  // point-to-point pair.
-  const auto& inj = world_->opts.inject;
-  if (inj.corrupt_enabled()) detail::corrupt_payload(inj, rank_, size(), shared_seq_++, buf);
-}
-
-void Comm::verify_shared(const std::vector<std::byte>& buf, const Seal& seal, int writer,
-                         const char* what) {
-  if (!integrity_ || !seal.stamped) return;
-  auto& st = stats();
-  st.bytes_verified += static_cast<std::int64_t>(buf.size());
-  const std::uint32_t got = check::Checker::crc32c(buf.data(), buf.size());
-  if (buf.size() == seal.nbytes && got == seal.crc) return;
-  ++st.corrupt_detected;
-  char msg[224];
-  std::snprintf(msg, sizeof(msg),
-                "esamr::par corrupt message: rank %d detected shared-slot corruption in %s "
-                "written by rank %d (wrote %llu B crc 0x%08x, read %zu B crc 0x%08x)",
-                rank_, what, writer, static_cast<unsigned long long>(seal.nbytes), seal.crc,
-                buf.size(), got);
-  throw CorruptMessage(rank_, writer, msg);
 }
 
 void Comm::send_bytes(int dest, int tag, const void* data, std::size_t nbytes) {

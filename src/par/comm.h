@@ -8,16 +8,11 @@
 // written against Comm are structured exactly as they would be against MPI:
 // all octant/element storage is rank-local and every exchange is explicit.
 //
-// Collectives come in two selectable backends (RunOptions::backend):
-//   - Backend::p2p (default): real point-to-point algorithms layered on the
-//     send/recv primitives — binomial-tree bcast/reduce, recursive-doubling
-//     allreduce/allgather (ring fallback for non-power-of-two sizes), ring
-//     allgatherv, pairwise alltoallv, chain exscan. This is the backend whose
-//     message counts and byte volumes mirror what the paper's cost model
-//     analyzes.
-//   - Backend::reference: the original shared-slot implementations (write own
-//     slot; barrier; read peers' slots; barrier), kept as a differential
-//     -testing oracle (tests/test_collectives.cc).
+// Collectives are real point-to-point algorithms layered on the send/recv
+// primitives — binomial-tree bcast/reduce, recursive-doubling
+// allreduce/allgather (ring fallback for non-power-of-two sizes), ring
+// allgatherv, pairwise alltoallv, chain exscan — so their message counts and
+// byte volumes mirror what the paper's cost model analyzes.
 //
 // Every rank carries a CommStats (par/stats.h) with message/byte counters and
 // blocked-time accounting, and RunOptions can enable deterministic fault
@@ -53,9 +48,6 @@ inline constexpr int any_tag = -1;
 /// Reduction operators for Comm::allreduce / Comm::reduce.
 enum class ReduceOp { sum, min, max, logical_or, logical_and };
 
-/// Collective implementation backend (see file header).
-enum class Backend { reference, p2p };
-
 /// Link-level automatic repeat request — the cheapest rung of the graded
 /// recovery ladder (DESIGN.md "Recovery ladder"). With integrity on, every
 /// sealed send retains a zero-copy reference to the clean payload (keyed by
@@ -63,9 +55,7 @@ enum class Backend { reference, p2p };
 /// it. On a CRC failure the receiver, instead of escalating CorruptMessage
 /// to the supervisor, re-reads the retained payload under a bounded
 /// seeded-backoff loop; only when the budget is exhausted (retransmissions
-/// keep drawing injected faults) does the corruption escalate. The reference
-/// backend's shared slots are not covered (a clean retained copy does not
-/// exist there); shared-slot corruption always escalates.
+/// keep drawing injected faults) does the corruption escalate.
 struct ArqConfig {
   bool enabled = true;
   /// Retransmission requests per corrupt message before escalating.
@@ -78,13 +68,12 @@ struct ArqConfig {
 
 /// Options for one SPMD section.
 struct RunOptions {
-  Backend backend = Backend::p2p;
   InjectConfig inject{};
   /// End-to-end message integrity: senders stamp a CRC32C + length envelope
-  /// on every payload (point-to-point, collective-internal, and the
-  /// reference backend's shared slots) and receivers verify it before the
-  /// bytes are used, throwing CorruptMessage on mismatch. Default on; set
-  /// false to measure the unprotected fast path (bench_comm).
+  /// on every payload (point-to-point and collective-internal) and receivers
+  /// verify it before the bytes are used, throwing CorruptMessage on
+  /// mismatch. Default on; set false to measure the unprotected fast path
+  /// (bench_comm).
   bool integrity = true;
   /// Link-level retransmission of corrupt messages (see ArqConfig). Active
   /// only when `integrity` is also on.
@@ -178,8 +167,8 @@ class CorruptMessage : public std::runtime_error {
   int source_;
 };
 
-/// CRC32C + length integrity envelope stamped on a payload at the sender
-/// (or shared-slot writer) and verified at every receiver.
+/// CRC32C + length integrity envelope stamped on a payload at the sender and
+/// verified at every receiver.
 struct Seal {
   std::uint32_t crc = 0;
   std::uint64_t nbytes = 0;
@@ -335,7 +324,6 @@ class Comm {
 
   int rank() const noexcept { return rank_; }
   int size() const noexcept;
-  Backend backend() const noexcept;
 
   // --- Point-to-point -----------------------------------------------------
   // Sends are buffered and never block; receives block until a matching
@@ -408,9 +396,7 @@ class Comm {
   // sequence slot claimed) immediately, rounds advance inside test()/wait().
   // Every rank must POST async collectives in the same order it would call
   // the blocking twins; completion order is free. Results are bit-identical
-  // to the blocking algorithms and generate identical wire traffic. On the
-  // reference backend they degrade to the blocking implementation (the
-  // shared-slot oracle has no split-phase form).
+  // to the blocking algorithms and generate identical wire traffic.
 
   Request iallreduce_bytes(const void* data, std::size_t nbytes, const Combine& op,
                            std::source_location loc = std::source_location::current());
@@ -436,11 +422,10 @@ class Comm {
   }
 
   // --- Collectives ---------------------------------------------------------
-  // All ranks must call each collective in the same order. Byte-level entry
-  // points dispatch on the backend; the typed templates below wrap them. The
-  // defaulted source_location captures the user call site for the
-  // correctness checker's diagnostics (par/check.h); it is never passed
-  // explicitly.
+  // All ranks must call each collective in the same order. The typed
+  // templates below wrap the byte-level entry points. The defaulted
+  // source_location captures the user call site for the correctness
+  // checker's diagnostics (par/check.h); it is never passed explicitly.
 
   void barrier(std::source_location loc = std::source_location::current());
 
@@ -515,8 +500,8 @@ class Comm {
     return v;
   }
 
-  /// Reduction to one root (binomial tree on the p2p backend). Returns the
-  /// reduced value on the root and the rank's own `v` elsewhere.
+  /// Reduction to one root (binomial tree). Returns the reduced value on the
+  /// root and the rank's own `v` elsewhere.
   template <typename T>
   T reduce(T v, ReduceOp op, int root,
            std::source_location loc = std::source_location::current()) {
@@ -638,12 +623,6 @@ class Comm {
   void verify_envelope(Message& m, const char* what);
   /// True when the link-level ARQ layer is active (integrity + arq.enabled).
   bool arq_active() const noexcept;
-  /// Stamp (and possibly corrupt, under injection) a reference-backend shared
-  /// buffer this rank just wrote; the seal travels through the World.
-  void seal_shared(std::vector<std::byte>& buf, Seal& seal);
-  /// Verify a shared buffer written by `writer` against its seal.
-  void verify_shared(const std::vector<std::byte>& buf, const Seal& seal, int writer,
-                     const char* what);
 
   // Collective plumbing and algorithms, implemented in collectives.cc.
   /// `invariant` is the fingerprint component every rank must agree on (the
@@ -670,19 +649,13 @@ class Comm {
   Message recv_coll_at(int tag_base, int source, int round, Coll kind, check::Site site);
   bool try_recv_coll_at(int tag_base, int source, int round, Coll kind, Message* out);
 
-  std::vector<std::vector<std::byte>> ref_gather(const void* data, std::size_t nbytes, bool count);
   std::vector<std::vector<std::byte>> p2p_rd_allgather(const void* data, std::size_t nbytes);
   std::vector<std::vector<std::byte>> p2p_ring_allgatherv(const void* data, std::size_t nbytes,
                                                           Coll kind);
-  void ref_bcast(std::vector<std::byte>& buf, int root);
   void p2p_binomial_bcast(std::vector<std::byte>& buf, int root);
-  void ref_reduce(void* inout, std::size_t nbytes, int root, const Combine& op);
   void p2p_binomial_reduce(void* inout, std::size_t nbytes, int root, const Combine& op);
-  void ref_allreduce(void* inout, std::size_t nbytes, const Combine& op);
   void p2p_rd_allreduce(void* inout, std::size_t nbytes, const Combine& op);
-  void ref_exscan(const void* mine, void* prefix, std::size_t nbytes, const Combine& op);
   void p2p_chain_exscan(const void* mine, void* prefix, std::size_t nbytes, const Combine& op);
-  std::vector<std::vector<std::byte>> ref_alltoall(std::vector<std::vector<std::byte>> sendbufs);
   std::vector<std::vector<std::byte>> p2p_alltoall(std::vector<std::vector<std::byte>> sendbufs);
 
   friend struct detail::RequestState;
@@ -700,7 +673,6 @@ class Comm {
   std::uint64_t coll_seq_ = 0;  ///< collectives issued (lockstep across ranks)
   std::uint64_t op_seq_ = 0;    ///< perturbation stream position
   std::uint64_t kill_op_seq_ = 0;        ///< comm ops counted toward the kill
-  std::uint64_t shared_seq_ = 0;         ///< shared-slot writes (corruption stream)
   std::vector<std::uint64_t> send_seq_;  ///< per-destination send counters
 };
 

@@ -57,8 +57,7 @@ struct InjectConfig {
   /// Every stride-th in-flight message (selected by seeded hash of
   /// (seed, src, dst, seq), the delay stream's coordinates) has its payload
   /// corrupted — bit-flip, tail truncation, or byte duplication, the kind
-  /// drawn from the same hash; 0 = none. Reference-backend shared-slot
-  /// writes count as messages on the (writer, P) stream.
+  /// drawn from the same hash; 0 = none.
   int corrupt_msg_stride = 0;
   /// Every stride-th checkpoint commit (selected by seeded hash of
   /// (seed, step, attempt)) suffers a disk fault — torn tail, truncation, or

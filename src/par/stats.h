@@ -3,13 +3,9 @@
 // Every Comm carries a CommStats: point-to-point message/byte counters,
 // per-collective invocation counts and payloads, the wire traffic generated
 // *inside* the collective algorithms, and the wall time a rank spent blocked
-// in recv/barrier. The byte accounting rule (see DESIGN.md):
-//   - p2p backend: each internal message is counted once, at the sender.
-//   - reference backend: bytes written into and read out of the shared slot
-//     arrays are both counted (that is the data the backend actually moves).
-// Under that rule the tree/recursive-doubling algorithms report strictly
-// lower volume than the reference backend for non-trivial payloads, which is
-// what bench_comm and the collectives test assert at P = 16.
+// in recv/barrier. Each collective-internal message is counted once, at the
+// sender, so coll_bytes is exactly the wire volume of the algorithms
+// (closed-form pins in tests/test_collectives.cc; see DESIGN.md).
 #pragma once
 
 #include <array>
@@ -54,7 +50,7 @@ struct CommStats {
   std::int64_t irecvs = 0;
   std::int64_t requests_drained = 0;
 
-  // Traffic generated inside collective algorithms (see accounting rule).
+  // Traffic generated inside collective algorithms, counted at the sender.
   std::int64_t coll_msgs = 0;
   std::int64_t coll_bytes = 0;
 

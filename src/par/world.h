@@ -1,6 +1,6 @@
 // Internal shared state for one SPMD section (not part of the public API):
 // per-rank mailboxes for user and collective-internal traffic, the counting
-// barrier, and the shared slot arrays backing the reference collectives.
+// barrier, per-rank counters, ARQ retention and heartbeats.
 #pragma once
 
 #include <atomic>
@@ -34,15 +34,11 @@ class World {
  public:
   World(int n, RunOptions options)
       : size(n), opts(std::move(options)), mail(static_cast<std::size_t>(n)),
-        coll_mail(static_cast<std::size_t>(n)), slots(static_cast<std::size_t>(n)),
-        slot_seals(static_cast<std::size_t>(n)), a2a(static_cast<std::size_t>(n)),
-        a2a_seals(static_cast<std::size_t>(n)), stats(static_cast<std::size_t>(n)),
+        coll_mail(static_cast<std::size_t>(n)), stats(static_cast<std::size_t>(n)),
         retain(static_cast<std::size_t>(n)), hb_last(static_cast<std::size_t>(n)),
         hb_done(static_cast<std::size_t>(n)) {
     for (auto& m : mail) m = std::make_unique<Mailbox>(n);
     for (auto& m : coll_mail) m = std::make_unique<Mailbox>(n);
-    for (auto& row : a2a) row.resize(static_cast<std::size_t>(n));
-    for (auto& row : a2a_seals) row.resize(static_cast<std::size_t>(n));
     for (auto& box : retain) box = std::make_unique<RetainBox>();
     const double now = wall_seconds();
     for (auto& t : hb_last) t.store(now, std::memory_order_relaxed);
@@ -80,10 +76,10 @@ class World {
     std::map<std::pair<int, std::uint64_t>, RetainEntry> entries;
   };
 
-  /// The barrier primitive shared by Comm::barrier and the reference
-  /// collectives. Throws TimeoutError (naming `rank` and the arrival count)
-  /// when opts.barrier_timeout_s expires. `site` is the user call site for
-  /// the checker's deadlock diagnostics.
+  /// The barrier primitive shared by Comm::barrier and Comm::stats_snapshot;
+  /// it charges no CommStats. Throws TimeoutError (naming `rank` and the
+  /// arrival count) when opts.barrier_timeout_s expires. `site` is the user
+  /// call site for the checker's deadlock diagnostics.
   void barrier_wait(int rank, check::Site site = {});
 
   /// Heartbeat failure detection (RunOptions::heartbeat_timeout_s).
@@ -128,12 +124,6 @@ class World {
   const RunOptions opts;
   std::vector<std::unique_ptr<Mailbox>> mail;       ///< user point-to-point
   std::vector<std::unique_ptr<Mailbox>> coll_mail;  ///< collective-internal
-  std::vector<std::vector<std::byte>> slots;        ///< reference allgather(v)
-  std::vector<Seal> slot_seals;                     ///< integrity seals for slots
-  std::vector<std::vector<std::vector<std::byte>>> a2a;  ///< [src][dst]
-  std::vector<std::vector<Seal>> a2a_seals;              ///< [src][dst]
-  std::vector<std::byte> bvec;                           ///< reference bcast
-  Seal bvec_seal;                                        ///< integrity seal for bvec
   std::vector<CommStats> stats;                          ///< per rank
   std::vector<std::unique_ptr<RetainBox>> retain;        ///< ARQ retention, per dest
   std::vector<std::atomic<double>> hb_last;              ///< last heartbeat, per rank

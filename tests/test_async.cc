@@ -209,23 +209,6 @@ TEST_P(AsyncRanks, OverlappedCollectivesCompleteOutOfOrder) {
   });
 }
 
-TEST_P(AsyncRanks, ReferenceBackendDegradesToBlocking) {
-  const int p = GetParam();
-  par::RunOptions opts;
-  opts.backend = par::Backend::reference;
-  par::run(p, opts, [&](par::Comm& c) {
-    par::Request ra = c.iallreduce(c.rank() + 1, par::ReduceOp::sum);
-    par::Request rg = c.iallgatherv(payload_of(c.rank(), 5, 2));
-    ra.wait();
-    rg.wait();
-    EXPECT_EQ(ra.result<int>(), p * (p + 1) / 2);
-    const auto parts = rg.parts_as<int>();
-    for (int r = 0; r < p; ++r) {
-      EXPECT_EQ(parts[static_cast<std::size_t>(r)], payload_of(r, 5, 2));
-    }
-  });
-}
-
 // --- Concurrency stress: seeded random interleavings ------------------------
 
 TEST_P(AsyncRanks, SeededInterleavingsDeliverEveryPayload) {

@@ -182,23 +182,19 @@ TEST_P(CheckRanks, DivergentAllreduceSizeIsReported) {
 
 TEST_P(CheckRanks, MatchingCollectivesPassBothBackendsAtLevel2) {
   const int p = GetParam();
-  for (const par::Backend b : {par::Backend::p2p, par::Backend::reference}) {
-    par::RunOptions opts = checked(2);
-    opts.backend = b;
-    par::run(p, opts, [&](par::Comm& c) {
-      EXPECT_EQ(c.allreduce(1, par::ReduceOp::sum), p);
-      EXPECT_EQ(c.bcast(41, p - 1), 41);
-      const auto all = c.allgather(c.rank());
-      ASSERT_EQ(static_cast<int>(all.size()), p);
-      std::vector<int> var(static_cast<std::size_t>(c.rank()), c.rank());
-      const auto gathered = c.allgatherv(var);
-      for (int r = 0; r < p; ++r) {
-        EXPECT_EQ(gathered[static_cast<std::size_t>(r)].size(), static_cast<std::size_t>(r));
-      }
-      c.barrier();
-      EXPECT_EQ(c.exscan_sum(1), c.rank());
-    });
-  }
+  par::run(p, checked(2), [&](par::Comm& c) {
+    EXPECT_EQ(c.allreduce(1, par::ReduceOp::sum), p);
+    EXPECT_EQ(c.bcast(41, p - 1), 41);
+    const auto all = c.allgather(c.rank());
+    ASSERT_EQ(static_cast<int>(all.size()), p);
+    std::vector<int> var(static_cast<std::size_t>(c.rank()), c.rank());
+    const auto gathered = c.allgatherv(var);
+    for (int r = 0; r < p; ++r) {
+      EXPECT_EQ(gathered[static_cast<std::size_t>(r)].size(), static_cast<std::size_t>(r));
+    }
+    c.barrier();
+    EXPECT_EQ(c.exscan_sum(1), c.rank());
+  });
 }
 
 // --- Detector 3: deadlock ----------------------------------------------------

@@ -5,8 +5,7 @@
 // run under several deterministic perturbation seeds — randomized delivery
 // delays and per-rank slowdowns that reshuffle thread interleavings without
 // breaking per-pair message order — and the resulting forests, ghost layers,
-// and node numberings must be bit-identical to the unperturbed run. The same
-// fingerprint must also be backend-independent (reference vs p2p).
+// and node numberings must be bit-identical to the unperturbed run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -89,7 +88,6 @@ std::vector<RankFingerprint> pipeline_on(int p, const Connectivity<Dim>& conn,
 
 par::RunOptions perturbed_opts(std::uint64_t seed) {
   par::RunOptions o;
-  o.backend = par::Backend::p2p;
   o.inject.seed = seed;
   o.inject.max_delay_us = 300.0;
   o.inject.slow_rank_stride = 2;
@@ -106,8 +104,7 @@ class PerturbRanks : public ::testing::TestWithParam<int> {};
 TEST_P(PerturbRanks, PipelineDeterministicUnderPerturbation3d) {
   const int p = GetParam();
   const auto conn = Connectivity<3>::rotcubes();
-  par::RunOptions base;
-  base.backend = par::Backend::p2p;
+  const par::RunOptions base;
   const auto baseline = pipeline_on<3>(p, conn, base);
   int distinct_schedules = 0;
   for (const std::uint64_t seed : {11ULL, 22ULL, 33ULL, 44ULL, 55ULL}) {
@@ -121,23 +118,12 @@ TEST_P(PerturbRanks, PipelineDeterministicUnderPerturbation3d) {
 TEST_P(PerturbRanks, PipelineDeterministicUnderPerturbation2d) {
   const int p = GetParam();
   const auto conn = Connectivity<2>::brick({2, 2}, {false, true});
-  par::RunOptions base;
-  base.backend = par::Backend::p2p;
+  const par::RunOptions base;
   const auto baseline = pipeline_on<2>(p, conn, base);
   for (const std::uint64_t seed : {101ULL, 202ULL, 303ULL, 404ULL, 505ULL}) {
     const auto got = pipeline_on<2>(p, conn, perturbed_opts(seed));
     EXPECT_EQ(baseline, got) << "pipeline diverged under perturbation seed " << seed;
   }
-}
-
-TEST_P(PerturbRanks, PipelineBackendIndependent) {
-  const int p = GetParam();
-  const auto conn = Connectivity<3>::rotcubes();
-  par::RunOptions ref;
-  ref.backend = par::Backend::reference;
-  par::RunOptions p2p;
-  p2p.backend = par::Backend::p2p;
-  EXPECT_EQ(pipeline_on<3>(p, conn, ref), pipeline_on<3>(p, conn, p2p));
 }
 
 TEST_P(PerturbRanks, PipelineBitIdenticalUnderSupervisedRankKill) {
@@ -148,8 +134,7 @@ TEST_P(PerturbRanks, PipelineBitIdenticalUnderSupervisedRankKill) {
   namespace resil = esamr::resil;
   const int p = GetParam();
   const auto conn = Connectivity<2>::brick({2, 2}, {false, true});
-  par::RunOptions base;
-  base.backend = par::Backend::p2p;
+  const par::RunOptions base;
   const auto baseline = pipeline_on<2>(p, conn, base);
   int kills_seen = 0;
   for (const std::uint64_t seed : {7ULL, 19ULL, 23ULL, 57ULL}) {
