@@ -112,8 +112,9 @@ std::uint64_t nodes_digest(const forest::NodeNumbering<3>& n) {
   for (const auto& k : n.owned_keys) {
     for (const std::int32_t v : k) fold(v);
   }
-  for (const auto& elem : n.elements) {
-    for (const auto& slot : elem) {
+  for (std::size_t e = 0; e < n.num_elements(); ++e) {
+    for (int c = 0; c < forest::Topo<3>::num_corners; ++c) {
+      const auto slot = n.slot(e, c);
       fold(static_cast<std::int64_t>(slot.size()));
       for (const auto& cb : slot) {
         fold(cb.gid);

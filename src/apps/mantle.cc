@@ -124,7 +124,7 @@ void MantleSimulation::extract_corner_velocities(const std::vector<double>& x,
   const auto n_local = static_cast<std::size_t>(forest_->num_local());
   for (std::size_t e = 0; e < n_local; ++e) {
     for (int c = 0; c < 4; ++c) {
-      for (const auto& contrib : nodes_->elements[e][static_cast<std::size_t>(c)]) {
+      for (const auto& contrib : nodes_->slot(e, c)) {
         for (int i = 0; i < 2; ++i) gids.push_back(contrib.gid * 3 + i);
       }
     }
@@ -141,7 +141,7 @@ void MantleSimulation::extract_corner_velocities(const std::vector<double>& x,
   for (std::size_t e = 0; e < n_local; ++e) {
     for (int c = 0; c < 4; ++c) {
       double u[2] = {0.0, 0.0};
-      for (const auto& contrib : nodes_->elements[e][static_cast<std::size_t>(c)]) {
+      for (const auto& contrib : nodes_->slot(e, c)) {
         for (int i = 0; i < 2; ++i) u[i] += contrib.weight * value_of(contrib.gid * 3 + i);
       }
       for (int i = 0; i < 2; ++i) {

@@ -425,6 +425,10 @@ template <int Dim>
 std::vector<std::vector<LeafRef<Dim>>> build_leaf_directory(const Forest<Dim>& forest,
                                                             const GhostLayer<Dim>& ghost) {
   std::vector<std::vector<LeafRef<Dim>>> dir(static_cast<std::size_t>(forest.num_trees()));
+  std::vector<std::size_t> sizes(dir.size(), 0);
+  for (std::size_t t = 0; t < dir.size(); ++t) sizes[t] = forest.tree(static_cast<int>(t)).size();
+  for (const auto& g : ghost.ghosts) ++sizes[static_cast<std::size_t>(g.tree)];
+  for (std::size_t t = 0; t < dir.size(); ++t) dir[t].reserve(sizes[t]);
   std::int32_t li = 0;
   const int me = forest.comm().rank();
   forest.for_each_local([&](int t, const Octant<Dim>& o) {
@@ -435,9 +439,13 @@ std::vector<std::vector<LeafRef<Dim>>> build_leaf_directory(const Forest<Dim>& f
     dir[static_cast<std::size_t>(g.tree)].push_back(
         LeafRef<Dim>{g.oct, g.owner, static_cast<std::int32_t>(gi)});
   }
-  for (auto& v : dir) {
-    std::sort(v.begin(), v.end(),
-              [](const LeafRef<Dim>& a, const LeafRef<Dim>& b) { return a.oct < b.oct; });
+  // Local leaves arrive sorted: sort only each tree's ghosts, then merge.
+  const auto by_oct = [](const LeafRef<Dim>& a, const LeafRef<Dim>& b) { return a.oct < b.oct; };
+  for (std::size_t t = 0; t < dir.size(); ++t) {
+    auto& v = dir[t];
+    const auto mid = v.begin() + static_cast<std::ptrdiff_t>(forest.tree(static_cast<int>(t)).size());
+    std::sort(mid, v.end(), by_oct);
+    std::inplace_merge(v.begin(), mid, v.end(), by_oct);
   }
   return dir;
 }

@@ -5,7 +5,10 @@
 // full build is the incremental case with nothing cached and every local
 // element stale. For the stale elements it
 //
-//  1. classifies every corner against the local + ghost leaf directory,
+//  1. classifies every corner against the local + ghost leaf directory: the
+//     tree-interior ones from the adjacency the corner iterator
+//     (forest/iterate.h) hands over, one visit per point, and only the
+//     tree-boundary ones by looking up their leaves in every tree frame,
 //  2. merges the fresh owned independent keys with the caller's surviving
 //     ones and assigns contiguous per-rank ids (one allgather),
 //  3. resolves every corner by a memoized recursive expansion onto
@@ -17,7 +20,8 @@
 //     only constraint chains that cross three or more ranks (rare, measured
 //     by OpStats::nodes_rounds) need another round. The loop is
 //     allreduce-terminated with a 64-round safety cap,
-//  4. fills the stale elements' slots.
+//  4. lays out the CSR slots of every element in one pass: stale rows from
+//     the resolved corners, reused rows (incremental build) remapped.
 //
 // build_incremental adds the patch-only work around the engine: aligning the
 // new elements against the cached leaves to find the stale ones, selecting
@@ -32,9 +36,14 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "forest/iterate.h"
+#include "forest/node_classify.h"
 #include "forest/stats.h"
 
 namespace esamr::forest {
+
+using detail::Classification;
+using detail::NodeClassifier;
 
 namespace {
 
@@ -48,268 +57,101 @@ constexpr std::int64_t kRecExpansion = 0;  // n x (gid, weight bits, key)
 constexpr std::int64_t kRecOwner = 1;      // node independent; re-ask owner
 constexpr std::int64_t kRecMasters = 2;    // n x (key, ask rank)
 
-/// Local classification of a node point.
-template <int Dim>
-struct Classification {
-  bool independent = false;
-  int owner = -1;                                            // if independent
-  std::vector<typename NodeNumbering<Dim>::Key> masters;     // if dependent
-  std::vector<int> ask;                                      // rank to ask per master
-};
-
+/// Node keys are lattice points whose low coordinate bits are mostly zero, so
+/// every field is spread by its own odd multiplier and the sum is finalized
+/// (MurmurHash3 fmix64) before the table masks off the low bits.
 struct KeyHash {
   std::size_t operator()(const std::array<std::int32_t, 4>& k) const {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (const std::int32_t v : k) {
-      h ^= static_cast<std::uint32_t>(v) + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    }
+    std::uint64_t h = static_cast<std::uint32_t>(k[0]) * 0x9e3779b97f4a7c15ull;
+    h ^= static_cast<std::uint32_t>(k[1]) * 0xc2b2ae3d27d4eb4full;
+    h ^= static_cast<std::uint32_t>(k[2]) * 0x165667b19e3779f9ull;
+    h ^= static_cast<std::uint32_t>(k[3]) * 0xd6e8feb86659fd93ull;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
     return static_cast<std::size_t>(h);
-  }
-};
-
-/// Shared geometric machinery: leaf lookup, frame/canonical key logic, and
-/// the point classification rule (paper Fig. 3): a point is independent iff
-/// it is a corner of every touching leaf; its owner is the minimum touching
-/// rank; a hanging point's masters are the corners of the face/edge of the
-/// coarsest incidence for which it is not a corner.
-template <int Dim>
-struct NodeClassifier {
-  using Oct = Octant<Dim>;
-  using T = Topo<Dim>;
-  using Key = typename NodeNumbering<Dim>::Key;
-  using Cls = Classification<Dim>;
-
-  const Connectivity<Dim>& conn;
-  std::vector<std::vector<LeafRef<Dim>>> dir;
-  int nranks;
-  // Recently-hit directory positions, move-to-front. The 2^Dim x 2^Dim
-  // quadrant queries issued for one element's corners revisit the same
-  // handful of neighborhood leaves, but in Morton order those leaves are
-  // scattered across the array — a single last-hit hint misses most of them
-  // while a small LRU catches nearly all. Safe under the thread-per-rank
-  // model because each rank builds its own classifier.
-  static constexpr int kLru = 8;
-  mutable std::array<std::int32_t, kLru> lru{};
-  mutable int lru_tree = -1;
-  mutable std::vector<std::size_t> seed;  // per-tree cursor for seed_hint
-
-  NodeClassifier(const Forest<Dim>& forest, const GhostLayer<Dim>& ghost)
-      : conn(forest.conn()),
-        dir(build_leaf_directory(forest, ghost)),
-        nranks(forest.comm().size()),
-        seed(dir.size(), 0) {
-    lru.fill(-1);
-  }
-
-  /// True iff the point lies strictly inside the tree's root cube, i.e. on no
-  /// macro face/edge/corner — then it has no images in other tree frames.
-  static bool tree_interior(const std::array<std::int32_t, 3>& pt) {
-    for (int a = 0; a < Dim; ++a) {
-      if (pt[static_cast<std::size_t>(a)] <= 0 ||
-          pt[static_cast<std::size_t>(a)] >= Oct::root_len) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Find the known leaf containing a (max-level) cell, or nullptr.
-  const LeafRef<Dim>* find_leaf(int t, const Oct& cell) const {
-    const auto& v = dir[static_cast<std::size_t>(t)];
-    if (t != lru_tree) {
-      lru.fill(-1);
-      lru_tree = t;
-    }
-    for (int i = 0; i < kLru; ++i) {
-      const std::int32_t idx = lru[static_cast<std::size_t>(i)];
-      if (idx < 0) break;
-      if (v[static_cast<std::size_t>(idx)].oct.contains(cell)) {
-        for (int j = i; j > 0; --j) {
-          lru[static_cast<std::size_t>(j)] = lru[static_cast<std::size_t>(j - 1)];
-        }
-        lru[0] = idx;
-        return &v[static_cast<std::size_t>(idx)];
-      }
-    }
-    const auto it = std::upper_bound(
-        v.begin(), v.end(), cell,
-        [](const Oct& a, const LeafRef<Dim>& b) { return a < b.oct; });
-    if (it == v.begin()) return nullptr;
-    const LeafRef<Dim>* cand = &*(it - 1);
-    if (!cand->oct.contains(cell)) return nullptr;
-    for (int j = kLru - 1; j > 0; --j) {
-      lru[static_cast<std::size_t>(j)] = lru[static_cast<std::size_t>(j - 1)];
-    }
-    lru[0] = static_cast<std::int32_t>(cand - v.data());
-    return cand;
-  }
-
-  /// Prime the leaf memo with a local element known to be in the directory
-  /// (amortized O(1) when elements are visited in SFC order).
-  void seed_hint(int t, const Oct& o) const {
-    const auto& v = dir[static_cast<std::size_t>(t)];
-    std::size_t& cur = seed[static_cast<std::size_t>(t)];
-    if (cur >= v.size() || !(v[cur].oct == o)) {
-      if (cur < v.size() && v[cur].oct < o) {
-        while (!(v[cur].oct == o)) ++cur;  // forward scan past ghosts
-      } else {
-        cur = static_cast<std::size_t>(
-            std::lower_bound(v.begin(), v.end(), o,
-                             [](const LeafRef<Dim>& a, const Oct& b) { return a.oct < b; }) -
-            v.begin());
-      }
-    }
-    if (t != lru_tree) {
-      lru.fill(-1);
-      lru_tree = t;
-    }
-    for (int j = kLru - 1; j > 0; --j) {
-      lru[static_cast<std::size_t>(j)] = lru[static_cast<std::size_t>(j - 1)];
-    }
-    lru[0] = static_cast<std::int32_t>(cur);
-  }
-
-  /// All frame representations of a point: (tree, point), self first.
-  std::vector<std::pair<int, std::array<std::int32_t, 3>>> frames(
-      int t, std::array<std::int32_t, 3> pt) const {
-    std::vector<std::pair<int, std::array<std::int32_t, 3>>> fr;
-    fr.emplace_back(t, pt);
-    for (const auto& im : conn.point_images(t, pt)) fr.push_back(im);
-    return fr;
-  }
-
-  Key canonical(int t, std::array<std::int32_t, 3> pt) const {
-    if (tree_interior(pt)) return Key{t, pt[0], pt[1], pt[2]};  // sole frame
-    auto fr = frames(t, pt);
-    std::sort(fr.begin(), fr.end());
-    const auto& [ct, cp] = fr.front();
-    return Key{ct, cp[0], cp[1], cp[2]};
-  }
-
-  /// One incidence of a leaf at the node point, in some tree frame.
-  struct Touch {
-    int tree;
-    Oct oct;
-    int owner;
-    std::array<std::int32_t, 3> pt;  // the node point in this frame
-    bool corner;                     // point is a corner of the leaf
-  };
-
-  /// Classify the node point (t, pt). The caller guarantees the point is a
-  /// corner of one of this rank's local elements, so every touching leaf is
-  /// known locally (local or ghost).
-  Cls classify(int t, std::array<std::int32_t, 3> pt) const {
-    // Inline buffer: frames x quadrants incidences, no heap traffic on the
-    // (dominant) interior path. Macro-corner valence is small in practice;
-    // overflow fails loudly rather than silently truncating.
-    std::array<Touch, 64> touching;
-    std::size_t ntouch = 0;
-    const auto visit_frame = [&](int ft, const std::array<std::int32_t, 3>& fp) {
-      for (int q = 0; q < T::num_corners; ++q) {
-        // The finest-level cell adjacent to the point in quadrant q.
-        Oct cell;
-        cell.level = Oct::max_level;
-        bool ok = true;
-        for (int a = 0; a < Dim; ++a) {
-          const std::int32_t c = fp[static_cast<std::size_t>(a)] - (((q >> a) & 1) ? 1 : 0);
-          if (c < 0 || c >= Oct::root_len) ok = false;
-          cell.set_coord(a, c);
-        }
-        if (!ok) continue;
-        const LeafRef<Dim>* leaf = find_leaf(ft, cell);
-        if (leaf == nullptr) {
-          throw std::runtime_error("nodes: touching leaf not in local+ghost storage");
-        }
-        bool is_corner = true;
-        for (int a = 0; a < Dim; ++a) {
-          const std::int32_t rel = fp[static_cast<std::size_t>(a)] - leaf->oct.coord(a);
-          if (rel != 0 && rel != leaf->oct.size()) is_corner = false;
-        }
-        Touch tc{ft, leaf->oct, leaf->owner, fp, is_corner};
-        bool dup = false;
-        for (std::size_t x = 0; x < ntouch; ++x) {
-          const Touch& tx = touching[x];
-          if (tx.tree == tc.tree && tx.oct == tc.oct && tx.pt == tc.pt) dup = true;
-        }
-        if (!dup) {
-          if (ntouch == touching.size()) {
-            throw std::runtime_error("nodes: corner valence exceeds touch buffer");
-          }
-          touching[ntouch++] = tc;
-        }
-      }
-    };
-    if (tree_interior(pt)) {
-      visit_frame(t, pt);  // interior: no images, skip the frames machinery
-    } else {
-      for (const auto& [ft, fp] : frames(t, pt)) visit_frame(ft, fp);
-    }
-    Cls cls;
-    cls.independent = true;
-    cls.owner = nranks;
-    for (std::size_t x = 0; x < ntouch; ++x) {
-      cls.owner = std::min(cls.owner, touching[x].owner);
-      if (!touching[x].corner) cls.independent = false;
-    }
-    if (cls.independent) return cls;
-    // Dependent: the constraining entity is the face/edge of the coarsest
-    // incidence for which the point is not a corner.
-    const Touch* best = nullptr;
-    for (std::size_t x = 0; x < ntouch; ++x) {
-      const Touch& tc = touching[x];
-      if (!tc.corner && (best == nullptr || tc.oct.level < best->oct.level)) best = &tc;
-    }
-    const std::int32_t h = best->oct.size();
-    std::array<bool, 3> interior{false, false, false};
-    for (int a = 0; a < Dim; ++a) {
-      const std::int32_t rel = best->pt[static_cast<std::size_t>(a)] - best->oct.coord(a);
-      interior[static_cast<std::size_t>(a)] = (rel != 0 && rel != h);
-    }
-    // Masters: corners of the constraining entity (2^k of them for k
-    // interior axes).
-    std::vector<int> axes;
-    for (int a = 0; a < Dim; ++a)
-      if (interior[static_cast<std::size_t>(a)]) axes.push_back(a);
-    for (int combo = 0; combo < (1 << axes.size()); ++combo) {
-      std::array<std::int32_t, 3> m = best->pt;
-      for (std::size_t i = 0; i < axes.size(); ++i) {
-        m[static_cast<std::size_t>(axes[i])] =
-            best->oct.coord(axes[i]) + (((combo >> i) & 1) ? h : 0);
-      }
-      cls.masters.push_back(canonical(best->tree, m));
-      cls.ask.push_back(best->owner);
-    }
-    return cls;
   }
 };
 
 /// Open-addressed hash table unifying the classification and resolution state
 /// of a node key. One probe serves both questions (classified? resolved?),
 /// entries live in a flat vector (indices stay valid across growth), and
-/// element corners cache their entry index from pass 1 so the resolution scan
-/// and the final fill do no hashing at all.
+/// element corner slots hold their entry index from pass 1 so the resolution
+/// scan and the final fill do no hashing at all. Entries stay small: a
+/// dependent point's masters live in `deps`, and expansions share one pool.
 template <int Dim>
 struct NodeTable {
   using Key = typename NodeNumbering<Dim>::Key;
   using Contrib = typename NodeNumbering<Dim>::Contrib;
+  using Cls = Classification<Dim>;
+  static constexpr std::int32_t kUnclassified = -1;
+  static constexpr std::int32_t kDependent = -2;
 
   struct Entry {
     Key key;
-    Classification<Dim> cls;    // valid iff `classified`
-    std::vector<Contrib> res;   // expansion onto independent gids; empty = unresolved
-    bool classified = false;
+    std::int32_t owner = kUnclassified;  // rank if independent, else kDependent
+    std::int32_t dep = -1;               // index into deps if dependent
+    // Expansion onto independent gids: pool[res_begin, res_begin + res_size);
+    // empty = unresolved.
+    std::int32_t res_begin = 0;
+    std::int32_t res_size = 0;
+    std::int32_t uses = 0;  // stale element corner slots taking this expansion
   };
 
   std::vector<std::int32_t> slot;  // power-of-two probe table, -1 = empty
   std::vector<Entry> entries;
+  std::vector<Cls> deps;
+  std::vector<Contrib> pool;
   std::size_t mask = 0;
+
+  bool classified(std::int32_t ei) const {
+    return entries[static_cast<std::size_t>(ei)].owner != kUnclassified;
+  }
+  /// Owner rank of an independent entry; negative otherwise.
+  std::int32_t owner(std::int32_t ei) const { return entries[static_cast<std::size_t>(ei)].owner; }
+  /// Classification of a dependent entry.
+  const Cls& dependent(std::int32_t ei) const {
+    return deps[static_cast<std::size_t>(entries[static_cast<std::size_t>(ei)].dep)];
+  }
+  void classify_as(std::int32_t ei, const Cls& c) {
+    Entry& e = entries[static_cast<std::size_t>(ei)];
+    if (c.independent) {
+      e.owner = c.owner;
+      return;
+    }
+    e.owner = kDependent;
+    if (e.dep < 0) {
+      e.dep = static_cast<std::int32_t>(deps.size());
+      deps.push_back(c);
+    } else {
+      deps[static_cast<std::size_t>(e.dep)] = c;
+    }
+  }
+
+  bool resolved(std::int32_t ei) const {
+    return entries[static_cast<std::size_t>(ei)].res_size > 0;
+  }
+  std::span<const Contrib> res(std::int32_t ei) const {
+    const Entry& e = entries[static_cast<std::size_t>(ei)];
+    return {pool.data() + e.res_begin, static_cast<std::size_t>(e.res_size)};
+  }
+  /// Record the expansion of entry ei (`v` must not point into the pool).
+  void set_res(std::int32_t ei, std::span<const Contrib> v) {
+    Entry& e = entries[static_cast<std::size_t>(ei)];
+    e.res_begin = static_cast<std::int32_t>(pool.size());
+    e.res_size = static_cast<std::int32_t>(v.size());
+    pool.insert(pool.end(), v.begin(), v.end());
+  }
+  void set_res(std::int32_t ei, const Contrib& c) { set_res(ei, std::span<const Contrib>(&c, 1)); }
 
   explicit NodeTable(std::size_t expect) {
     std::size_t cap = 64;
-    while (cap < expect * 3) cap <<= 1;
+    while (cap < expect * 2) cap <<= 1;
     slot.assign(cap, -1);
     mask = cap - 1;
     entries.reserve(expect);
+    deps.reserve(expect);
+    pool.reserve(expect * 2);
   }
 
   std::size_t probe(const Key& k) const {
@@ -336,17 +178,9 @@ struct NodeTable {
     }
     const auto idx = static_cast<std::int32_t>(entries.size());
     slot[i] = idx;
-    entries.push_back(Entry{k, {}, {}, false});
+    entries.push_back(Entry{k});
     return idx;
   }
-};
-
-/// A local element whose corner slots the engine builds.
-template <int Dim>
-struct StaleElem {
-  std::int32_t tree;
-  Octant<Dim> oct;
-  std::int64_t li;  // local element index
 };
 
 /// The (gid, key) records of a numbering, sorted by gid and deduplicated.
@@ -358,18 +192,64 @@ void sort_gid_keys(GidKeys& v) {
           v.end());
 }
 
+/// Marks a stale corner slot whose entry is not known yet.
+constexpr std::size_t kNoEntry = ~std::size_t{0};
+
+/// The engine's result: the numbering without its contributions, and the
+/// table. Until fill_slots lays out the rows, out.slot_offsets[i + 1] holds
+/// the table entry of stale corner slot i.
+template <int Dim>
+struct StaleNumbering {
+  NodeNumbering<Dim> out;
+  NodeTable<Dim> tab;
+
+  explicit StaleNumbering(std::size_t expect) : tab(expect) {}
+};
+
+/// Lay out the CSR slots of every local element in one pass, in element
+/// order: a stale element's corners take their entries' resolved expansions,
+/// any other element li copies reused(li, c) with every gid mapped through
+/// remap. `reused_contribs` is the reused rows' total size, so the
+/// contribution array is allocated once.
+template <int Dim, typename Reused, typename Remap>
+void fill_slots(StaleNumbering<Dim>& sn, const std::vector<std::uint8_t>& stale,
+                std::size_t reused_contribs, Reused&& reused, Remap&& remap) {
+  using Contrib = typename NodeNumbering<Dim>::Contrib;
+  constexpr int nc = Topo<Dim>::num_corners;
+  NodeNumbering<Dim>& out = sn.out;
+  std::size_t total = reused_contribs;
+  for (const auto& e : sn.tab.entries) {
+    total += static_cast<std::size_t>(e.uses) * static_cast<std::size_t>(e.res_size);
+  }
+  out.contribs.reserve(total);
+  out.slot_offsets[0] = 0;
+  for (std::size_t li = 0; li < stale.size(); ++li) {
+    for (int c = 0; c < nc; ++c) {
+      std::size_t& end = out.slot_offsets[li * nc + static_cast<std::size_t>(c) + 1];
+      if (stale[li] != 0) {
+        if (end == kNoEntry) throw std::logic_error("nodes: stale element corner left unclassified");
+        const auto src = sn.tab.res(static_cast<std::int32_t>(end));
+        out.contribs.insert(out.contribs.end(), src.begin(), src.end());
+      } else {
+        for (const Contrib& cb : reused(li, c)) out.contribs.push_back(Contrib{remap(cb.gid), cb.weight});
+      }
+      end = out.contribs.size();
+    }
+  }
+}
+
 }  // namespace
 
 /// The Nodes engine (collective; see the file header). Numbers the owned set
-/// `survivors` ∪ {owned corners of `stale`} (`survivors` sorted), resolves
-/// the corners of the stale elements and fills their rows of out.elements,
-/// which is sized to every local element. out.gid_keys holds the referenced
+/// `survivors` ∪ {owned corners of the stale elements} (`survivors` sorted;
+/// `stale` flags every local element) and resolves the stale elements'
+/// corners; fill_slots lays out the rows. out.gid_keys holds the referenced
 /// (gid, key) records unsorted, so the caller can add its own before
 /// sort_gid_keys.
 template <int Dim>
-static NodeNumbering<Dim> number_stale(
+static StaleNumbering<Dim> number_stale(
     const Forest<Dim>& forest, const GhostLayer<Dim>& ghost,
-    const std::vector<StaleElem<Dim>>& stale,
+    const std::vector<std::uint8_t>& stale,
     const std::vector<typename NodeNumbering<Dim>::Key>& survivors) {
   using Key = typename NodeNumbering<Dim>::Key;
   using Contrib = typename NodeNumbering<Dim>::Contrib;
@@ -378,6 +258,11 @@ static NodeNumbering<Dim> number_stale(
   const int p = comm.size();
   const int me = comm.rank();
   OpStats& ops = op_stats();
+  const auto n_stale = static_cast<std::size_t>(std::count(stale.begin(), stale.end(), 1));
+  StaleNumbering<Dim> sn(n_stale * 2 + 16);
+  NodeTable<Dim>& tab = sn.tab;
+  NodeNumbering<Dim>& out = sn.out;
+  out.slot_offsets.assign(stale.size() * nc + 1, kNoEntry);
 
   // --- Pass 1: classify the corners of the stale elements --------------------
   // Lazy: a rank with nothing stale builds the leaf directory only if the
@@ -387,36 +272,75 @@ static NodeNumbering<Dim> number_stale(
     if (!nclass_opt) nclass_opt.emplace(forest, ghost);
     return *nclass_opt;
   };
-  NodeTable<Dim> tab(stale.size() * 2 + 16);
-  std::vector<std::array<std::int32_t, nc>> stale_ent(stale.size());  // entry index per corner
-  // Direct-mapped front cache for the 2^Dim-fold corner reuse between
-  // SFC-adjacent elements: a hit costs one L2 touch instead of a probe walk
-  // through the (much larger) table and entry arrays. Two to four lines per
-  // element (about one distinct corner each), capped to stay L2-resident.
-  const int cache_bits = std::clamp(static_cast<int>(std::bit_width(stale.size())) + 1, 6, 15);
-  const std::size_t cache_mask = (std::size_t{1} << cache_bits) - 1;
-  std::vector<std::pair<Key, std::int32_t>> front(cache_mask + 1, {Key{-1, -1, -1, -1}, -1});
-  for (std::size_t s = 0; s < stale.size(); ++s) {
-    const StaleElem<Dim>& se = stale[s];
+  // Entry ei becomes the expansion of stale corner slot i.
+  const auto use = [&](std::size_t i, std::int32_t ei) {
+    out.slot_offsets[i + 1] = static_cast<std::size_t>(ei);
+    tab.entries[static_cast<std::size_t>(ei)].uses++;
+  };
+  if (n_stale > 0) {
     const NodeClassifier<Dim>& cl = nclass();
-    cl.seed_hint(se.tree, se.oct);
-    for (int c = 0; c < nc; ++c) {
-      const auto cp = se.oct.corner_point(c);
-      const Key k = cl.canonical(se.tree, cp);
-      auto& line = front[KeyHash{}(k) & cache_mask];
-      std::int32_t ei;
-      if (line.first == k) {
-        ei = line.second;
-      } else {
-        ei = tab.get_or_insert(k);
-        line = {k, ei};
-        auto& e = tab.entries[static_cast<std::size_t>(ei)];
-        if (!e.classified) {
-          e.cls = cl.classify(se.tree, cp);
-          e.classified = true;
-        }
+    // Tree-interior corners: the iterator visits each point once with the
+    // leaves around it, and the point's entry goes straight into the slots of
+    // the stale elements it is a corner of.
+    std::vector<std::uint8_t> marked;
+    for (int t = 0; t < forest.num_trees(); ++t) {
+      const auto& d = cl.dir[static_cast<std::size_t>(t)];
+      marked.assign(d.size(), 0);
+      bool any = false;
+      for (std::size_t i = 0; i < d.size(); ++i) {
+        marked[i] = d[i].owner == me && stale[static_cast<std::size_t>(d[i].index)] != 0;
+        any = any || marked[i];
       }
-      stale_ent[s][static_cast<std::size_t>(c)] = ei;
+      if (!any) continue;
+      iterate_corners<Dim>(d, marked, [&](const CornerAdjacency<Dim>& adj) {
+        bool stale_corner = false;
+        bool missing = false;
+        for (int i = 0; i < nc; ++i) {
+          const std::int32_t di = adj.leaf[static_cast<std::size_t>(i)];
+          if (di < 0) {
+            missing = true;
+          } else if (marked[static_cast<std::size_t>(di)] && adj.corner[static_cast<std::size_t>(i)] >= 0) {
+            stale_corner = true;
+          }
+        }
+        if (!stale_corner) return;  // touches stale elements, hangs on all of them
+        if (missing) throw std::runtime_error("nodes: touching leaf not in local+ghost storage");
+        const std::int32_t ei = tab.get_or_insert(Key{t, adj.pt[0], adj.pt[1], adj.pt[2]});
+        tab.classify_as(ei, cl.classify_adjacency(t, adj));
+        for (int i = 0; i < nc; ++i) {
+          const std::int32_t di = adj.leaf[static_cast<std::size_t>(i)];
+          const int c = adj.corner[static_cast<std::size_t>(i)];
+          if (c >= 0 && marked[static_cast<std::size_t>(di)]) {
+            use(static_cast<std::size_t>(d[static_cast<std::size_t>(di)].index) * nc +
+                    static_cast<std::size_t>(c),
+                ei);
+          }
+        }
+      });
+    }
+    // Tree-boundary corners: one canonical key over all tree frames,
+    // classified once by looking up the touching leaves in each frame.
+    const auto touches_tree_boundary = [](const Octant<Dim>& o) {
+      for (int f = 0; f < Topo<Dim>::num_faces; ++f) {
+        if (o.touches_root_face(f)) return true;
+      }
+      return false;
+    };
+    std::size_t li = 0;
+    for (int t = 0; t < forest.num_trees(); ++t) {
+      for (const Octant<Dim>& o : forest.tree(t)) {
+        if (stale[li] != 0 && touches_tree_boundary(o)) {
+          cl.seed_hint(t, o);
+          for (int c = 0; c < nc; ++c) {
+            const auto cp = o.corner_point(c);
+            if (NodeClassifier<Dim>::tree_interior(cp)) continue;
+            const std::int32_t ei = tab.get_or_insert(cl.canonical(t, cp));
+            if (!tab.classified(ei)) tab.classify_as(ei, cl.classify(t, cp));
+            use(li * nc + static_cast<std::size_t>(c), ei);
+          }
+        }
+        ++li;
+      }
     }
   }
   // Entries added after this point are masters/answers, not element corners.
@@ -428,13 +352,19 @@ static NodeNumbering<Dim> number_stale(
   std::vector<std::pair<Key, std::int32_t>> fresh;  // (key, entry)
   for (std::size_t i = 0; i < n_pass1; ++i) {
     const auto& e = tab.entries[i];
-    if (e.cls.independent && e.cls.owner == me) {
+    if (e.owner == me) {
       fresh.emplace_back(e.key, static_cast<std::int32_t>(i));
     }
   }
+  // Key order on two 64-bit words (every key field is non-negative).
+  const auto words = [](const Key& k) {
+    return std::pair{(std::uint64_t{static_cast<std::uint32_t>(k[0])} << 32) |
+                         static_cast<std::uint32_t>(k[1]),
+                     (std::uint64_t{static_cast<std::uint32_t>(k[2])} << 32) |
+                         static_cast<std::uint32_t>(k[3])};
+  };
   std::sort(fresh.begin(), fresh.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  NodeNumbering<Dim> out;
+            [&](const auto& a, const auto& b) { return words(a.first) < words(b.first); });
   out.owned_keys.reserve(survivors.size() + fresh.size());
   std::vector<std::int64_t> fresh_at;  // index of fresh[i] in owned_keys
   fresh_at.reserve(fresh.size());
@@ -456,8 +386,7 @@ static NodeNumbering<Dim> number_stale(
   out.owned_offset = out.rank_offsets[static_cast<std::size_t>(me)];
   out.num_global = out.rank_offsets[static_cast<std::size_t>(p)];
   for (std::size_t i = 0; i < fresh.size(); ++i) {
-    tab.entries[static_cast<std::size_t>(fresh[i].second)].res.assign(
-        1, Contrib{out.owned_offset + fresh_at[i], 1.0});
+    tab.set_res(fresh[i].second, Contrib{out.owned_offset + fresh_at[i], 1.0});
   }
   out.gid_keys.reserve(out.owned_keys.size());
   for (std::size_t i = 0; i < out.owned_keys.size(); ++i) {
@@ -490,9 +419,8 @@ static NodeNumbering<Dim> number_stale(
   // leaf, so the point touches a local leaf and every touching leaf is in
   // local + ghost storage.
   const auto classify_entry = [&](std::int32_t ei) {
-    auto& e = tab.entries[static_cast<std::size_t>(ei)];
-    e.cls = nclass().classify(e.key[0], {e.key[1], e.key[2], e.key[3]});
-    e.classified = true;
+    const Key k = tab.entries[static_cast<std::size_t>(ei)].key;
+    tab.classify_as(ei, nclass().classify(k[0], {k[1], k[2], k[3]}));
   };
 
   // Memoized recursive expansion onto independent gids. Constraint chains are
@@ -505,8 +433,10 @@ static NodeNumbering<Dim> number_stale(
   // an independent key, the rank that classified the constraining leaf
   // (`hint`) for an unclassified one. Entries may grow during recursion, so
   // state is re-fetched by index after every recursive call.
+  // One expansion is built here before it enters the pool (which may move).
+  std::vector<Contrib> acc;
   const auto expand = [&](auto&& self, std::int32_t ei, int hint, bool collect) -> bool {
-    if (!tab.entries[static_cast<std::size_t>(ei)].res.empty()) return true;
+    if (tab.resolved(ei)) return true;
     const auto note = [&](int target) {
       if (!collect) return;
       if (target < 0) throw std::runtime_error("nodes: unclassified key without hint");
@@ -515,51 +445,40 @@ static NodeNumbering<Dim> number_stale(
         req[static_cast<std::size_t>(target)].push_back(KeyMsg{k[0], k[1], k[2], k[3]});
       }
     };
-    if (!tab.entries[static_cast<std::size_t>(ei)].classified) {
+    if (!tab.classified(ei)) {
       if (hint != me) {
         note(hint);
         return false;
       }
       classify_entry(ei);
     }
-    {
-      const auto& e = tab.entries[static_cast<std::size_t>(ei)];
-      if (e.cls.independent) {
-        if (e.cls.owner == me) {
-          const std::int64_t g = owned_gid_of(e.key);
-          tab.entries[static_cast<std::size_t>(ei)].res.assign(1, Contrib{g, 1.0});
-          return true;
-        }
-        note(e.cls.owner);  // gid not yet fetched from the owner
-        return false;
+    if (const std::int32_t owner = tab.owner(ei); owner >= 0) {
+      if (owner == me) {
+        tab.set_res(ei, Contrib{owned_gid_of(tab.entries[static_cast<std::size_t>(ei)].key), 1.0});
+        return true;
       }
+      note(owner);  // gid not yet fetched from the owner
+      return false;
     }
-    // Dependent: masters are copied out first — the recursive calls below may
-    // insert entries and reallocate the entry vector.
-    std::array<Key, 4> masters;
-    std::array<int, 4> ask{};
-    std::size_t nm;
-    {
-      const auto& cls = tab.entries[static_cast<std::size_t>(ei)].cls;
-      nm = cls.masters.size();
-      for (std::size_t i = 0; i < nm; ++i) {
-        masters[i] = cls.masters[i];
-        ask[i] = cls.ask[i];
-      }
-    }
+    // Dependent: the classification is copied out first — the recursive
+    // calls below may insert entries and reallocate the entry and master
+    // vectors.
+    const Classification<Dim> cls = tab.dependent(ei);
+    const auto nm = static_cast<std::size_t>(cls.num_masters);
     bool all = true;
-    std::array<std::int32_t, 4> mi;
+    std::array<std::int32_t, Classification<Dim>::kMaxMasters> mi{};
     for (std::size_t i = 0; i < nm; ++i) {
-      mi[i] = tab.get_or_insert(masters[i]);
-      if (!self(self, mi[i], ask[i], collect)) all = false;
+      mi[i] = tab.get_or_insert(cls.masters[i]);
+      if (!self(self, mi[i], cls.ask[i], collect)) all = false;
     }
     if (!all) return false;
     // Flat accumulation (a handful of masters x contribs), in master order per
     // gid, then sorted by gid.
-    std::vector<Contrib> v;
+    std::vector<Contrib>& v = acc;
+    v.clear();
     const double w = 1.0 / static_cast<double>(nm);
     for (std::size_t i = 0; i < nm; ++i) {
-      for (const Contrib& c : tab.entries[static_cast<std::size_t>(mi[i])].res) {
+      for (const Contrib& c : tab.res(mi[i])) {
         bool found = false;
         for (Contrib& x : v) {
           if (x.gid == c.gid) {
@@ -572,7 +491,7 @@ static NodeNumbering<Dim> number_stale(
       }
     }
     std::sort(v.begin(), v.end(), [](const Contrib& a, const Contrib& b) { return a.gid < b.gid; });
-    tab.entries[static_cast<std::size_t>(ei)].res = std::move(v);
+    tab.set_res(ei, v);
     return true;
   };
 
@@ -610,10 +529,10 @@ static NodeNumbering<Dim> number_stale(
       auto& buf = ans[static_cast<std::size_t>(src)];
       for (const KeyMsg& km : req_in[static_cast<std::size_t>(src)]) {
         const std::int32_t ei = tab.get_or_insert(Key{km.tree, km.x, km.y, km.z});
-        if (!tab.entries[static_cast<std::size_t>(ei)].classified) classify_entry(ei);
+        if (!tab.classified(ei)) classify_entry(ei);
         buf.insert(buf.end(), {km.tree, km.x, km.y, km.z});
         if (expand(expand, ei, -1, false)) {
-          const auto& v = tab.entries[static_cast<std::size_t>(ei)].res;
+          const auto v = tab.res(ei);
           buf.push_back(kRecExpansion);
           buf.push_back(static_cast<std::int64_t>(v.size()));
           for (const Contrib& c : v) {
@@ -622,16 +541,16 @@ static NodeNumbering<Dim> number_stale(
                        {c.gid, std::bit_cast<std::int64_t>(c.weight), ck[0], ck[1], ck[2], ck[3]});
           }
         } else {
-          const auto& cls = tab.entries[static_cast<std::size_t>(ei)].cls;
-          if (cls.independent) {
+          if (tab.owner(ei) >= 0) {
             buf.push_back(kRecOwner);
-            buf.push_back(cls.owner);
+            buf.push_back(tab.owner(ei));
           } else {
+            const auto& cls = tab.dependent(ei);
             buf.push_back(kRecMasters);
-            buf.push_back(static_cast<std::int64_t>(cls.masters.size()));
-            for (std::size_t i = 0; i < cls.masters.size(); ++i) {
-              const Key& m = cls.masters[i];
-              buf.insert(buf.end(), {m[0], m[1], m[2], m[3], cls.ask[i]});
+            buf.push_back(cls.num_masters);
+            for (int i = 0; i < cls.num_masters; ++i) {
+              const Key& m = cls.masters[static_cast<std::size_t>(i)];
+              buf.insert(buf.end(), {m[0], m[1], m[2], m[3], cls.ask[static_cast<std::size_t>(i)]});
             }
           }
         }
@@ -648,8 +567,8 @@ static NodeNumbering<Dim> number_stale(
         ops.nodes_answers_recv++;
         const std::int32_t ei = tab.get_or_insert(k);
         if (kind == kRecExpansion) {
-          std::vector<Contrib> v;
-          v.reserve(static_cast<std::size_t>(n));
+          std::vector<Contrib>& v = acc;
+          v.clear();
           for (std::int64_t e = 0; e < n; ++e) {
             const std::int64_t gid = from[i];
             const double w = std::bit_cast<double>(from[i + 1]);
@@ -662,59 +581,49 @@ static NodeNumbering<Dim> number_stale(
             // Record the member gid's key, and let other chains resolve
             // through it without a second fetch.
             const std::int32_t ci = tab.get_or_insert(ck);
-            auto& ce = tab.entries[static_cast<std::size_t>(ci)];
-            if (ce.res.empty()) ce.res.assign(1, Contrib{gid, 1.0});
+            if (!tab.resolved(ci)) tab.set_res(ci, Contrib{gid, 1.0});
             out.gid_keys.emplace_back(gid, ck);
             fetched.emplace(gid, ck);
           }
-          tab.entries[static_cast<std::size_t>(ei)].res = std::move(v);
+          tab.set_res(ei, v);
         } else if (kind == kRecOwner) {
-          auto& e = tab.entries[static_cast<std::size_t>(ei)];
-          e.cls = Classification<Dim>{};
-          e.cls.independent = true;
-          e.cls.owner = static_cast<int>(n);  // owner rides in the count slot
-          e.classified = true;
+          Classification<Dim> cls;
+          cls.independent = true;
+          cls.owner = static_cast<int>(n);  // owner rides in the count slot
+          tab.classify_as(ei, cls);
         } else {
-          auto& e = tab.entries[static_cast<std::size_t>(ei)];
-          e.cls = Classification<Dim>{};
-          e.cls.independent = false;
-          for (std::int64_t rec = 0; rec < n; ++rec) {
-            e.cls.masters.push_back(Key{static_cast<std::int32_t>(from[i]),
-                                        static_cast<std::int32_t>(from[i + 1]),
-                                        static_cast<std::int32_t>(from[i + 2]),
-                                        static_cast<std::int32_t>(from[i + 3])});
-            e.cls.ask.push_back(static_cast<int>(from[i + 4]));
+          if (n < 1 || n > Classification<Dim>::kMaxMasters) {
+            throw std::runtime_error("nodes: answer carries an invalid master count");
+          }
+          Classification<Dim> cls;
+          cls.num_masters = static_cast<int>(n);
+          for (std::size_t rec = 0; rec < static_cast<std::size_t>(n); ++rec) {
+            cls.masters[rec] = Key{static_cast<std::int32_t>(from[i]),
+                                   static_cast<std::int32_t>(from[i + 1]),
+                                   static_cast<std::int32_t>(from[i + 2]),
+                                   static_cast<std::int32_t>(from[i + 3])};
+            cls.ask[rec] = static_cast<int>(from[i + 4]);
             i += 5;
           }
-          e.classified = true;
+          tab.classify_as(ei, cls);
         }
       }
     }
   }
 
-  // --- Fill the stale rows (entry indices cached from pass 1) ----------------
-  out.elements.resize(static_cast<std::size_t>(forest.num_local()));
-  for (std::size_t s = 0; s < stale.size(); ++s) {
-    auto& row = out.elements[static_cast<std::size_t>(stale[s].li)];
-    for (int c = 0; c < nc; ++c) {
-      row[static_cast<std::size_t>(c)] =
-          tab.entries[static_cast<std::size_t>(stale_ent[s][static_cast<std::size_t>(c)])].res;
-    }
-  }
-  return out;
+  return sn;
 }
 
 template <int Dim>
 NodeNumbering<Dim> NodeNumbering<Dim>::build(const Forest<Dim>& forest,
                                              const GhostLayer<Dim>& ghost) {
-  std::vector<StaleElem<Dim>> all;
-  all.reserve(static_cast<std::size_t>(forest.num_local()));
-  forest.for_each_local([&](int t, const Octant<Dim>& o) {
-    all.push_back(StaleElem<Dim>{t, o, static_cast<std::int64_t>(all.size())});
-  });
-  NodeNumbering out = number_stale<Dim>(forest, ghost, all, {});
-  sort_gid_keys(out.gid_keys);
-  return out;
+  const std::vector<std::uint8_t> all(static_cast<std::size_t>(forest.num_local()), 1);
+  StaleNumbering<Dim> sn = number_stale<Dim>(forest, ghost, all, {});
+  fill_slots(
+      sn, all, 0, [](std::size_t, int) { return std::span<const Contrib>{}; },
+      [](std::int64_t g) { return g; });
+  sort_gid_keys(sn.out.gid_keys);
+  return std::move(sn.out);
 }
 
 // ---------------------------------------------------------------------------
@@ -810,7 +719,9 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
   //       the conservative kNodesRings element-ball.
   // Every other element must exist unchanged in the snapshot.
   std::vector<std::int64_t> old_of(n_local, -1);  // reused: old local index
-  std::vector<StaleElem<Dim>> stale;
+  std::vector<std::uint8_t> stale(n_local, 0);
+  std::int64_t n_stale = 0;
+  std::size_t reused_contribs = 0;
   const auto old_key_of = [&](std::int64_t g) -> const Key& {
     return (g >= old.owned_offset && g < old.owned_offset + old.num_owned)
                ? old.owned_keys[static_cast<std::size_t>(g - old.owned_offset)]
@@ -873,8 +784,7 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
           const std::int64_t og = old_base + static_cast<std::int64_t>(oi);
           ++oi;
           for (int c = 0; c < nc && !is_stale; ++c) {
-            const auto& slot =
-                old.elements[static_cast<std::size_t>(og)][static_cast<std::size_t>(c)];
+            const auto slot = old.slot(static_cast<std::size_t>(og), c);
             if (slot.size() <= 1) continue;  // independent corner: (a) was exact
             const auto cp = o.corner_point(c);
             std::array<std::int64_t, 3> lo{cp[0], cp[1], cp[2]};
@@ -903,16 +813,23 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
               is_stale = delta_box_overlap(t, lo, hi);
             }
           }
-          if (!is_stale) old_of[static_cast<std::size_t>(li)] = og;
+          if (!is_stale) {
+            old_of[static_cast<std::size_t>(li)] = og;
+            reused_contribs += old.slot_offsets[static_cast<std::size_t>(og + 1) * nc] -
+                               old.slot_offsets[static_cast<std::size_t>(og) * nc];
+          }
         }
-        if (is_stale) stale.push_back(StaleElem<Dim>{t, o, li});
+        if (is_stale) {
+          stale[static_cast<std::size_t>(li)] = 1;
+          ++n_stale;
+        }
         ++li;
       }
       old_base += static_cast<std::int64_t>(olds.size());
     }
   }
-  ops.nodes_patched += static_cast<std::int64_t>(stale.size());
-  ops.nodes_reused += static_cast<std::int64_t>(n_local) - static_cast<std::int64_t>(stale.size());
+  ops.nodes_patched += n_stale;
+  ops.nodes_reused += static_cast<std::int64_t>(n_local) - n_stale;
 
   // --- Surviving owned keys --------------------------------------------------
   // A point's classification depends only on its touching leaves, and a
@@ -925,7 +842,8 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
   for (const Key& k : old.owned_keys) {
     if (!point_in_delta(k[0], {k[1], k[2], k[3]})) survivors.push_back(k);
   }
-  NodeNumbering<Dim> out = number_stale<Dim>(forest, ghost, stale, survivors);
+  StaleNumbering<Dim> sn = number_stale<Dim>(forest, ghost, stale, survivors);
+  NodeNumbering<Dim>& out = sn.out;
 
   // --- Old -> new gid remap of the reused rows -------------------------------
   // Per-rank id blocks are preserved and the within-rank shift is monotone in
@@ -939,7 +857,7 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
                       old.owned_keys.end(), std::back_inserter(added_eff));
   const auto removed_all = comm.allgatherv(removed_eff);
   const auto added_all = comm.allgatherv(added_eff);
-  // Flat memo indexed by old gid: the fill below touches every reused slot's
+  // Flat memo indexed by old gid: the slot fill touches every reused slot's
   // gids, so the dense array beats a hash map.
   std::vector<std::int64_t> remap_memo(static_cast<std::size_t>(old.num_global), -1);
   const auto remap = [&](std::int64_t g) -> std::int64_t {
@@ -963,19 +881,14 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
     out.gid_keys.emplace_back(ng, k);
     return ng;
   };
-  for (std::size_t li = 0; li < n_local; ++li) {
-    const std::int64_t ol = old_of[li];
-    if (ol < 0) continue;
-    for (int c = 0; c < nc; ++c) {
-      auto& slot = out.elements[li][static_cast<std::size_t>(c)];
-      slot = std::move(old.elements[static_cast<std::size_t>(ol)][static_cast<std::size_t>(c)]);
-      for (Contrib& cb : slot) cb.gid = remap(cb.gid);
-    }
-  }
+  fill_slots(
+      sn, stale, reused_contribs,
+      [&](std::size_t li, int c) { return old.slot(static_cast<std::size_t>(old_of[li]), c); },
+      remap);
   // gid -> key records: owned + fetched + remap-recorded covers exactly the
   // gids referenced by the element slots, same as a full rebuild.
   sort_gid_keys(out.gid_keys);
-  return out;
+  return std::move(out);
 }
 
 template <int Dim>

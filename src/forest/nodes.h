@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "forest/delta.h"
@@ -47,9 +48,21 @@ struct NodeNumbering {
     double weight;
   };
   /// Per local element (SFC order), per corner slot: the interpolation of
-  /// that slot onto independent global nodes. Independent slots hold a
-  /// single entry of weight one.
-  std::vector<std::array<std::vector<Contrib>, Topo<Dim>::num_corners>> elements;
+  /// that slot onto independent global nodes, stored flat — slot i = e *
+  /// num_corners + c holds contribs[slot_offsets[i], slot_offsets[i + 1]),
+  /// sorted by gid. Independent slots hold a single entry of weight one.
+  std::vector<std::size_t> slot_offsets;
+  std::vector<Contrib> contribs;
+
+  /// The contributions of corner c of local element e.
+  std::span<const Contrib> slot(std::size_t e, int c) const {
+    const std::size_t i = e * Topo<Dim>::num_corners + static_cast<std::size_t>(c);
+    return {contribs.data() + slot_offsets[i], contribs.data() + slot_offsets[i + 1]};
+  }
+  /// Number of local elements the slots cover.
+  std::size_t num_elements() const {
+    return slot_offsets.empty() ? 0 : (slot_offsets.size() - 1) / Topo<Dim>::num_corners;
+  }
 
   std::int64_t num_owned = 0;
   std::int64_t owned_offset = 0;  ///< my ids are [owned_offset, owned_offset + num_owned)

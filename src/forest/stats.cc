@@ -19,6 +19,7 @@ OpStats& OpStats::operator+=(const OpStats& o) {
   nodes_request_batches += o.nodes_request_batches;
   nodes_requests_sent += o.nodes_requests_sent;
   nodes_answers_recv += o.nodes_answers_recv;
+  nodes_leaf_lookups += o.nodes_leaf_lookups;
   ghost_octants_sent += o.ghost_octants_sent;
   ghost_interior_skipped += o.ghost_interior_skipped;
   delta_octants += o.delta_octants;

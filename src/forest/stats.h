@@ -32,6 +32,7 @@ struct OpStats {
   std::int64_t nodes_request_batches = 0;    ///< non-empty request batches sent
   std::int64_t nodes_requests_sent = 0;      ///< total keys asked of other ranks
   std::int64_t nodes_answers_recv = 0;
+  std::int64_t nodes_leaf_lookups = 0;       ///< leaf-directory searches classifying points
 
   // Ghost.
   std::int64_t ghost_octants_sent = 0;

@@ -161,7 +161,7 @@ CgSpace<Dim> CgSpace<Dim>::build(const forest::Forest<Dim>& f,
       if (f.conn().face_connection(t, fc).tree >= 0) continue;
       for (int i = 0; i < forest::Topo<Dim>::corners_per_face; ++i) {
         const int c = forest::Topo<Dim>::face_corners[fc][i];
-        for (const auto& contrib : n.elements[e][static_cast<std::size_t>(c)]) {
+        for (const auto& contrib : n.slot(e, c)) {
           bdry.push_back(contrib.gid);
         }
       }
@@ -215,11 +215,11 @@ solver::DistCsr assemble_poisson(const CgSpace<Dim>& space,
       }
     }
     for (int a = 0; a < nc; ++a) {
-      for (const auto& ca : nodes.elements[e][static_cast<std::size_t>(a)]) {
+      for (const auto& ca : nodes.slot(e, a)) {
         if (space.on_boundary(ca.gid)) continue;
         rhs.emplace_back(ca.gid, ca.weight * fe[a]);
         for (int bb = 0; bb < nc; ++bb) {
-          for (const auto& cb : nodes.elements[e][static_cast<std::size_t>(bb)]) {
+          for (const auto& cb : nodes.slot(e, bb)) {
             const double v = ca.weight * cb.weight * ke[a][bb];
             if (space.on_boundary(cb.gid)) {
               rhs.emplace_back(ca.gid, -v * g(space.position_of_gid(cb.gid)));
@@ -320,9 +320,8 @@ StokesSystem<Dim> assemble_stokes(
 
     // Scatter with hanging expansions. Velocity Dirichlet: skip boundary
     // dofs (no-slip, g = 0, so no RHS correction needed).
-    const auto& slots = nodes.elements[e];
     for (int a = 0; a < nc; ++a) {
-      for (const auto& ca : slots[static_cast<std::size_t>(a)]) {
+      for (const auto& ca : nodes.slot(e, a)) {
         const bool abdry = space.on_boundary(ca.gid);
         // Pressure lumped (1/eta) mass for the preconditioner.
         pdiag.emplace_back(ca.gid, ca.weight * mvec[a] / eta_bar);
@@ -330,7 +329,7 @@ StokesSystem<Dim> assemble_stokes(
           rhs.emplace_back(vdof(ca.gid, i), ca.weight * f_e[a * Dim + i]);
         }
         for (int bb = 0; bb < nc; ++bb) {
-          for (const auto& cb : slots[static_cast<std::size_t>(bb)]) {
+          for (const auto& cb : nodes.slot(e, bb)) {
             const bool bbdry = space.on_boundary(cb.gid);
             const double w = ca.weight * cb.weight;
             // A block and the standalone velocity operator.

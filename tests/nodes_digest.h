@@ -27,8 +27,9 @@ std::uint64_t nodes_digest(const esamr::forest::NodeNumbering<Dim>& n) {
     fold(h, gid);
     for (const std::int32_t v : k) fold(h, v);
   }
-  for (const auto& elem : n.elements) {
-    for (const auto& slot : elem) {
+  for (std::size_t e = 0; e < n.num_elements(); ++e) {
+    for (int c = 0; c < esamr::forest::Topo<Dim>::num_corners; ++c) {
+      const auto slot = n.slot(e, c);
       fold(h, static_cast<std::int64_t>(slot.size()));
       for (const auto& cb : slot) {
         fold(h, cb.gid);

@@ -137,10 +137,11 @@ TEST(Integration, GhostNodesStableUnderRepartition) {
     const auto n2 = NodeNumbering<2>::build(f, g2);
     EXPECT_EQ(n1.num_global, n2.num_global);
     // Partition-of-unity still holds everywhere after the move.
-    for (const auto& elem : n2.elements) {
-      for (const auto& slot : elem) {
+    ASSERT_EQ(n2.num_elements(), static_cast<std::size_t>(f.num_local()));
+    for (std::size_t e = 0; e < n2.num_elements(); ++e) {
+      for (int c = 0; c < 4; ++c) {
         double w = 0.0;
-        for (const auto& cc : slot) w += cc.weight;
+        for (const auto& cc : n2.slot(e, c)) w += cc.weight;
         EXPECT_NEAR(w, 1.0, 1e-12);
       }
     }

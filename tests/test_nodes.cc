@@ -6,12 +6,17 @@
 //    linear functions exactly — this exercises hanging face/edge constraints
 //    and inter-tree canonicalization at once,
 //  * build() emits exactly the recorded digests (NodesGolden): every gid,
-//    weight bit, owned key and gid key on four inputs at four rank counts.
+//    weight bit, owned key and gid key on four inputs at four rank counts,
+//  * the corner iterator (NodesIterate) reports every tree-interior corner of
+//    a marked leaf exactly once, with the leaves, corner indices and
+//    classification the directory-lookup path finds for the same point.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <map>
 
+#include "forest/iterate.h"
+#include "forest/node_classify.h"
 #include "forest/nodes.h"
 #include "nodes_digest.h"
 
@@ -78,7 +83,7 @@ void expect_linear_reproduction(const Forest<Dim>& f, const NodeNumbering<Dim>& 
   std::size_t li = 0;
   f.for_each_local([&](int t, const Octant<Dim>& o) {
     for (int c = 0; c < Topo<Dim>::num_corners; ++c) {
-      const auto& slot = nodes.elements[li][static_cast<std::size_t>(c)];
+      const auto slot = nodes.slot(li, c);
       ASSERT_FALSE(slot.empty());
       double wsum = 0.0, value = 0.0;
       for (const auto& [gid, w] : slot) {
@@ -201,7 +206,7 @@ TEST_P(NodesRanks, MoebiusNumberingConsistent) {
     f.for_each_local([&](int, const Octant<2>&) {
       for (int cc = 0; cc < 4; ++cc) {
         double wsum = 0.0;
-        for (const auto& [gid, w] : nodes.elements[li][static_cast<std::size_t>(cc)]) {
+        for (const auto& [gid, w] : nodes.slot(li, cc)) {
           wsum += w;
           EXPECT_GE(gid, 0);
           EXPECT_LT(gid, nodes.num_global);
@@ -338,3 +343,141 @@ TEST_P(NodesGolden, FullBuildMatchesRecordedDigests) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, NodesGolden, ::testing::Values(1, 3, 4, 7));
+
+namespace {
+
+template <int Dim>
+void expect_same_classification(const detail::Classification<Dim>& got,
+                                const detail::Classification<Dim>& want, const char* name) {
+  EXPECT_EQ(got.independent, want.independent) << name;
+  if (got.independent != want.independent) return;
+  if (want.independent) {
+    EXPECT_EQ(got.owner, want.owner) << name;
+    return;
+  }
+  ASSERT_EQ(got.num_masters, want.num_masters) << name;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(want.num_masters); ++i) {
+    EXPECT_EQ(got.masters[i], want.masters[i]) << name;
+    EXPECT_EQ(got.ask[i], want.ask[i]) << name;
+  }
+}
+
+/// Walk every tree of a balanced, partitioned forest with all local leaves
+/// marked, then with a seeded ~5% of them, and hold each visit against the
+/// directory-lookup path (the oracle): every tree-interior corner of a marked
+/// leaf is reported exactly once, no other point is reported twice, no
+/// tree-boundary point at all, each reported point touches a marked leaf,
+/// and its leaves, corner indices and classification match the lookups.
+template <int Dim>
+void check_corner_iterator(const Forest<Dim>& f, const char* name) {
+  using Oct = Octant<Dim>;
+  using Point = std::array<std::int32_t, 3>;
+  constexpr int nc = Topo<Dim>::num_corners;
+  const auto g = GhostLayer<Dim>::build(f);
+  const detail::NodeClassifier<Dim> cl(f, g);
+  const int me = f.comm().rank();
+  for (const int mod : {1, 20}) {
+    for (int t = 0; t < f.num_trees(); ++t) {
+      const auto& dir = cl.dir[static_cast<std::size_t>(t)];
+      std::vector<std::uint8_t> marked(dir.size(), 0);
+      std::map<Point, int> want;  // tree-interior corners of marked leaves
+      for (std::size_t i = 0; i < dir.size(); ++i) {
+        if (dir[i].owner != me || !random_mark(t, dir[i].oct, 7, mod)) continue;
+        marked[i] = 1;
+        for (int c = 0; c < nc; ++c) {
+          const Point cp = dir[i].oct.corner_point(c);
+          if (detail::NodeClassifier<Dim>::tree_interior(cp)) want[cp] = 0;
+        }
+      }
+      std::map<Point, int> seen;
+      iterate_corners<Dim>(dir, marked, [&](const CornerAdjacency<Dim>& adj) {
+        ++seen[adj.pt];
+        EXPECT_TRUE(detail::NodeClassifier<Dim>::tree_interior(adj.pt)) << name;
+        bool touches_marked = false;
+        for (int i = 0; i < nc; ++i) {
+          // The finest cell at position i around the point, and its leaf.
+          Oct cell;
+          cell.level = Oct::max_level;
+          for (int a = 0; a < Dim; ++a) {
+            cell.set_coord(a, adj.pt[static_cast<std::size_t>(a)] - (((i >> a) & 1) ? 0 : 1));
+          }
+          const LeafRef<Dim>* leaf = cl.find_leaf(t, cell);
+          const std::int32_t want_leaf =
+              leaf == nullptr ? -1 : static_cast<std::int32_t>(leaf - dir.data());
+          ASSERT_EQ(adj.leaf[static_cast<std::size_t>(i)], want_leaf) << name;
+          if (leaf == nullptr) continue;
+          touches_marked = touches_marked || marked[static_cast<std::size_t>(want_leaf)] != 0;
+          int corner = -1;
+          for (int c = 0; c < nc; ++c) {
+            if (leaf->oct.corner_point(c) == adj.pt) corner = c;
+          }
+          EXPECT_EQ(adj.corner[static_cast<std::size_t>(i)], corner) << name;
+        }
+        EXPECT_TRUE(touches_marked) << name;
+        if (want.count(adj.pt) != 0) {
+          expect_same_classification(cl.classify_adjacency(t, adj), cl.classify(t, adj.pt), name);
+        }
+      });
+      for (const auto& [pt, n] : seen) EXPECT_EQ(n, 1) << name << " tree " << t;
+      for (const auto& [pt, n] : want) EXPECT_EQ(seen.count(pt), 1u) << name << " tree " << t;
+    }
+  }
+}
+
+template <int Dim>
+void balance_and_check(Forest<Dim>& f, const char* name) {
+  f.balance();
+  f.partition();
+  check_corner_iterator(f, name);
+}
+
+}  // namespace
+
+class NodesIterate : public ::testing::TestWithParam<int> {};
+
+TEST_P(NodesIterate, RandomForests2D) {
+  par::run(GetParam(), [&](par::Comm& c) {
+    const std::pair<const char*, Connectivity<2>> conns[] = {
+        {"unit", Connectivity<2>::unit()},
+        {"periodic_brick", Connectivity<2>::brick({3, 2}, {true, true})},
+        {"moebius", Connectivity<2>::moebius(5)}};
+    for (const auto& [name, conn] : conns) {
+      auto f = Forest<2>::new_uniform(c, &conn, 2);
+      f.refine(6, true, [&](int t, const Octant<2>& o) {
+        return o.level < 6 && random_mark(t, o, 13, 3);
+      });
+      balance_and_check(f, name);
+    }
+  });
+}
+
+TEST_P(NodesIterate, RandomForests3D) {
+  par::run(GetParam(), [&](par::Comm& c) {
+    const std::pair<const char*, Connectivity<3>> conns[] = {
+        {"unit", Connectivity<3>::unit()},
+        {"rotcubes", Connectivity<3>::rotcubes()},
+        {"shell", Connectivity<3>::shell()}};
+    for (const auto& [name, conn] : conns) {
+      auto f = Forest<3>::new_uniform(c, &conn, 1);
+      f.refine(4, true, [&](int t, const Octant<3>& o) {
+        return o.level < 4 && random_mark(t, o, 17, 4);
+      });
+      balance_and_check(f, name);
+    }
+  });
+}
+
+TEST_P(NodesIterate, FewerLeavesThanRanks) {
+  par::run(GetParam(), [&](par::Comm& c) {
+    const auto conn2 = Connectivity<2>::unit();
+    for (const int level : {0, 1}) {
+      auto f = Forest<2>::new_uniform(c, &conn2, level);
+      balance_and_check(f, level == 0 ? "unit2d_level0" : "unit2d_level1");
+    }
+    const auto conn3 = Connectivity<3>::unit();
+    auto f = Forest<3>::new_uniform(c, &conn3, 0);
+    balance_and_check(f, "unit3d_level0");
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, NodesIterate, ::testing::Values(1, 3, 4, 7));

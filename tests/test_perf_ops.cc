@@ -81,6 +81,9 @@ TEST(PerfOps, Fig4WorkloadStaysWithinOpBudgets) {
   expect_within("balance_octants_sent", ops.balance_octants_sent, 3493);
   expect_within("balance_leaves_created", ops.balance_leaves_created, 14119);
   expect_within("nodes_requests_sent", ops.nodes_requests_sent, 1435);
+  // Tree-boundary corners and routed keys only: the corner iterator hands
+  // every tree-interior corner its leaves (per-corner lookups made 373,612).
+  expect_within("nodes_leaf_lookups", ops.nodes_leaf_lookups, 49580);
   expect_within("ghost_octants_sent", ops.ghost_octants_sent, 3826);
   expect_within("ghost_interior_skipped", ops.ghost_interior_skipped, 20472);
 }

@@ -81,7 +81,7 @@ TEST_P(PropertyRanks, NodesReproduceLinearsAcrossRotatedTrees) {
     f.for_each_local([&](int t, const Octant<3>& o) {
       for (int corner = 0; corner < 8; ++corner) {
         double val = 0.0, wsum = 0.0;
-        for (const auto& [gid, w] : nodes.elements[li][static_cast<std::size_t>(corner)]) {
+        for (const auto& [gid, w] : nodes.slot(li, corner)) {
           ASSERT_TRUE(table.count(gid));
           val += w * lin(table.at(gid));
           wsum += w;
