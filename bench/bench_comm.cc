@@ -23,6 +23,7 @@
 #include "bench_util.h"
 #include "forest/nodes.h"
 #include "forest/stats.h"
+#include "oracles.h"
 
 using namespace esamr;
 
@@ -284,7 +285,7 @@ std::vector<OverlapRow> overlap_table(int p, int iters) {
     };
     measure("ghost blocking", [&] {
       const auto out =
-          g.exchange_blocking(comm, std::span<const double>(mirror_data), per_elem);
+          oracles::exchange_blocking(g, comm, std::span<const double>(mirror_data), per_elem);
       double acc = 0.0;
       for (const double v : out) acc += v;
       keep = keep + acc;

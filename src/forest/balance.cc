@@ -2,38 +2,27 @@
 // neighboring leaves — across faces, edges (3D), and corners, within trees
 // and across inter-tree connections via the connectivity transforms.
 //
-// Two implementations share this file:
+// balance() is a single pass. The 2:1 closure of the mesh is computed
+// locally by level-bucket propagation: every leaf at level l seeds the
+// insulation layer of its parent (the 3^Dim block of level-(l-1) octants
+// centered on it, mapped into neighbor trees where it leaves the root). A
+// bucket octant at level j is a constraint demanding that every leaf
+// overlapping it end at level >= j. Buckets are processed finest to
+// coarsest with a sort+unique merge per (tree, level); each surviving
+// constraint propagates its own parent's insulation layer one level down. A
+// constraint whose region is fully owned by this rank and already tiled by
+// equal-or-finer leaves is pruned outright — the covering leaves' own seeds
+// subsume its cascade — which keeps the closure linear in practice.
+// Constraints overlapping foreign ranks are deduplicated and shipped in
+// exactly ONE alltoallv: because each rank's local closure is transitively
+// complete down to the coarsest level, received constraints never need
+// re-propagation. A final recursive completion walks each leaf against the
+// merged constraint set and emits its refined subtree directly in Morton
+// order — no per-round erase/insert, no global re-sorts.
 //
-//  * balance() — the single pass, the production path. The 2:1 closure of
-//    the mesh is computed locally by level-bucket propagation: every leaf at
-//    level l seeds the insulation layer of its parent (the 3^Dim block of
-//    level-(l-1) octants centered on it, mapped into neighbor trees where it
-//    leaves the root). A bucket octant at level j is a constraint demanding
-//    that every leaf overlapping it end at level >= j. Buckets are processed
-//    finest to coarsest with a sort+unique merge per (tree, level); each
-//    surviving constraint propagates its own parent's insulation layer one
-//    level down. A constraint whose region is fully owned by this rank and
-//    already tiled by equal-or-finer leaves is pruned outright — the covering
-//    leaves' own seeds subsume its cascade — which keeps the closure linear
-//    in practice. Constraints overlapping foreign ranks are deduplicated and
-//    shipped in exactly ONE alltoallv: because each rank's local closure is
-//    transitively complete down to the coarsest level, received constraints
-//    never need re-propagation. A final recursive completion walks each leaf
-//    against the merged constraint set and emits its refined subtree directly
-//    in Morton order — no per-round erase/insert, no global re-sorts.
-//
-//  * balance_ripple: the original iterated-ripple formulation, kept verbatim
-//    as the differential-testing oracle BalanceEquivalence compares against.
-//    Every leaf emits same-level "shadow" constraints into its 3^Dim - 1
-//    neighbor directions; too-coarse ancestors are refined and the new
-//    children emit shadows of their own until the local queue drains;
-//    boundary shadows are exchanged and rounds repeat until a global fixed
-//    point (allreduce).
-//
-// Both reach the same fixed point bit-identically (tests/test_balance.cc).
+// BalanceEquivalence (tests/test_balance.cc) pins the result bit for bit to
+// the original iterated ripple, a test-only oracle in tests/oracles.h.
 #include <algorithm>
-#include <deque>
-#include <set>
 
 #include "forest/delta.h"
 #include "forest/forest.h"
@@ -43,18 +32,6 @@
 namespace esamr::forest {
 
 namespace {
-
-/// A shadow constraint tagged with its tree (reference ripple path).
-template <int Dim>
-struct Shadow {
-  int tree;
-  Octant<Dim> oct;
-  friend bool operator<(const Shadow& a, const Shadow& b) {
-    if (a.tree != b.tree) return a.tree < b.tree;
-    if (a.oct.key() != b.oct.key()) return a.oct.key() < b.oct.key();
-    return a.oct.level < b.oct.level;
-  }
-};
 
 /// Recursively subdivide N until every constraint in cs[js, je) — all strict
 /// descendants of N, sorted in SFC order — is matched by an equal-or-finer
@@ -363,114 +340,6 @@ bool Forest<Dim>::balance_incremental(DeltaSet<Dim>& delta) {
 }
 
 template <int Dim>
-void Forest<Dim>::balance_ripple() {
-  const int p = comm_->size();
-  const int me = comm_->rank();
-  OpStats& ops = op_stats();
-  ops.balance_calls++;
-  const std::int64_t n_before = num_local();
-
-  std::deque<Shadow<Dim>> queue;                     // constraints to enforce locally
-  std::set<Shadow<Dim>> outgoing_seen;               // shadows already sent
-  std::set<Shadow<Dim>> foreign_seen;                // shadows already received
-  std::vector<std::vector<OctMsg>> send(static_cast<std::size_t>(p));
-
-  // Emit the shadow constraints of octant o in tree t into the local queue
-  // and/or the per-rank send buffers, depending on who owns the region.
-  const auto emit = [&](int t, const Oct& o) {
-    const auto handle = [&](int t2, const Oct& n) {
-      if (n.level <= 1) return;  // constraint "level >= n.level - 1" is vacuous
-      const int r0 = find_owner(t2, n);
-      const int r1 = find_owner(t2, n.last_descendant(Oct::max_level));
-      for (int r = r0; r <= r1; ++r) {
-        if (r == me) {
-          queue.push_back(Shadow<Dim>{t2, n});
-        } else {
-          const Shadow<Dim> s{t2, n};
-          if (outgoing_seen.insert(s).second) {
-            send[static_cast<std::size_t>(r)].push_back(
-                OctMsg{t2, n.x, n.y, Dim == 3 ? n.z : 0, n.level});
-          }
-        }
-      }
-    };
-    const auto place = [&](const Oct& n) {
-      if (n.inside_root()) {
-        handle(t, n);
-      } else {
-        for (const auto& [t2, img] : conn_->exterior_images(t, n)) handle(t2, img);
-      }
-    };
-    for (int f = 0; f < T::num_faces; ++f) place(o.face_neighbor(f));
-    if constexpr (Dim == 3) {
-      for (int e = 0; e < T::num_edges; ++e) place(o.edge_neighbor(e));
-    }
-    for (int c = 0; c < T::num_corners; ++c) place(o.corner_neighbor(c));
-  };
-
-  // Drain the local constraint queue, refining too-coarse leaves; newly
-  // created children emit their own shadows. Returns whether anything
-  // was refined.
-  const auto drain = [&]() {
-    bool changed = false;
-    while (!queue.empty()) {
-      const Shadow<Dim> s = queue.front();
-      queue.pop_front();
-      auto& leaves = trees_[static_cast<std::size_t>(s.tree)];
-      const auto [lo, hi] = overlapping_range<Dim>(leaves, s.oct);
-      if (hi - lo == 1 && leaves[lo].level < s.oct.level - 1 && leaves[lo].contains(s.oct)) {
-        // Too-coarse ancestor: split once and re-examine the same shadow.
-        const Oct parent = leaves[lo];
-        std::array<Oct, T::num_children> kids{};
-        for (int c = 0; c < T::num_children; ++c) kids[static_cast<std::size_t>(c)] = parent.child(c);
-        leaves.erase(leaves.begin() + static_cast<std::ptrdiff_t>(lo));
-        leaves.insert(leaves.begin() + static_cast<std::ptrdiff_t>(lo), kids.begin(), kids.end());
-        changed = true;
-        for (const Oct& k : kids) emit(s.tree, k);
-        queue.push_back(s);
-      }
-    }
-    return changed;
-  };
-
-  // Seed with every local leaf, then alternate local drain and boundary
-  // exchange until no rank refines and no new shadows arrive anywhere.
-  for (int t = 0; t < num_trees(); ++t) {
-    for (const Oct& o : trees_[static_cast<std::size_t>(t)]) emit(t, o);
-  }
-  for (;;) {
-    const bool refined = drain();
-    bool got_new = false;
-    ops.balance_exchange_rounds++;
-    for (const auto& buf : send) {
-      ops.balance_octants_sent += static_cast<std::int64_t>(buf.size());
-    }
-    const auto recv = comm_->alltoallv(send);
-    for (auto& buf : send) buf.clear();
-    for (const auto& from : recv) {
-      for (const OctMsg& m : from) {
-        ops.balance_octants_recv++;
-        Oct o;
-        o.x = m.x;
-        o.y = m.y;
-        if constexpr (Dim == 3) o.z = m.z;
-        o.level = static_cast<std::int8_t>(m.level);
-        const Shadow<Dim> s{m.tree, o};
-        if (foreign_seen.insert(s).second) {
-          queue.push_back(s);
-          got_new = true;
-        }
-      }
-    }
-    const int any = comm_->allreduce(static_cast<int>(refined || got_new),
-                                     par::ReduceOp::logical_or);
-    if (!any) break;
-  }
-  ops.balance_leaves_created += num_local() - n_before;
-  update_partition_meta();
-}
-
-template <int Dim>
 bool check_balanced(const Forest<Dim>& forest) {
   using Oct = Octant<Dim>;
   using T = Topo<Dim>;
@@ -521,8 +390,6 @@ template void Forest<3>::balance_single_pass_impl(const std::vector<std::vector<
                                                   DeltaSet<3>*);
 template bool Forest<2>::balance_incremental(DeltaSet<2>&);
 template bool Forest<3>::balance_incremental(DeltaSet<3>&);
-template void Forest<2>::balance_ripple();
-template void Forest<3>::balance_ripple();
 template bool check_balanced<2>(const Forest<2>&);
 template bool check_balanced<3>(const Forest<3>&);
 

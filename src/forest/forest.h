@@ -146,12 +146,6 @@ class Forest {
   /// local recursive completion of every leaf against the merged constraints.
   void balance();
 
-  /// Reference iterated-ripple balance (the seed formulation, kept as the
-  /// differential-testing oracle): emit same-level shadows, drain/refine to
-  /// a local fixed point, exchange, and repeat until a global fixed point.
-  /// Identical result, higher constant.
-  void balance_ripple();
-
   /// Incremental balance for a forest that was 2:1 balanced before the
   /// refine/coarsen marker pass recorded in `delta` (collective). Runs the
   /// single pass with its seeding restricted to sibling families near the

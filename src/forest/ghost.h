@@ -138,30 +138,6 @@ struct GhostLayer {
     par::wait_all(sends);
     return out;
   }
-
-  /// Blocking twin of exchange (one alltoallv); identical result.
-  template <typename T>
-  std::vector<T> exchange_blocking(par::Comm& comm, std::span<const T> mirror_data,
-                                   int per_elem) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const int p = comm.size();
-    std::vector<std::vector<T>> send(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      for (const std::int32_t mi : mirror_lists[static_cast<std::size_t>(r)]) {
-        const T* block = mirror_data.data() + static_cast<std::size_t>(mi) * per_elem;
-        send[static_cast<std::size_t>(r)].insert(send[static_cast<std::size_t>(r)].end(), block,
-                                                 block + per_elem);
-      }
-    }
-    const auto recv = comm.alltoallv(send);
-    std::vector<T> out(ghosts.size() * static_cast<std::size_t>(per_elem));
-    for (int r = 0; r < p; ++r) {
-      const auto& from = recv[static_cast<std::size_t>(r)];
-      std::memcpy(out.data() + rank_offset[static_cast<std::size_t>(r)] * per_elem, from.data(),
-                  from.size() * sizeof(T));
-    }
-    return out;
-  }
 };
 
 /// A leaf known to this rank: local (owner == my rank, index = local element

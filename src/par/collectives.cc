@@ -17,7 +17,6 @@
 #include <stdexcept>
 
 #include "par/comm.h"
-#include "par/request.h"
 #include "par/world.h"
 
 namespace esamr::par {
@@ -65,25 +64,15 @@ void Comm::coll_begin(Coll kind, std::size_t payload_bytes, std::uint64_t invari
 }
 
 void Comm::coll_check_result(const void* data, std::size_t nbytes) {
-  coll_check_result_at(coll_seq_ - 1, coll_site_, data, nbytes);
-}
-
-void Comm::coll_check_result(const std::vector<std::vector<std::byte>>& parts) {
-  coll_check_result_at(coll_seq_ - 1, coll_site_, parts);
-}
-
-void Comm::coll_check_result_at(std::uint64_t seq, check::Site site, const void* data,
-                                std::size_t nbytes) {
   if (checker_ == nullptr || checker_->level() < 2) return;
   check::Fingerprint fp;
   fp.kind = 0xff;
   fp.invariant = check::Checker::crc32c(data, nbytes);
-  fp.site = site;
-  checker_->collective(rank_, seq, fp, /*result_pass=*/true, world_);
+  fp.site = coll_site_;
+  checker_->collective(rank_, coll_seq_ - 1, fp, /*result_pass=*/true, world_);
 }
 
-void Comm::coll_check_result_at(std::uint64_t seq, check::Site site,
-                                const std::vector<std::vector<std::byte>>& parts) {
+void Comm::coll_check_result(const std::vector<std::vector<std::byte>>& parts) {
   if (checker_ == nullptr || checker_->level() < 2) return;
   // Digest of (size, CRC) per part; rank-invariant iff every part agrees.
   std::vector<std::uint64_t> digest;
@@ -92,48 +81,26 @@ void Comm::coll_check_result_at(std::uint64_t seq, check::Site site,
     digest.push_back(p.size());
     digest.push_back(check::Checker::crc32c(p.data(), p.size()));
   }
-  coll_check_result_at(seq, site, digest.data(), digest.size() * sizeof(std::uint64_t));
-}
-
-int Comm::coll_tag(int round) const {
-  ESAMR_ASSERT(round >= 0 && round < max_round, rank_,
-               "par: collective round " + std::to_string(round) + " overflows the tag space");
-  return coll_tag_base_ + round;
+  coll_check_result(digest.data(), digest.size() * sizeof(std::uint64_t));
 }
 
 void Comm::send_coll(int dest, int round, const void* data, std::size_t nbytes) {
-  send_coll_at(coll_tag_base_, dest, round, data, nbytes);
-}
-
-Message Comm::recv_coll(int source, int round, Coll kind) {
-  return recv_coll_at(coll_tag_base_, source, round, kind, coll_site_);
-}
-
-void Comm::send_coll_at(int tag_base, int dest, int round, const void* data, std::size_t nbytes) {
   ESAMR_ASSERT(round >= 0 && round < max_round, rank_,
                "par: collective round " + std::to_string(round) + " overflows the tag space");
-  send_impl(true, dest, tag_base + round, Buffer::copy_of(data, nbytes));
+  send_impl(true, dest, coll_tag_base_ + round, Buffer::copy_of(data, nbytes));
   auto& st = stats();
   ++st.coll_msgs;
   st.coll_bytes += static_cast<std::int64_t>(nbytes);
 }
 
-Message Comm::recv_coll_at(int tag_base, int source, int round, Coll kind, check::Site site) {
+Message Comm::recv_coll(int source, int round, Coll kind) {
   ESAMR_ASSERT(round >= 0 && round < max_round, rank_,
                "par: collective round " + std::to_string(round) + " overflows the tag space");
   const double t0 = wall_seconds();
-  Message m = recv_impl(true, source, tag_base + round, coll_name(kind), site);
+  Message m = recv_impl(true, source, coll_tag_base_ + round, coll_name(kind), coll_site_);
   verify_envelope(m, coll_name(kind));
   stats().recv_blocked_s += wall_seconds() - t0;
   return m;
-}
-
-bool Comm::try_recv_coll_at(int tag_base, int source, int round, Coll kind, Message* out) {
-  ESAMR_ASSERT(round >= 0 && round < max_round, rank_,
-               "par: collective round " + std::to_string(round) + " overflows the tag space");
-  if (!try_recv_impl(true, source, tag_base + round, out)) return false;
-  verify_envelope(*out, coll_name(kind));
-  return true;
 }
 
 // --- Algorithms -------------------------------------------------------------
@@ -311,238 +278,7 @@ std::vector<std::vector<std::byte>> Comm::p2p_alltoall(
   return out;
 }
 
-// --- Nonblocking collectives ------------------------------------------------
-
-void detail::CollOp::send_at(Comm& c, int tag_base, int dest, int round, const void* data,
-                             std::size_t nbytes) {
-  c.send_coll_at(tag_base, dest, round, data, nbytes);
-}
-
-Message detail::CollOp::recv_at(Comm& c, int tag_base, int source, int round, Coll kind,
-                                check::Site site) {
-  return c.recv_coll_at(tag_base, source, round, kind, site);
-}
-
-bool detail::CollOp::try_recv_at(Comm& c, int tag_base, int source, int round, Coll kind,
-                                 Message* out) {
-  return c.try_recv_coll_at(tag_base, source, round, kind, out);
-}
-
-void detail::CollOp::check_result_at(Comm& c, std::uint64_t seq, check::Site site,
-                                     const void* data, std::size_t nbytes) {
-  c.coll_check_result_at(seq, site, data, nbytes);
-}
-
-void detail::CollOp::check_result_at(Comm& c, std::uint64_t seq, check::Site site,
-                                     const std::vector<std::vector<std::byte>>& parts) {
-  c.coll_check_result_at(seq, site, parts);
-}
-
-namespace {
-
-/// iallreduce state machine: p2p_rd_allreduce replayed split-phase against
-/// st.result. Sends for a round are issued the moment the round is entered
-/// (exactly where the blocking twin issues them), receives advance in
-/// step(); the fold partners and order are identical, so the result is
-/// bit-identical to the blocking algorithm and the wire traffic matches
-/// message for message.
-class IallreduceOp final : public esamr::par::detail::CollOp {
- public:
-  IallreduceOp(int tag_base, std::uint64_t seq, check::Site site, std::size_t nbytes,
-               Comm::Combine op, int p, int rank)
-      : tag_base_(tag_base), seq_(seq), site_(site), nbytes_(nbytes), op_(std::move(op)),
-        rank_(rank), pof2_(pof2_below(p)), rem_(p - pof2_) {}
-
-  /// Issue the post-time sends and pick the initial stage (called once from
-  /// iallreduce_bytes, right after the collective slot claim).
-  void post(Comm& c, detail::RequestState& st) {
-    if (rank_ < 2 * rem_) {
-      if (rank_ % 2 == 0) {
-        // Even remainder ranks fold into their odd partner and sit out the
-        // doubling rounds; they only await the folded-back result.
-        send_at(c, tag_base_, rank_ + 1, round_pre, st.result.data(), nbytes_);
-        stage_ = Stage::await_post;
-      } else {
-        stage_ = Stage::await_pre;
-      }
-    } else {
-      newrank_ = rank_ - rem_;
-      begin_rounds(c, st);
-    }
-  }
-
-  bool step(Comm& c, detail::RequestState& st, bool may_block) override {
-    for (;;) {
-      switch (stage_) {
-        case Stage::await_pre: {
-          Message m;
-          if (!take(c, round_pre, rank_ - 1, may_block, &m)) return false;
-          op_(st.result.data(), m.data());
-          newrank_ = rank_ / 2;
-          begin_rounds(c, st);
-          break;
-        }
-        case Stage::rounds: {
-          Message m;
-          if (!take(c, round_, partner(), may_block, &m)) return false;
-          op_(st.result.data(), m.data());
-          mask_ <<= 1;
-          ++round_;
-          if (mask_ < pof2_) {
-            send_at(c, tag_base_, partner(), round_, st.result.data(), nbytes_);
-          } else if (rank_ < 2 * rem_) {
-            // Only odd remainder ranks reach the rounds; fold back down.
-            send_at(c, tag_base_, rank_ - 1, round_post, st.result.data(), nbytes_);
-            stage_ = Stage::finish;
-          } else {
-            stage_ = Stage::finish;
-          }
-          break;
-        }
-        case Stage::await_post: {
-          Message m;
-          if (!take(c, round_post, rank_ + 1, may_block, &m)) return false;
-          if (nbytes_ > 0) std::memcpy(st.result.data(), m.data(), nbytes_);
-          stage_ = Stage::finish;
-          break;
-        }
-        case Stage::finish:
-          check_result_at(c, seq_, site_, st.result.data(), st.result.size());
-          return true;
-      }
-    }
-  }
-
- private:
-  enum class Stage { await_pre, rounds, await_post, finish };
-
-  int partner() const {
-    const int npartner = newrank_ ^ mask_;
-    return npartner < rem_ ? npartner * 2 + 1 : npartner + rem_;
-  }
-  void begin_rounds(Comm& c, detail::RequestState& st) {
-    mask_ = 1;
-    round_ = 0;
-    send_at(c, tag_base_, partner(), round_, st.result.data(), nbytes_);
-    stage_ = Stage::rounds;
-  }
-  bool take(Comm& c, int round, int source, bool may_block, Message* m) {
-    if (may_block) {
-      *m = recv_at(c, tag_base_, source, round, Coll::allreduce, site_);
-      return true;
-    }
-    return try_recv_at(c, tag_base_, source, round, Coll::allreduce, m);
-  }
-
-  const int tag_base_;
-  const std::uint64_t seq_;
-  const check::Site site_;
-  const std::size_t nbytes_;
-  const Comm::Combine op_;
-  const int rank_, pof2_, rem_;
-  int newrank_ = -1;
-  int mask_ = 1;
-  int round_ = 0;
-  Stage stage_ = Stage::finish;
-};
-
-/// iallgatherv state machine: the ring replayed split-phase against
-/// st.parts. Round r's forward is posted as soon as round r-1's block
-/// arrives (the blocking twin's order), so traffic and results match the
-/// blocking algorithm exactly.
-class IallgathervOp final : public esamr::par::detail::CollOp {
- public:
-  IallgathervOp(int tag_base, std::uint64_t seq, check::Site site, int p, int rank)
-      : tag_base_(tag_base), seq_(seq), site_(site), p_(p), rank_(rank),
-        next_((rank + 1) % p), prev_((rank + p - 1) % p) {}
-
-  void post(Comm& c, detail::RequestState& st) {
-    const auto& own = st.parts[static_cast<std::size_t>(rank_)];
-    send_at(c, tag_base_, next_, 0, own.data(), own.size());
-  }
-
-  bool step(Comm& c, detail::RequestState& st, bool may_block) override {
-    while (round_ < p_ - 1) {
-      Message m;
-      if (may_block) {
-        m = recv_at(c, tag_base_, prev_, round_, Coll::allgatherv, site_);
-      } else if (!try_recv_at(c, tag_base_, prev_, round_, Coll::allgatherv, &m)) {
-        return false;
-      }
-      const int got = (rank_ + p_ - 1 - round_) % p_;
-      st.parts[static_cast<std::size_t>(got)] = m.take_bytes();
-      ++round_;
-      if (round_ < p_ - 1) {
-        // Forward the block that just arrived (origin `round_` hops behind).
-        const int fwd = (rank_ + p_ - round_) % p_;
-        const auto& blk = st.parts[static_cast<std::size_t>(fwd)];
-        send_at(c, tag_base_, next_, round_, blk.data(), blk.size());
-      }
-    }
-    check_result_at(c, seq_, site_, st.parts);
-    return true;
-  }
-
- private:
-  const int tag_base_;
-  const std::uint64_t seq_;
-  const check::Site site_;
-  const int p_, rank_, next_, prev_;
-  int round_ = 0;
-};
-
-}  // namespace
-
-Request Comm::iallreduce_bytes(const void* data, std::size_t nbytes, const Combine& op,
-                               std::source_location loc) {
-  perturb();
-  const check::Site site = check::Site::of(loc);
-  coll_begin(Coll::allreduce, nbytes, nbytes, -1, site);
-  const std::uint64_t seq = coll_seq_ - 1;
-  const int tag_base = coll_tag_base_;
-  auto st = std::make_shared<detail::RequestState>();
-  st->kind = detail::RequestState::Kind::coll;
-  st->comm = this;
-  st->site = site;
-  st->result.resize(nbytes);
-  if (nbytes > 0) std::memcpy(st->result.data(), data, nbytes);
-  if (size() == 1) {
-    coll_check_result_at(seq, site, st->result.data(), nbytes);
-    st->done = true;
-  } else {
-    auto coll = std::make_unique<IallreduceOp>(tag_base, seq, site, nbytes, op, size(), rank_);
-    coll->post(*this, *st);
-    st->coll = std::move(coll);
-  }
-  return Request(std::move(st));
-}
-
-Request Comm::iallgatherv_bytes(const void* data, std::size_t nbytes, std::source_location loc) {
-  perturb();
-  const check::Site site = check::Site::of(loc);
-  coll_begin(Coll::allgatherv, nbytes, 0, -1, site);
-  const std::uint64_t seq = coll_seq_ - 1;
-  const int tag_base = coll_tag_base_;
-  auto st = std::make_shared<detail::RequestState>();
-  st->kind = detail::RequestState::Kind::coll;
-  st->comm = this;
-  st->site = site;
-  st->parts.resize(static_cast<std::size_t>(size()));
-  auto& own = st->parts[static_cast<std::size_t>(rank_)];
-  own.resize(nbytes);
-  if (nbytes > 0) std::memcpy(own.data(), data, nbytes);
-  if (size() == 1) {
-    coll_check_result_at(seq, site, st->parts);
-    st->done = true;
-  } else {
-    auto coll = std::make_unique<IallgathervOp>(tag_base, seq, site, size(), rank_);
-    coll->post(*this, *st);
-    st->coll = std::move(coll);
-  }
-  return Request(std::move(st));
-}
-
-// --- Blocking entry points --------------------------------------------------
+// --- Entry points -----------------------------------------------------------
 
 void Comm::bcast_bytes(std::vector<std::byte>& buf, int root, std::source_location loc) {
   ESAMR_ASSERT(root >= 0 && root < size(), rank_,

@@ -420,9 +420,8 @@ Message Comm::recv(int source, int tag, std::source_location loc) {
   return out;
 }
 
-bool Comm::try_recv_impl(bool coll, int source, int tag, Message* out) {
-  auto& box = coll ? *world_->coll_mail[static_cast<std::size_t>(rank_)]
-                   : *world_->mail[static_cast<std::size_t>(rank_)];
+bool Comm::try_recv_impl(int source, int tag, Message* out) {
+  auto& box = *world_->mail[static_cast<std::size_t>(rank_)];
   const double now = wall_seconds();
   std::lock_guard<std::mutex> lock(box.m);
   if (world_->poisoned.load()) throw detail::WorldPoisoned{};
@@ -461,11 +460,6 @@ Request Comm::isend(int dest, int tag, Buffer payload, std::source_location loc)
   return Request(std::move(st));
 }
 
-Request Comm::isend_bytes(int dest, int tag, const void* data, std::size_t nbytes,
-                          std::source_location loc) {
-  return isend(dest, tag, Buffer::copy_of(data, nbytes), loc);
-}
-
 Request Comm::irecv(int source, int tag, std::source_location loc) {
   maybe_kill();
   perturb();
@@ -494,7 +488,7 @@ bool Comm::req_test(detail::RequestState& st) {
     }
     case detail::RequestState::Kind::recv: {
       Message m;
-      if (!try_recv_impl(false, st.source, st.tag, &m)) return false;
+      if (!try_recv_impl(st.source, st.tag, &m)) return false;
       verify_envelope(m, "irecv");
       auto& s = stats();
       ++s.p2p_recvs;
@@ -504,11 +498,6 @@ bool Comm::req_test(detail::RequestState& st) {
       st.done = true;
       return true;
     }
-    case detail::RequestState::Kind::coll:
-      if (!st.coll->step(*this, st, /*may_block=*/false)) return false;
-      st.coll.reset();
-      st.done = true;
-      return true;
   }
   return false;
 }
@@ -534,26 +523,19 @@ void Comm::req_wait(detail::RequestState& st) {
       st.done = true;
       return;
     }
-    case detail::RequestState::Kind::coll:
-      (void)st.coll->step(*this, st, /*may_block=*/true);
-      st.coll.reset();
-      st.done = true;
-      return;
   }
 }
 
 void Comm::req_drop(detail::RequestState& st) noexcept {
   if (st.done) return;
-  // Drain without completing: retire the checker region, hand the payload
-  // reference back to the runtime for disposal, abandon any collective state
-  // machine (legal only while the world is unwinding — peers are being
-  // poisoned). A pending irecv leaves its message unconsumed in the mailbox.
+  // Drain without completing: retire the checker region and hand the payload
+  // reference back to the runtime for disposal. A pending irecv leaves its
+  // message unconsumed in the mailbox.
   if (checker_ != nullptr && st.inflight_id != 0) {
     checker_->end_inflight(st.inflight_id);
     st.inflight_id = 0;
   }
   st.held = Buffer{};
-  st.coll.reset();
   ++stats().requests_drained;
   st.done = true;
 }
@@ -585,32 +567,10 @@ Message& Request::message() {
   return st_->msg;
 }
 
-std::span<const std::byte> Request::result_bytes() {
-  ESAMR_ASSERT(st_ != nullptr && st_->done && st_->kind == detail::RequestState::Kind::coll, -1,
-               "par::Request::result_bytes: not a completed collective");
-  return {st_->result.data(), st_->result.size()};
-}
-
-std::vector<std::vector<std::byte>>& Request::parts() {
-  ESAMR_ASSERT(st_ != nullptr && st_->done && st_->kind == detail::RequestState::Kind::coll, -1,
-               "par::Request::parts: not a completed collective");
-  return st_->parts;
-}
-
 void wait_all(std::span<Request> requests) {
   for (auto& r : requests) {
     if (r.valid()) r.wait();
   }
-}
-
-bool Comm::iprobe(int source, int tag) {
-  auto& box = *world_->mail[static_cast<std::size_t>(rank_)];
-  const double now = wall_seconds();
-  std::lock_guard<std::mutex> lock(box.m);
-  for (const auto& m : box.q) {
-    if (matches(m, source, tag) && m.visible_at <= now) return true;
-  }
-  return false;
 }
 
 void Comm::barrier(std::source_location loc) {

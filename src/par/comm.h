@@ -40,9 +40,9 @@
 
 namespace esamr::par {
 
-/// Wildcard for Comm::recv / Comm::iprobe source matching.
+/// Wildcard for Comm::recv / Comm::irecv source matching.
 inline constexpr int any_source = -1;
-/// Wildcard for Comm::recv / Comm::iprobe tag matching.
+/// Wildcard for Comm::recv / Comm::irecv tag matching.
 inline constexpr int any_tag = -1;
 
 /// Reduction operators for Comm::allreduce / Comm::reduce.
@@ -193,7 +193,7 @@ struct Message {
   /// the receiver in place — no second copy on either side.
   Seal seal;
   /// Internal: earliest wall time (par::wall_seconds) at which the message
-  /// is visible to recv/iprobe under fault injection. 0 = immediately.
+  /// is visible to recv/irecv under fault injection. 0 = immediately.
   double visible_at = 0.0;
   /// Internal: the sender's vector clock at send time, stamped only when the
   /// correctness checker (par/check.h) is enabled; carries the
@@ -249,15 +249,13 @@ class Comm;
 
 namespace detail {
 struct RequestState;
-struct CollOp;
 }  // namespace detail
 
-/// Handle for a pending nonblocking operation (isend / irecv / iallreduce /
-/// iallgatherv). Move-only. Completion semantics:
+/// Handle for a pending nonblocking point-to-point operation (isend /
+/// irecv). Move-only. Completion semantics:
 ///   - test(): one nonblocking progress attempt; true once complete.
 ///   - wait(): block (with the usual timeout / deadlock machinery) until
-///     complete, then return. Results are read through message() (irecv),
-///     result<T>() (iallreduce), or parts()/parts_as<T>() (iallgatherv).
+///     complete, then return. An irecv's message is read through message().
 ///   - Destroying an incomplete Request drains it: ownership of a send
 ///     buffer returns to the runtime for disposal and the checker's
 ///     in-flight region is retired (CommStats::requests_drained counts it).
@@ -280,31 +278,6 @@ class Request {
 
   /// The received message (irecv only; wait()/test() must have completed).
   Message& message();
-  /// The reduced result bytes (iallreduce only, after completion).
-  std::span<const std::byte> result_bytes();
-  template <typename T>
-  T result() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto raw = result_bytes();
-    T out;
-    ESAMR_ASSERT(raw.size() == sizeof(T), -1,
-                 "par::Request::result: payload size mismatch");
-    std::memcpy(&out, raw.data(), sizeof(T));
-    return out;
-  }
-  /// Per-rank payloads (iallgatherv only, after completion).
-  std::vector<std::vector<std::byte>>& parts();
-  template <typename T>
-  std::vector<std::vector<T>> parts_as() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    auto& raw = parts();
-    std::vector<std::vector<T>> out(raw.size());
-    for (std::size_t r = 0; r < raw.size(); ++r) {
-      out[r].resize(raw[r].size() / sizeof(T));
-      if (!out[r].empty()) std::memcpy(out[r].data(), raw[r].data(), raw[r].size());
-    }
-    return out;
-  }
 
  private:
   friend class Comm;
@@ -359,9 +332,6 @@ class Comm {
   Message recv(int source = any_source, int tag = any_tag,
                std::source_location loc = std::source_location::current());
 
-  /// Non-blocking test for a matching (visible) message.
-  bool iprobe(int source = any_source, int tag = any_tag);
-
   // --- Nonblocking point-to-point ------------------------------------------
   // isend posts the message immediately (sends are buffered, so the transfer
   // itself cannot block); the Request tracks buffer ownership: from post to
@@ -378,54 +348,20 @@ class Comm {
                 std::source_location loc = std::source_location::current()) {
     return isend(dest, tag, Buffer::adopt_vec(std::move(payload)), loc);
   }
-  /// Nonblocking send that copies [data, data+nbytes) (compatibility path).
-  Request isend_bytes(int dest, int tag, const void* data, std::size_t nbytes,
-                      std::source_location loc = std::source_location::current());
-
   /// Nonblocking receive of the first message matching (source, tag).
   Request irecv(int source = any_source, int tag = any_tag,
                 std::source_location loc = std::source_location::current());
-
-  /// In-place combiner for the byte-level reductions: op(acc, in) folds `in`
-  /// into `acc`; both point at `nbytes` bytes. Must be commutative (all
-  /// ReduceOp combiners are).
-  using Combine = std::function<void(void* acc, const void* in)>;
-
-  // --- Nonblocking collectives ----------------------------------------------
-  // Split-phase p2p algorithms: the request is posted (and the collective
-  // sequence slot claimed) immediately, rounds advance inside test()/wait().
-  // Every rank must POST async collectives in the same order it would call
-  // the blocking twins; completion order is free. Results are bit-identical
-  // to the blocking algorithms and generate identical wire traffic.
-
-  Request iallreduce_bytes(const void* data, std::size_t nbytes, const Combine& op,
-                           std::source_location loc = std::source_location::current());
-  template <typename T>
-  Request iallreduce(const T& v, ReduceOp op,
-                     std::source_location loc = std::source_location::current()) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return iallreduce_bytes(&v, sizeof(T), combine_fn<T>(op), loc);
-  }
-
-  Request iallgatherv_bytes(const void* data, std::size_t nbytes,
-                            std::source_location loc = std::source_location::current());
-  template <typename T>
-  Request iallgatherv(std::span<const T> v,
-                      std::source_location loc = std::source_location::current()) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return iallgatherv_bytes(v.data(), v.size_bytes(), loc);
-  }
-  template <typename T>
-  Request iallgatherv(const std::vector<T>& v,
-                      std::source_location loc = std::source_location::current()) {
-    return iallgatherv(std::span<const T>(v), loc);
-  }
 
   // --- Collectives ---------------------------------------------------------
   // All ranks must call each collective in the same order. The typed
   // templates below wrap the byte-level entry points. The defaulted
   // source_location captures the user call site for the correctness
   // checker's diagnostics (par/check.h); it is never passed explicitly.
+
+  /// In-place combiner for the byte-level reductions: op(acc, in) folds `in`
+  /// into `acc`; both point at `nbytes` bytes. Must be commutative (all
+  /// ReduceOp combiners are).
+  using Combine = std::function<void(void* acc, const void* in)>;
 
   void barrier(std::source_location loc = std::source_location::current());
 
@@ -604,9 +540,10 @@ class Comm {
   // Implemented in comm.cc.
   void send_impl(bool coll, int dest, int tag, Buffer payload);
   Message recv_impl(bool coll, int source, int tag, const char* what, check::Site site);
-  /// Nonblocking matching scan of the mailbox; true (and *out filled) when a
-  /// visible matching message was consumed. No blocking, no wait publishing.
-  bool try_recv_impl(bool coll, int source, int tag, Message* out);
+  /// Nonblocking matching scan of the user mailbox; true (and *out filled)
+  /// when a visible matching message was consumed. No blocking, no wait
+  /// publishing.
+  bool try_recv_impl(int source, int tag, Message* out);
   // Request plumbing (comm.cc): one nonblocking progress attempt, blocking
   /// completion, and the destructor's non-throwing drain.
   bool req_test(detail::RequestState& st);
@@ -634,20 +571,8 @@ class Comm {
   /// cross-check it through the ledger (no-op below ESAMR_CHECK=2).
   void coll_check_result(const void* data, std::size_t nbytes);
   void coll_check_result(const std::vector<std::vector<std::byte>>& parts);
-  /// As above with an explicit collective sequence number and site — async
-  /// collectives complete out of lockstep, so they carry their own seq.
-  void coll_check_result_at(std::uint64_t seq, check::Site site, const void* data,
-                            std::size_t nbytes);
-  void coll_check_result_at(std::uint64_t seq, check::Site site,
-                            const std::vector<std::vector<std::byte>>& parts);
-  int coll_tag(int round) const;
   void send_coll(int dest, int round, const void* data, std::size_t nbytes);
   Message recv_coll(int source, int round, Coll kind);
-  /// Tag-base-explicit variants used by the split-phase async collectives
-  /// (the member coll_tag_base_ may have moved on to a later collective).
-  void send_coll_at(int tag_base, int dest, int round, const void* data, std::size_t nbytes);
-  Message recv_coll_at(int tag_base, int source, int round, Coll kind, check::Site site);
-  bool try_recv_coll_at(int tag_base, int source, int round, Coll kind, Message* out);
 
   std::vector<std::vector<std::byte>> p2p_rd_allgather(const void* data, std::size_t nbytes);
   std::vector<std::vector<std::byte>> p2p_ring_allgatherv(const void* data, std::size_t nbytes,
@@ -658,8 +583,6 @@ class Comm {
   void p2p_chain_exscan(const void* mine, void* prefix, std::size_t nbytes, const Combine& op);
   std::vector<std::vector<std::byte>> p2p_alltoall(std::vector<std::vector<std::byte>> sendbufs);
 
-  friend struct detail::RequestState;
-  friend struct detail::CollOp;
   friend class Request;
 
   World* world_;

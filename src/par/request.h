@@ -3,44 +3,16 @@
 // A RequestState lives in a shared_ptr owned by the user-facing Request
 // handle. It is only ever touched by the owning rank's thread (SPMD style),
 // so no locking is needed; cross-rank effects go through the mailboxes.
-//
-// Async collectives are split-phase state machines (CollOp): the collective
-// slot (sequence number, tag base, checker fingerprint) is claimed at POST
-// time — which is why every rank must post async collectives in program
-// order — and the remaining algorithm rounds advance inside test()/wait()
-// via nonblocking (or, in wait, blocking) receives on the captured tag base.
+// Requests are point-to-point only (isend / irecv); every collective is
+// blocking.
 #pragma once
-
-#include <memory>
-#include <vector>
 
 #include "par/comm.h"
 
 namespace esamr::par::detail {
 
-/// Split-phase collective state machine. step() advances as far as message
-/// availability allows; with may_block it finishes outright.
-struct CollOp {
-  virtual ~CollOp() = default;
-  /// Returns true when the collective has fully completed.
-  virtual bool step(Comm& c, RequestState& st, bool may_block) = 0;
-
- protected:
-  // Forwarders into Comm's private split-phase plumbing (CollOp is a friend
-  // of Comm; its concrete subclasses in collectives.cc are not).
-  static void send_at(Comm& c, int tag_base, int dest, int round, const void* data,
-                      std::size_t nbytes);
-  static Message recv_at(Comm& c, int tag_base, int source, int round, Coll kind,
-                         check::Site site);
-  static bool try_recv_at(Comm& c, int tag_base, int source, int round, Coll kind, Message* out);
-  static void check_result_at(Comm& c, std::uint64_t seq, check::Site site, const void* data,
-                              std::size_t nbytes);
-  static void check_result_at(Comm& c, std::uint64_t seq, check::Site site,
-                              const std::vector<std::vector<std::byte>>& parts);
-};
-
 struct RequestState {
-  enum class Kind { send, recv, coll };
+  enum class Kind { send, recv };
   Kind kind = Kind::recv;
   Comm* comm = nullptr;
   bool done = false;
@@ -56,13 +28,6 @@ struct RequestState {
   int tag = any_tag;
   check::Site site{};
   Message msg;
-
-  // coll: the state machine plus its results. `result` is the iallreduce
-  // accumulator (bit-identical to the blocking twin's inout evolution);
-  // `parts` is the iallgatherv per-rank payload array.
-  std::unique_ptr<CollOp> coll;
-  std::vector<std::byte> result;
-  std::vector<std::vector<std::byte>> parts;
 };
 
 }  // namespace esamr::par::detail

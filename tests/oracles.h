@@ -1,0 +1,55 @@
+// Test-only reference oracles (the `esamr_oracles` library): earlier or
+// simpler formulations of library algorithms, kept so differential tests
+// and bench_comm can compare the production path against them. They are
+// free functions over the public Forest / GhostLayer API, so src/ ships
+// exactly one implementation of each algorithm.
+#pragma once
+
+#include <cstring>
+#include <span>
+#include <vector>
+
+#include "forest/forest.h"
+#include "forest/ghost.h"
+
+namespace esamr::oracles {
+
+/// The original iterated-ripple Balance (the seed formulation). Every leaf
+/// emits same-level "shadow" constraints into its 3^Dim - 1 neighbor
+/// directions; too-coarse ancestors are refined and the new children emit
+/// shadows of their own until the local queue drains; boundary shadows are
+/// exchanged and rounds repeat until a global fixed point (allreduce).
+/// Reaches the same forest as Forest::balance() bit for bit
+/// (BalanceEquivalence in test_balance.cc), at a higher constant.
+template <int Dim>
+void balance_ripple(forest::Forest<Dim>& f);
+
+extern template void balance_ripple<2>(forest::Forest<2>&);
+extern template void balance_ripple<3>(forest::Forest<3>&);
+
+/// Blocking twin of GhostLayer::exchange (one alltoallv that copies every
+/// packed buffer into the collective); identical result.
+template <int Dim, typename T>
+std::vector<T> exchange_blocking(const forest::GhostLayer<Dim>& g, par::Comm& comm,
+                                 std::span<const T> mirror_data, int per_elem) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const int p = comm.size();
+  std::vector<std::vector<T>> send(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) {
+    auto& buf = send[static_cast<std::size_t>(r)];
+    for (const std::int32_t mi : g.mirror_lists[static_cast<std::size_t>(r)]) {
+      const T* block = mirror_data.data() + static_cast<std::size_t>(mi) * per_elem;
+      buf.insert(buf.end(), block, block + per_elem);
+    }
+  }
+  const auto recv = comm.alltoallv(send);
+  std::vector<T> out(g.ghosts.size() * static_cast<std::size_t>(per_elem));
+  for (int r = 0; r < p; ++r) {
+    const auto& from = recv[static_cast<std::size_t>(r)];
+    std::memcpy(out.data() + g.rank_offset[static_cast<std::size_t>(r)] * per_elem, from.data(),
+                from.size() * sizeof(T));
+  }
+  return out;
+}
+
+}  // namespace esamr::oracles

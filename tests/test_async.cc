@@ -1,18 +1,17 @@
-// Differential + concurrency battery for the async comm runtime.
+// Differential + concurrency battery for the async point-to-point runtime.
 //
-// Every nonblocking operation is proven equivalent to its blocking twin on
-// identical seeded payloads: bit-identical results AND identical CommStats
-// byte counts (an isend is a p2p_send, an irecv completion a p2p_recv, and
-// the split-phase collectives replay the exact blocking algorithms). The
-// concurrency half stresses seeded random completion interleavings —
-// out-of-order waits, test() polling, drops-then-wait_all — and the
-// checker's buffer-ownership-transfer diagnosis: a write into an in-flight
-// isend buffer is a race naming the rank and both sites, while the
-// disciplined write-after-wait twin stays silent.
+// Every nonblocking operation (isend / irecv) is proven equivalent to its
+// blocking twin on identical seeded payloads: bit-identical results AND
+// identical CommStats byte counts (an isend is a p2p_send, an irecv
+// completion a p2p_recv). The concurrency half stresses seeded random
+// completion interleavings — out-of-order waits, test() polling,
+// drops-then-wait_all — and the checker's buffer-ownership-transfer
+// diagnosis: a write into an in-flight isend buffer is a race naming the
+// rank and both sites, while the disciplined write-after-wait twin stays
+// silent.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <random>
 #include <thread>
 #include <vector>
@@ -38,19 +37,6 @@ void expect_same_p2p(const par::CommStats& a, const par::CommStats& b) {
   EXPECT_EQ(a.p2p_send_bytes, b.p2p_send_bytes);
   EXPECT_EQ(a.p2p_recvs, b.p2p_recvs);
   EXPECT_EQ(a.p2p_recv_bytes, b.p2p_recv_bytes);
-}
-
-void expect_same_coll(const par::CommStats& a, const par::CommStats& b) {
-  EXPECT_EQ(a.coll_msgs, b.coll_msgs);
-  EXPECT_EQ(a.coll_bytes, b.coll_bytes);
-  for (int k = 0; k < par::n_coll_kinds; ++k) {
-    EXPECT_EQ(a.coll_calls[static_cast<std::size_t>(k)],
-              b.coll_calls[static_cast<std::size_t>(k)])
-        << par::coll_name(static_cast<par::Coll>(k));
-    EXPECT_EQ(a.coll_payload_bytes[static_cast<std::size_t>(k)],
-              b.coll_payload_bytes[static_cast<std::size_t>(k)])
-        << par::coll_name(static_cast<par::Coll>(k));
-  }
 }
 
 /// Ring exchange: every rank sends seeded payloads to both neighbors and
@@ -129,84 +115,6 @@ TEST_P(AsyncRanks, DelayInjectionKeepsAsyncBitIdentical) {
     EXPECT_EQ(blocking.got[static_cast<std::size_t>(r)], async.got[static_cast<std::size_t>(r)]);
   }
   expect_same_p2p(blocking.total, async.total);
-}
-
-TEST_P(AsyncRanks, IallreduceMatchesBlockingBitIdentical) {
-  const int p = GetParam();
-  // Non-associative double sums: any deviation from the blocking fold order
-  // shows up as a bit difference.
-  std::vector<double> blocking(static_cast<std::size_t>(p));
-  std::vector<double> async(static_cast<std::size_t>(p));
-  par::CommStats btotal, atotal;
-  par::run(p, [&](par::Comm& c) {
-    const double mine = 0.1 * (c.rank() + 1) + 1e-13 * c.rank();
-    blocking[static_cast<std::size_t>(c.rank())] = c.allreduce(mine, par::ReduceOp::sum);
-    const auto snap = c.stats_snapshot();
-    if (c.rank() == 0) btotal = snap.total;
-  });
-  par::run(p, [&](par::Comm& c) {
-    const double mine = 0.1 * (c.rank() + 1) + 1e-13 * c.rank();
-    par::Request rq = c.iallreduce(mine, par::ReduceOp::sum);
-    rq.wait();
-    async[static_cast<std::size_t>(c.rank())] = rq.result<double>();
-    const auto snap = c.stats_snapshot();
-    if (c.rank() == 0) atotal = snap.total;
-  });
-  for (int r = 0; r < p; ++r) {
-    EXPECT_EQ(std::memcmp(&blocking[static_cast<std::size_t>(r)],
-                          &async[static_cast<std::size_t>(r)], sizeof(double)),
-              0)
-        << "rank " << r;
-  }
-  expect_same_coll(btotal, atotal);
-}
-
-TEST_P(AsyncRanks, IallgathervMatchesBlocking) {
-  const int p = GetParam();
-  std::vector<std::vector<std::vector<int>>> blocking(static_cast<std::size_t>(p));
-  std::vector<std::vector<std::vector<int>>> async(static_cast<std::size_t>(p));
-  par::CommStats btotal, atotal;
-  par::run(p, [&](par::Comm& c) {
-    const auto mine = payload_of(c.rank(), 3, static_cast<std::size_t>(c.rank() % 5));
-    blocking[static_cast<std::size_t>(c.rank())] = c.allgatherv(mine);
-    const auto snap = c.stats_snapshot();
-    if (c.rank() == 0) btotal = snap.total;
-  });
-  par::run(p, [&](par::Comm& c) {
-    const auto mine = payload_of(c.rank(), 3, static_cast<std::size_t>(c.rank() % 5));
-    par::Request rq = c.iallgatherv(mine);
-    rq.wait();
-    async[static_cast<std::size_t>(c.rank())] = rq.parts_as<int>();
-    const auto snap = c.stats_snapshot();
-    if (c.rank() == 0) atotal = snap.total;
-  });
-  for (int r = 0; r < p; ++r) {
-    EXPECT_EQ(blocking[static_cast<std::size_t>(r)], async[static_cast<std::size_t>(r)]);
-  }
-  expect_same_coll(btotal, atotal);
-}
-
-TEST_P(AsyncRanks, OverlappedCollectivesCompleteOutOfOrder) {
-  const int p = GetParam();
-  par::run(p, [&](par::Comm& c) {
-    // Two split-phase collectives in flight at once, completed in reverse
-    // post order; each must still match its blocking twin's value.
-    const double mine = 1.0 / (c.rank() + 2);
-    const auto vec = payload_of(c.rank(), 9, 3);
-    par::Request ra = c.iallreduce(mine, par::ReduceOp::sum);
-    par::Request rg = c.iallgatherv(vec);
-    rg.wait();
-    ra.wait();
-    // Blocking twin computed inline (same fold order by construction).
-    const double got = ra.result<double>();
-    const double twin = c.allreduce(mine, par::ReduceOp::sum);
-    EXPECT_EQ(std::memcmp(&got, &twin, sizeof(double)), 0);
-    const auto parts = rg.parts_as<int>();
-    ASSERT_EQ(static_cast<int>(parts.size()), p);
-    for (int r = 0; r < p; ++r) {
-      EXPECT_EQ(parts[static_cast<std::size_t>(r)], payload_of(r, 9, 3));
-    }
-  });
 }
 
 // --- Concurrency stress: seeded random interleavings ------------------------

@@ -3,12 +3,14 @@
 // The check is a brute-force global verification independent of the
 // algorithm under test; check_balanced() (the distributed invariant walker)
 // is exercised alongside it. The Equivalence suite additionally pins the
-// single-pass rewrite to the reference ripple, octant for octant.
+// single-pass rewrite to the reference ripple (tests/oracles.h), octant for
+// octant.
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "forest/forest.h"
+#include "oracles.h"
 
 using namespace esamr::forest;
 namespace par = esamr::par;
@@ -229,7 +231,7 @@ std::vector<std::pair<int, Octant<3>>> balanced_leaves(int nranks, bool referenc
       });
     }
     if (reference) {
-      f.balance_ripple();
+      esamr::oracles::balance_ripple(f);
     } else {
       f.balance();
     }

@@ -16,10 +16,10 @@
 // Fault classes: delivery delays, one-shot rank kill, in-flight payload
 // corruption (CRC32C envelopes detect it), checkpoint disk faults (the
 // write-verify commit loop heals them), all of the above combined, and an
-// async class that runs the step through nonblocking isend/irecv/iallreduce
-// so kills and corruption strike with requests still pending — the fault
-// unwind drains them (Request dtor) and the digest must still match the
-// blocking baseline bit for bit.
+// async class that keeps the step's ring hop in flight as isend/irecv
+// requests across the blocking allreduce, so kills and corruption strike
+// with requests still pending — the fault unwind drains them (Request dtor)
+// and the digest must still match the blocking baseline bit for bit.
 //
 // The workload is a deliberately small but communication-dense loop: a fixed
 // refined 2D forest with one per-octant field, per step a ring p2p exchange
@@ -97,11 +97,12 @@ void step_field(par::Comm& c, std::vector<double>& field, int k) {
   }
 }
 
-/// The same step through the async runtime: everything is posted up front
-/// (irecv, isend, iallreduce), so injected kills and corruption strike with
-/// requests in flight and the fault unwind must drain them cleanly. The
-/// values folded are bit-identical to step_field's, so a run that terminates
-/// successfully must reproduce the blocking baseline digest.
+/// The same step through the async runtime: the ring hop is posted up front
+/// (irecv, isend) and the blocking allreduce runs while both requests are in
+/// flight, so injected kills and corruption strike with requests pending and
+/// the fault unwind must drain them cleanly. The values folded are
+/// bit-identical to step_field's, so a run that terminates successfully must
+/// reproduce the blocking baseline digest.
 void step_field_async(par::Comm& c, std::vector<double>& field, int k) {
   double local = 0.0;
   for (const double v : field) local += v;
@@ -109,16 +110,14 @@ void step_field_async(par::Comm& c, std::vector<double>& field, int k) {
   const int prev = (c.rank() + c.size() - 1) % c.size();
   par::Request rr = c.irecv(prev, /*tag=*/11);
   par::Request rs = c.isend(next, 11, std::vector<double>{local});
-  par::Request ra = c.iallreduce(local, par::ReduceOp::sum);
+  const double global = c.allreduce(local, par::ReduceOp::sum);
   rr.wait();
   const double from_prev = rr.message().view<double>()[0];
-  ra.wait();
-  const double global = ra.result<double>();
+  rs.wait();
   const double scale = 1.0 + 1e-6 * std::sin(static_cast<double>(k + 1));
   for (double& v : field) {
     v = v * scale + 1e-9 * from_prev + 1e-12 * global;
   }
-  rs.wait();
 }
 
 /// The supervised body: restore from the ring if it holds a snapshot, run
@@ -212,9 +211,9 @@ const FaultClass fault_classes[] = {
        i.corrupt_msg_stride = 48;
        i.disk_fault_stride = 3;
      }},
-    // Kills and payload corruption striking with isend/irecv/iallreduce
-    // requests pending; the unwind drains them and the retry must still
-    // reproduce the blocking baseline digest.
+    // Kills and payload corruption striking with isend/irecv requests
+    // pending across the allreduce; the unwind drains them and the retry
+    // must still reproduce the blocking baseline digest.
     {"async",
      [](par::InjectConfig& i) {
        i.max_delay_us = 100.0;
@@ -602,15 +601,14 @@ std::uint64_t u64_body(par::Comm& c, resil::RecoveryContext& ctx, const Connecti
     std::uint64_t glob = 0;
     if (async_steps) {
       // Nonblocking variant: the p2p hop is pure (CRC-protected, ARQ-healed)
-      // traffic so faults strike with requests pending; only the allreduce
-      // result — P-invariant — feeds the state.
+      // traffic kept in flight across the blocking allreduce, so faults
+      // strike with requests pending; only the allreduce result —
+      // P-invariant — feeds the state.
       par::Request rr = c.irecv(prev, /*tag=*/13);
       par::Request rs = c.isend(next, 13, std::vector<std::uint64_t>{local});
-      par::Request ra = c.iallreduce(local, par::ReduceOp::sum);
+      glob = c.allreduce(local, par::ReduceOp::sum);
       rr.wait();
       (void)rr.message().view<std::uint64_t>()[0];
-      ra.wait();
-      glob = ra.result<std::uint64_t>();
       rs.wait();
     } else {
       std::uint64_t acc = local, pass = local;

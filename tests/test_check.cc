@@ -180,6 +180,31 @@ TEST_P(CheckRanks, DivergentAllreduceSizeIsReported) {
   EXPECT_NE(std::string(err.what()).find("invariant="), std::string::npos) << err.what();
 }
 
+TEST_P(CheckRanks, DivergentAllreduceResultIsReportedAtLevel2) {
+  const int p = GetParam();
+  // Every fingerprint field agrees (kind, size, call site), but the combine
+  // folds in the calling rank, so the ranks end with different sums: only
+  // the level-2 result CRC can see it.
+  const auto body = [](par::Comm& c) {
+    const int me = c.rank();
+    int v = 1;
+    c.allreduce_bytes(&v, sizeof(v), [me](void* acc, const void* in) {
+      int a, b;
+      std::memcpy(&a, acc, sizeof(int));
+      std::memcpy(&b, in, sizeof(int));
+      a += b + me;
+      std::memcpy(acc, &a, sizeof(int));
+    });
+  };
+  par::run(p, checked(1), body);  // level 1 does not CRC results
+  const auto err = run_expect_violation(p, checked(2), body);
+  EXPECT_EQ(err.kind(), check::Violation::collective_mismatch);
+  EXPECT_EQ(err.ranks().size(), 2u);
+  const std::string what = err.what();
+  EXPECT_NE(what.find("result CRC disagrees"), std::string::npos) << what;
+  EXPECT_NE(what.find("test_check.cc"), std::string::npos) << what;
+}
+
 TEST_P(CheckRanks, MatchingCollectivesPassBothBackendsAtLevel2) {
   const int p = GetParam();
   par::run(p, checked(2), [&](par::Comm& c) {
