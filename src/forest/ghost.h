@@ -12,6 +12,8 @@
 
 #include <cstring>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "forest/forest.h"
@@ -40,6 +42,16 @@ struct GhostScanCache {
   std::vector<std::vector<std::int32_t>> toff;
   std::vector<std::vector<std::int32_t>> targets;
   bool valid = false;
+};
+
+/// A ghost payload exchange in flight (GhostLayer::exchange_begin ..
+/// exchange_finish): the receives posted per source rank and the sends that
+/// adopted the packed mirror blocks.
+template <typename T>
+struct GhostExchange {
+  std::vector<par::Request> recvs;  ///< one slot per rank; empty where none
+  std::vector<par::Request> sends;
+  int per_elem = 0;
 };
 
 template <int Dim>
@@ -97,24 +109,29 @@ struct GhostLayer {
   /// Exchange per-element payloads: `mirror_data` holds `per_elem` values of
   /// T for each mirror (in `mirrors` order); the result holds `per_elem`
   /// values for each ghost (in `ghosts` order).
-  ///
-  /// Async post-all-then-overlap form: receives are posted first (one per
-  /// rank we hold ghosts from), sends adopt the packed value buffers, and
-  /// received payloads are read in place (Message::view) — no payload copy
-  /// inside the runtime on either side.
   template <typename T>
   std::vector<T> exchange(par::Comm& comm, std::span<const T> mirror_data, int per_elem) const {
+    return exchange_finish(exchange_begin(comm, mirror_data, per_elem));
+  }
+
+  /// First half of exchange(): post one receive per rank we hold ghosts
+  /// from, then pack and send each peer's mirror blocks (the sends adopt the
+  /// packed buffers). The caller may compute until exchange_finish.
+  template <typename T>
+  GhostExchange<T> exchange_begin(par::Comm& comm, std::span<const T> mirror_data,
+                                  int per_elem) const {
     static_assert(std::is_trivially_copyable_v<T>);
     const int p = comm.size();
     const int me = comm.rank();
-    std::vector<par::Request> recvs(static_cast<std::size_t>(p));
+    GhostExchange<T> x;
+    x.per_elem = per_elem;
+    x.recvs.resize(static_cast<std::size_t>(p));
     for (int r = 0; r < p; ++r) {
       if (r != me && rank_offset[static_cast<std::size_t>(r) + 1] >
                          rank_offset[static_cast<std::size_t>(r)]) {
-        recvs[static_cast<std::size_t>(r)] = comm.irecv(r, tag_ghost_exchange);
+        x.recvs[static_cast<std::size_t>(r)] = comm.irecv(r, tag_ghost_exchange);
       }
     }
-    std::vector<par::Request> sends;
     for (int r = 0; r < p; ++r) {
       const auto& list = mirror_lists[static_cast<std::size_t>(r)];
       if (r == me || list.empty()) continue;
@@ -124,18 +141,33 @@ struct GhostLayer {
         const T* block = mirror_data.data() + static_cast<std::size_t>(mi) * per_elem;
         buf.insert(buf.end(), block, block + per_elem);
       }
-      sends.push_back(comm.isend(r, tag_ghost_exchange, std::move(buf)));
+      x.sends.push_back(comm.isend(r, tag_ghost_exchange, std::move(buf)));
     }
-    std::vector<T> out(ghosts.size() * static_cast<std::size_t>(per_elem));
-    for (int r = 0; r < p; ++r) {
-      auto& rq = recvs[static_cast<std::size_t>(r)];
+    return x;
+  }
+
+  /// Second half of exchange(): wait for each rank's payload in rank order
+  /// and place it in the ghost blocks, read in place (Message::view). A
+  /// payload whose size is not that rank's ghost count times `per_elem`
+  /// values is rejected with a std::runtime_error naming the source rank.
+  template <typename T>
+  std::vector<T> exchange_finish(GhostExchange<T>&& x) const {
+    const auto per = static_cast<std::size_t>(x.per_elem);
+    std::vector<T> out(ghosts.size() * per);
+    for (std::size_t r = 0; r < x.recvs.size(); ++r) {
+      auto& rq = x.recvs[r];
       if (!rq.valid()) continue;
       rq.wait();
       const auto vals = rq.message().template view<T>();
-      std::memcpy(out.data() + rank_offset[static_cast<std::size_t>(r)] * per_elem, vals.data(),
-                  vals.size_bytes());
+      const std::size_t want = (rank_offset[r + 1] - rank_offset[r]) * per * sizeof(T);
+      if (vals.size_bytes() != want) {
+        throw std::runtime_error("GhostLayer::exchange: rank " + std::to_string(r) + " sent " +
+                                 std::to_string(vals.size_bytes()) + " bytes, expected " +
+                                 std::to_string(want));
+      }
+      std::memcpy(out.data() + rank_offset[r] * per, vals.data(), want);
     }
-    par::wait_all(sends);
+    par::wait_all(x.sends);
     return out;
   }
 };

@@ -1,7 +1,7 @@
 #include "sfem/dg_advection.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <map>
 
 namespace esamr::sfem {
@@ -22,23 +22,31 @@ constexpr double kRkB[5] = {1432997174477.0 / 9575080441755.0, 5161836677717.0 /
 template <int Dim>
 Advection<Dim>::Advection(const DgMesh<Dim>* mesh, Velocity velocity)
     : mesh_(mesh), velocity_(std::move(velocity)) {
+  constexpr int nfaces = DgMesh<Dim>::nfaces, nsub = DgMesh<Dim>::nsub;
   const int np = mesh_->np, nv = mesh_->nv, npf = mesh_->npf;
   const auto n = static_cast<std::size_t>(mesh_->n_local);
+  const Basis1d& b = mesh_->basis;
   fcoef_.resize(n * static_cast<std::size_t>(nv) * Dim);
-  un_.resize(n * DgMesh<Dim>::nfaces * static_cast<std::size_t>(npf));
+  un_.resize(n * nfaces * static_cast<std::size_t>(npf));
   max_speed_.assign(n, 0.0);
   for (int c = 0; c < 2; ++c) {
     interp_t_[c].assign(static_cast<std::size_t>(np) * np, 0.0);
     for (int i = 0; i < np; ++i) {
       for (int j = 0; j < np; ++j) {
         interp_t_[c][static_cast<std::size_t>(i * np + j)] =
-            mesh_->basis.interp_half[c][static_cast<std::size_t>(j * np + i)];
+            b.interp_half[c][static_cast<std::size_t>(j * np + i)];
       }
     }
   }
-  face_idx_.resize(DgMesh<Dim>::nfaces);
-  for (int f = 0; f < DgMesh<Dim>::nfaces; ++f) {
+  face_idx_.resize(nfaces);
+  for (int f = 0; f < nfaces; ++f) {
     face_idx_[static_cast<std::size_t>(f)] = face_node_indices(Dim, np, f);
+  }
+  wf_.resize(static_cast<std::size_t>(npf));
+  for (int q = 0; q < npf; ++q) {
+    double w = b.weights[static_cast<std::size_t>(q % np)];
+    if (Dim == 3) w *= b.weights[static_cast<std::size_t>(q / np)];
+    wf_[static_cast<std::size_t>(q)] = w;
   }
 
   // Contravariant flux coefficients and face normal velocities.
@@ -58,10 +66,11 @@ Advection<Dim>::Advection(const DgMesh<Dim>* mesh, Velocity velocity)
                             static_cast<std::size_t>(d)] *
                 u[static_cast<std::size_t>(d)];
         }
-        fcoef_[nb * Dim + static_cast<std::size_t>(a)] = mesh_->jdet[nb] * ua;
+        fcoef_[(e * Dim + static_cast<std::size_t>(a)) * static_cast<std::size_t>(nv) +
+               static_cast<std::size_t>(node)] = mesh_->jdet[nb] * ua;
       }
     }
-    for (int f = 0; f < DgMesh<Dim>::nfaces; ++f) {
+    for (int f = 0; f < nfaces; ++f) {
       const auto& fni = face_idx_[static_cast<std::size_t>(f)];
       for (int q = 0; q < npf; ++q) {
         const std::size_t nb =
@@ -69,7 +78,7 @@ Advection<Dim>::Advection(const DgMesh<Dim>* mesh, Velocity velocity)
         const std::array<double, 3> x{mesh_->coords[nb * 3], mesh_->coords[nb * 3 + 1],
                                       mesh_->coords[nb * 3 + 2]};
         const auto u = velocity_(x);
-        const std::size_t fb = (e * DgMesh<Dim>::nfaces + static_cast<std::size_t>(f)) *
+        const std::size_t fb = (e * nfaces + static_cast<std::size_t>(f)) *
                                    static_cast<std::size_t>(npf) +
                                static_cast<std::size_t>(q);
         double un = 0.0;
@@ -80,83 +89,91 @@ Advection<Dim>::Advection(const DgMesh<Dim>* mesh, Velocity velocity)
       }
     }
   }
+
+  // Mortar geometry: u . n and sJ on the subfaces of every fine face.
+  const double* const half[2] = {b.interp_half[0].data(), b.interp_half[1].data()};
+  std::vector<double> tmp(static_cast<std::size_t>(npf));
+  sub_off_.assign(n * nfaces, 0);
+  for (std::size_t ef = 0; ef < n * nfaces; ++ef) {
+    if (mesh_->faces[ef].kind != DgMesh<Dim>::FaceKind::fine) continue;
+    const std::size_t off = sub_un_.size();
+    sub_off_[ef] = off;
+    sub_un_.resize(off + static_cast<std::size_t>(nsub) * npf);
+    sub_sj_.resize(off + static_cast<std::size_t>(nsub) * npf);
+    const std::size_t fb0 = ef * static_cast<std::size_t>(npf);
+    for (int s = 0; s < nsub; ++s) {
+      double* su = sub_un_.data() + off + static_cast<std::size_t>(s) * npf;
+      double* ss = sub_sj_.data() + off + static_cast<std::size_t>(s) * npf;
+      std::copy_n(un_.data() + fb0, npf, su);
+      std::copy_n(mesh_->fsj.data() + fb0, npf, ss);
+      face_sweep(Dim, np, half, s, su, tmp.data());
+      face_sweep(Dim, np, half, s, ss, tmp.data());
+    }
+  }
 }
 
 template <int Dim>
 void Advection<Dim>::rhs(std::span<const double> c, std::span<double> out) const {
+  using FaceKind = typename DgMesh<Dim>::FaceKind;
+  constexpr int nfaces = DgMesh<Dim>::nfaces, nsub = DgMesh<Dim>::nsub;
   const int np = mesh_->np, nv = mesh_->nv, npf = mesh_->npf;
   const auto n = static_cast<std::size_t>(mesh_->n_local);
   const Basis1d& b = mesh_->basis;
-  const auto ghost_c = mesh_->exchange(c, nv);
+  const double* const half[2] = {b.interp_half[0].data(), b.interp_half[1].data()};
+  const double* const half_t[2] = {interp_t_[0].data(), interp_t_[1].data()};
 
+  // Scratch shared by every element; the element loop does not allocate.
   std::vector<double> flux(static_cast<std::size_t>(nv)), dflux(static_cast<std::size_t>(nv));
-  // Face-local scratch.
   std::vector<double> cm(static_cast<std::size_t>(npf)), cp(static_cast<std::size_t>(npf));
-  std::vector<double> t0(static_cast<std::size_t>(npf)), t1(static_cast<std::size_t>(npf));
-  std::vector<double> lift(static_cast<std::size_t>(npf));
+  std::vector<double> csub(static_cast<std::size_t>(npf)), lift(static_cast<std::size_t>(npf));
+  std::vector<double> tmp(static_cast<std::size_t>(npf));
+  std::vector<double> ghost_c;  // the halo, once the exchange has finished
 
-  // Tensor quadrature weight over the face tangentials.
-  std::vector<double> wf(static_cast<std::size_t>(npf));
-  for (int q = 0; q < npf; ++q) {
-    double w = b.weights[static_cast<std::size_t>(q % np)];
-    if (Dim == 3) w *= b.weights[static_cast<std::size_t>(q / np)];
-    wf[static_cast<std::size_t>(q)] = w;
-  }
-
-  for (std::size_t e = 0; e < n; ++e) {
+  const auto element = [&](std::size_t e) {
     const double* ce = c.data() + e * static_cast<std::size_t>(nv);
     double* oe = out.data() + e * static_cast<std::size_t>(nv);
+    const double* jdet = mesh_->jdet.data() + e * static_cast<std::size_t>(nv);
+    const double* mass = mesh_->mass.data() + e * static_cast<std::size_t>(nv);
     std::fill(oe, oe + nv, 0.0);
 
     // Volume term: -(1/detJ) sum_a D_a (fcoef_a * C).
     for (int a = 0; a < Dim; ++a) {
+      const double* fa =
+          fcoef_.data() + (e * Dim + static_cast<std::size_t>(a)) * static_cast<std::size_t>(nv);
       for (int node = 0; node < nv; ++node) {
-        const std::size_t nb = e * static_cast<std::size_t>(nv) + static_cast<std::size_t>(node);
-        flux[static_cast<std::size_t>(node)] =
-            fcoef_[nb * Dim + static_cast<std::size_t>(a)] * ce[node];
+        flux[static_cast<std::size_t>(node)] = fa[node] * ce[node];
       }
       apply_axis(Dim, np, a, b.diff.data(), flux.data(), dflux.data());
       for (int node = 0; node < nv; ++node) {
-        const std::size_t nb = e * static_cast<std::size_t>(nv) + static_cast<std::size_t>(node);
-        oe[node] -= dflux[static_cast<std::size_t>(node)] / mesh_->jdet[nb];
+        oe[node] -= dflux[static_cast<std::size_t>(node)] / jdet[node];
       }
     }
 
     // Face terms.
-    for (int f = 0; f < DgMesh<Dim>::nfaces; ++f) {
-      const auto& side = mesh_->face(e, f);
-      if (side.kind == DgMesh<Dim>::FaceKind::boundary) continue;
-      const auto& fni = face_idx_[static_cast<std::size_t>(f)];
-      for (int q = 0; q < npf; ++q) {
-        cm[static_cast<std::size_t>(q)] = ce[fni[static_cast<std::size_t>(q)]];
-      }
+    for (int f = 0; f < nfaces; ++f) {
+      const auto& side = mesh_->face(static_cast<std::int64_t>(e), f);
+      if (side.kind == FaceKind::boundary) continue;
+      const int* fni = face_idx_[static_cast<std::size_t>(f)].data();
+      for (int q = 0; q < npf; ++q) cm[static_cast<std::size_t>(q)] = ce[fni[q]];
       const std::size_t fb0 =
-          (e * DgMesh<Dim>::nfaces + static_cast<std::size_t>(f)) * static_cast<std::size_t>(npf);
+          (e * nfaces + static_cast<std::size_t>(f)) * static_cast<std::size_t>(npf);
 
-      const auto nbr_values = [&](int slot, std::span<double> dst) {
-        const double* src =
-            side.nbr_ghost[static_cast<std::size_t>(slot)]
-                ? ghost_c.data() + static_cast<std::size_t>(side.nbr[static_cast<std::size_t>(slot)]) * nv
-                : c.data() + static_cast<std::size_t>(side.nbr[static_cast<std::size_t>(slot)]) * nv;
-        const auto& nfni = face_idx_[static_cast<std::size_t>(side.nbr_face)];
+      const auto nbr_values = [&](int slot, double* dst) {
+        const auto nbr = static_cast<std::size_t>(side.nbr[static_cast<std::size_t>(slot)]);
+        const double* src = (side.nbr_ghost[static_cast<std::size_t>(slot)] ? ghost_c.data()
+                                                                            : c.data()) +
+                            nbr * static_cast<std::size_t>(nv);
+        const int* nfni = face_idx_[static_cast<std::size_t>(side.nbr_face)].data();
         for (int q = 0; q < npf; ++q) {
-          dst[static_cast<std::size_t>(q)] =
-              src[nfni[static_cast<std::size_t>(side.node_map[static_cast<std::size_t>(q)])]];
+          dst[q] = src[nfni[side.node_map[static_cast<std::size_t>(q)]]];
         }
       };
 
-      if (side.kind == DgMesh<Dim>::FaceKind::same ||
-          side.kind == DgMesh<Dim>::FaceKind::coarse) {
-        nbr_values(0, cp);
-        if (side.kind == DgMesh<Dim>::FaceKind::coarse) {
+      if (side.kind != FaceKind::fine) {
+        nbr_values(0, cp.data());
+        if (side.kind == FaceKind::coarse) {
           // Interpolate the (orientation-aligned) coarse face to my quadrant.
-          std::memcpy(t0.data(), cp.data(), sizeof(double) * static_cast<std::size_t>(npf));
-          for (int k = 0; k < Dim - 1; ++k) {
-            apply_face_axis(Dim, np, k, b.interp_half[(side.half_bits >> k) & 1].data(), t0.data(),
-                            t1.data());
-            std::swap(t0, t1);
-          }
-          std::memcpy(cp.data(), t0.data(), sizeof(double) * static_cast<std::size_t>(npf));
+          face_sweep(Dim, np, half, side.half_bits, cp.data(), tmp.data());
         }
         for (int q = 0; q < npf; ++q) {
           const double un = un_[fb0 + static_cast<std::size_t>(q)];
@@ -164,51 +181,52 @@ void Advection<Dim>::rhs(std::span<const double> c, std::span<double> out) const
           const double fstar = 0.5 * un * (a + p) - 0.5 * std::abs(un) * (p - a);
           // Strong form: u_t = -div F + M^{-1} \oint phi (F.n - F*) ds.
           const double df = un * a - fstar;
-          const int node = fni[static_cast<std::size_t>(q)];
-          const std::size_t nb = e * static_cast<std::size_t>(nv) + static_cast<std::size_t>(node);
+          const int node = fni[q];
           oe[node] += df * mesh_->fsj[fb0 + static_cast<std::size_t>(q)] *
-                      wf[static_cast<std::size_t>(q)] / mesh_->mass[nb];
+                      wf_[static_cast<std::size_t>(q)] / mass[node];
         }
       } else {  // fine: integrate each subface at the fine resolution
         const double scale = Dim == 3 ? 0.25 : 0.5;  // d(coarse ref)/d(fine ref) per axis
-        for (int s = 0; s < DgMesh<Dim>::nsub; ++s) {
-          // My values, u.n and sJ interpolated to the subface points.
-          std::vector<double> csub(static_cast<std::size_t>(npf)),
-              unsub(static_cast<std::size_t>(npf)), sjsub(static_cast<std::size_t>(npf));
-          const auto interp_sub = [&](const double* src, double* dst) {
-            std::memcpy(t0.data(), src, sizeof(double) * static_cast<std::size_t>(npf));
-            for (int k = 0; k < Dim - 1; ++k) {
-              apply_face_axis(Dim, np, k, b.interp_half[(s >> k) & 1].data(), t0.data(), t1.data());
-              std::swap(t0, t1);
-            }
-            std::memcpy(dst, t0.data(), sizeof(double) * static_cast<std::size_t>(npf));
-          };
-          interp_sub(cm.data(), csub.data());
-          interp_sub(un_.data() + fb0, unsub.data());
-          interp_sub(mesh_->fsj.data() + fb0, sjsub.data());
-          nbr_values(s, cp);
+        const std::size_t off = sub_off_[e * nfaces + static_cast<std::size_t>(f)];
+        for (int s = 0; s < nsub; ++s) {
+          // My values on the subface points; u.n and sJ there are precomputed.
+          const double* unsub = sub_un_.data() + off + static_cast<std::size_t>(s) * npf;
+          const double* sjsub = sub_sj_.data() + off + static_cast<std::size_t>(s) * npf;
+          std::copy(cm.begin(), cm.end(), csub.begin());
+          face_sweep(Dim, np, half, s, csub.data(), tmp.data());
+          nbr_values(s, cp.data());
           for (int q = 0; q < npf; ++q) {
-            const double un = unsub[static_cast<std::size_t>(q)];
+            const double un = unsub[q];
             const double a = csub[static_cast<std::size_t>(q)], p = cp[static_cast<std::size_t>(q)];
             const double fstar = 0.5 * un * (a + p) - 0.5 * std::abs(un) * (p - a);
             lift[static_cast<std::size_t>(q)] =
-                (un * a - fstar) * sjsub[static_cast<std::size_t>(q)] * wf[static_cast<std::size_t>(q)] * scale;
+                (un * a - fstar) * sjsub[q] * wf_[static_cast<std::size_t>(q)] * scale;
           }
           // Lift through the transposed interpolation onto my face nodes.
-          std::memcpy(t0.data(), lift.data(), sizeof(double) * static_cast<std::size_t>(npf));
-          for (int k = 0; k < Dim - 1; ++k) {
-            apply_face_axis(Dim, np, k, interp_t_[(s >> k) & 1].data(), t0.data(), t1.data());
-            std::swap(t0, t1);
-          }
+          face_sweep(Dim, np, half_t, s, lift.data(), tmp.data());
           for (int q = 0; q < npf; ++q) {
-            const int node = fni[static_cast<std::size_t>(q)];
-            const std::size_t nb = e * static_cast<std::size_t>(nv) + static_cast<std::size_t>(node);
-            oe[node] += t0[static_cast<std::size_t>(q)] / mesh_->mass[nb];
+            const int node = fni[q];
+            oe[node] += lift[static_cast<std::size_t>(q)] / mass[node];
           }
         }
       }
     }
+  };
+
+  // Post the halo exchange, compute every element that has no ghost face
+  // neighbor while it is in flight, then finish it and compute the rest.
+  auto halo = mesh_->exchange_begin(c, nv);
+  const auto& ga = mesh_->ghost_adjacent;
+  auto next = ga.begin();
+  for (std::size_t e = 0; e < n; ++e) {
+    if (next != ga.end() && static_cast<std::size_t>(*next) == e) {
+      ++next;
+      continue;
+    }
+    element(e);
   }
+  ghost_c = mesh_->ghost->exchange_finish(std::move(halo));
+  for (const std::int32_t e : ga) element(static_cast<std::size_t>(e));
 }
 
 template <int Dim>

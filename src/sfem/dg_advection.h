@@ -29,7 +29,8 @@ class Advection {
   Advection(const DgMesh<Dim>* mesh, Velocity velocity);
 
   /// dC/dt for the nodal field c (n_local * np^Dim values, SFC order).
-  /// Performs one ghost exchange.
+  /// Performs one ghost exchange, overlapped with the elements that have no
+  /// ghost face neighbor.
   void rhs(std::span<const double> c, std::span<double> out) const;
 
   /// One low-storage RK(5,4) step.
@@ -50,8 +51,13 @@ class Advection {
  private:
   const DgMesh<Dim>* mesh_;
   Velocity velocity_;
-  std::vector<double> fcoef_;     ///< n_local*nv*Dim: detJ * (dref_a/dx) . u
+  std::vector<double> fcoef_;     ///< (n_local*Dim)*nv: detJ * (dref_a/dx) . u per (element, a)
   std::vector<double> un_;        ///< n_local*nfaces*npf: u . n at my face nodes
+  /// Fine faces: u . n and sJ interpolated onto the nsub subfaces, nsub*npf
+  /// values per face from sub_off_[e*nfaces + f] (fixed between adapts).
+  std::vector<double> sub_un_, sub_sj_;
+  std::vector<std::size_t> sub_off_;
+  std::vector<double> wf_;        ///< npf tensor quadrature weights over the face tangentials
   std::vector<double> max_speed_; ///< per element |u| bound
   std::vector<double> interp_t_[2];  ///< transposed half-interval interpolation
   std::vector<std::vector<int>> face_idx_;  ///< face -> volume node indices

@@ -1,7 +1,7 @@
 #include "sfem/dg_elastic.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 
 namespace esamr::sfem {
 
@@ -25,26 +25,6 @@ constexpr int voigt(int i, int j) {
     if (i == j) return i;
     const int s = i + j;  // (1,2)->3, (0,2)->4, (0,1)->5
     return s == 3 ? 3 : (s == 2 ? 4 : 5);
-  }
-}
-
-/// Apply a 1D operator along every axis listed (tensor sweep over a face
-/// array), used for the mortar interpolations.
-template <typename Real>
-void face_sweep(int dim, int np, const std::vector<Real>* ops, int bits, Real* data, Real* tmp) {
-  for (int k = 0; k < dim - 1; ++k) {
-    const Real* a = ops[(bits >> k) & 1].data();
-    const int stride = ipow(np, k);
-    const int total = ipow(np, dim - 1);
-    for (int base = 0; base < total; ++base) {
-      if ((base / stride) % np != 0) continue;
-      for (int r = 0; r < np; ++r) {
-        Real acc = 0;
-        for (int c = 0; c < np; ++c) acc += a[r * np + c] * data[base + c * stride];
-        tmp[base + r * stride] = acc;
-      }
-    }
-    std::memcpy(data, tmp, sizeof(Real) * static_cast<std::size_t>(total));
   }
 }
 
@@ -123,20 +103,7 @@ template <int Dim, typename Real>
 void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) const {
   const int np = mesh_->np, nv = mesh_->nv, npf = mesh_->npf;
   const auto n = static_cast<std::size_t>(mesh_->n_local);
-  const auto ghost_q = mesh_->ghost->template exchange<Real>(
-      mesh_->forest->comm(),
-      [&] {
-        std::vector<Real> mirror(mesh_->ghost->mirrors.size() *
-                                 static_cast<std::size_t>(ncomp * nv));
-        for (std::size_t m = 0; m < mesh_->ghost->mirrors.size(); ++m) {
-          std::copy_n(q.data() + static_cast<std::size_t>(mesh_->ghost->mirrors[m].local_index) *
-                                     ncomp * nv,
-                      static_cast<std::size_t>(ncomp) * nv,
-                      mirror.data() + m * static_cast<std::size_t>(ncomp) * nv);
-        }
-        return mirror;
-      }(),
-      ncomp * nv);
+  const auto ghost_q = mesh_->template exchange<Real>(q, ncomp * nv);
 
   // Node-wise material of a (local or ghost) element.
   const auto mat_base = [&](std::int32_t elem, bool is_ghost) {
@@ -158,9 +125,21 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
     for (int i = 0; i < Dim; ++i) sig[voigt<Dim>(i, i)] += lam * tr;
   };
 
-  std::vector<Real> field(static_cast<std::size_t>(nv)), dref(static_cast<std::size_t>(nv));
+  // Scratch shared by every element; the element loop does not allocate.
+  const auto npf_n = [&](int k) { return std::vector<Real>(static_cast<std::size_t>(k) * npf); };
+  std::vector<Real> dref(static_cast<std::size_t>(nv));
   std::vector<Real> sigma(static_cast<std::size_t>(nstrain) * nv);
   std::vector<Real> grads(static_cast<std::size_t>(Dim + nstrain) * Dim * nv);
+  // My (m) and the neighbor's (p) face states: velocity, traction, impedances.
+  auto vm = npf_n(Dim), tm = npf_n(Dim), vp = npf_n(Dim), tp = npf_n(Dim);
+  auto zpm = npf_n(1), zsm = npf_n(1), zpp = npf_n(1), zsp = npf_n(1);
+  auto nrm = npf_n(3), sj = npf_n(1), tmp = npf_n(1), tmp2 = npf_n(1), liftv = npf_n(ncomp);
+  // Fine faces: my conforming face data, the lifted sum, the normal by axis.
+  auto vm0 = npf_n(Dim), tm0 = npf_n(Dim), zpm0 = npf_n(1), zsm0 = npf_n(1);
+  auto nrm0 = npf_n(3), sj0 = npf_n(1), acc = npf_n(ncomp);
+  auto nx = npf_n(1), ny = npf_n(1), nz = npf_n(1);
+  const Real* const half[2] = {interp_half_[0].data(), interp_half_[1].data()};
+  const Real* const half_t[2] = {interp_half_t_[0].data(), interp_half_t_[1].data()};
 
   // Tensor face weights.
   std::vector<Real> wf(static_cast<std::size_t>(npf));
@@ -190,19 +169,7 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
       Real* g = grads.data() + static_cast<std::size_t>(fidx) * Dim * nv;
       std::fill(g, g + static_cast<std::size_t>(Dim) * nv, Real(0));
       for (int a = 0; a < Dim; ++a) {
-        // dref = D_a src
-        const int stride = ipow(np, a);
-        const int total = nv;
-        for (int base = 0; base < total; ++base) {
-          if ((base / stride) % np != 0) continue;
-          for (int r = 0; r < np; ++r) {
-            Real acc = 0;
-            for (int cc = 0; cc < np; ++cc) {
-              acc += diff_[static_cast<std::size_t>(r * np + cc)] * src[base + cc * stride];
-            }
-            dref[static_cast<std::size_t>(base + r * stride)] = acc;
-          }
-        }
+        apply_axis(Dim, np, a, diff_.data(), src, dref.data());  // dref = D_a src
         for (int node = 0; node < nv; ++node) {
           for (int d = 0; d < Dim; ++d) {
             g[d * nv + node] += jinv_[((jb + static_cast<std::size_t>(node)) * Dim +
@@ -240,14 +207,6 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
     }
 
     // Face terms.
-    std::vector<Real> vm(static_cast<std::size_t>(Dim) * npf), tm(static_cast<std::size_t>(Dim) * npf);
-    std::vector<Real> vp(static_cast<std::size_t>(Dim) * npf), tp(static_cast<std::size_t>(Dim) * npf);
-    std::vector<Real> zpm(static_cast<std::size_t>(npf)), zsm(static_cast<std::size_t>(npf));
-    std::vector<Real> zpp(static_cast<std::size_t>(npf)), zsp(static_cast<std::size_t>(npf));
-    std::vector<Real> nrm(static_cast<std::size_t>(3) * npf), sj(static_cast<std::size_t>(npf));
-    std::vector<Real> tmp(static_cast<std::size_t>(npf)), tmp2(static_cast<std::size_t>(npf));
-    std::vector<Real> liftv(static_cast<std::size_t>(ncomp) * npf);
-
     for (int f = 0; f < DgMesh<Dim>::nfaces; ++f) {
       const auto& side = mesh_->face(static_cast<std::int64_t>(e), f);
       const auto& fni = face_idx_[static_cast<std::size_t>(f)];
@@ -389,48 +348,47 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
         // Interpolate the neighbor's full face to my quadrant after the
         // orientation alignment; my own data stays at my face nodes.
         fetch_plus(0);
+        const int bits = side.half_bits;
         for (int i = 0; i < Dim; ++i) {
-          face_sweep<Real>(Dim, np, interp_half_, side.half_bits,
-                           &vp[static_cast<std::size_t>(i * npf)], tmp.data());
-          face_sweep<Real>(Dim, np, interp_half_, side.half_bits,
-                           &tp[static_cast<std::size_t>(i * npf)], tmp.data());
+          face_sweep(Dim, np, half, bits, &vp[static_cast<std::size_t>(i * npf)], tmp.data());
+          face_sweep(Dim, np, half, bits, &tp[static_cast<std::size_t>(i * npf)], tmp.data());
         }
-        face_sweep<Real>(Dim, np, interp_half_, side.half_bits, zpp.data(), tmp.data());
-        face_sweep<Real>(Dim, np, interp_half_, side.half_bits, zsp.data(), tmp.data());
+        face_sweep(Dim, np, half, bits, zpp.data(), tmp.data());
+        face_sweep(Dim, np, half, bits, zsp.data(), tmp.data());
         riemann(Real(1));
       } else {
         // fine: integrate each subface at the fine resolution and lift back.
         // Save my conforming face data once.
-        std::vector<Real> vm0 = vm, tm0 = tm, zpm0 = zpm, zsm0 = zsm, nrm0 = nrm, sj0 = sj;
-        std::vector<Real> acc(static_cast<std::size_t>(ncomp) * npf, Real(0));
+        std::copy(vm.begin(), vm.end(), vm0.begin());
+        std::copy(tm.begin(), tm.end(), tm0.begin());
+        std::copy(zpm.begin(), zpm.end(), zpm0.begin());
+        std::copy(zsm.begin(), zsm.end(), zsm0.begin());
+        std::copy(nrm.begin(), nrm.end(), nrm0.begin());
+        std::copy(sj.begin(), sj.end(), sj0.begin());
+        std::fill(acc.begin(), acc.end(), Real(0));
         const Real scale = Dim == 3 ? Real(0.25) : Real(0.5);
         for (int s = 0; s < DgMesh<Dim>::nsub; ++s) {
-          vm = vm0;
-          tm = tm0;
-          zpm = zpm0;
-          zsm = zsm0;
-          nrm = nrm0;
-          sj = sj0;
+          std::copy(vm0.begin(), vm0.end(), vm.begin());
+          std::copy(tm0.begin(), tm0.end(), tm.begin());
+          std::copy(zpm0.begin(), zpm0.end(), zpm.begin());
+          std::copy(zsm0.begin(), zsm0.end(), zsm.begin());
+          std::copy(sj0.begin(), sj0.end(), sj.begin());
           for (int i = 0; i < Dim; ++i) {
-            face_sweep<Real>(Dim, np, interp_half_, s, &vm[static_cast<std::size_t>(i * npf)],
-                             tmp.data());
-            face_sweep<Real>(Dim, np, interp_half_, s, &tm[static_cast<std::size_t>(i * npf)],
-                             tmp.data());
+            face_sweep(Dim, np, half, s, &vm[static_cast<std::size_t>(i * npf)], tmp.data());
+            face_sweep(Dim, np, half, s, &tm[static_cast<std::size_t>(i * npf)], tmp.data());
           }
-          face_sweep<Real>(Dim, np, interp_half_, s, zpm.data(), tmp.data());
-          face_sweep<Real>(Dim, np, interp_half_, s, zsm.data(), tmp.data());
-          face_sweep<Real>(Dim, np, interp_half_, s, sj.data(), tmp.data());
+          face_sweep(Dim, np, half, s, zpm.data(), tmp.data());
+          face_sweep(Dim, np, half, s, zsm.data(), tmp.data());
+          face_sweep(Dim, np, half, s, sj.data(), tmp.data());
           // Interpolate and renormalize the normal.
-          std::vector<Real> nx(static_cast<std::size_t>(npf)), ny(static_cast<std::size_t>(npf)),
-              nz(static_cast<std::size_t>(npf));
           for (int qq = 0; qq < npf; ++qq) {
-            nx[static_cast<std::size_t>(qq)] = nrm[static_cast<std::size_t>(qq * 3)];
-            ny[static_cast<std::size_t>(qq)] = nrm[static_cast<std::size_t>(qq * 3 + 1)];
-            nz[static_cast<std::size_t>(qq)] = nrm[static_cast<std::size_t>(qq * 3 + 2)];
+            nx[static_cast<std::size_t>(qq)] = nrm0[static_cast<std::size_t>(qq * 3)];
+            ny[static_cast<std::size_t>(qq)] = nrm0[static_cast<std::size_t>(qq * 3 + 1)];
+            nz[static_cast<std::size_t>(qq)] = nrm0[static_cast<std::size_t>(qq * 3 + 2)];
           }
-          face_sweep<Real>(Dim, np, interp_half_, s, nx.data(), tmp.data());
-          face_sweep<Real>(Dim, np, interp_half_, s, ny.data(), tmp.data());
-          face_sweep<Real>(Dim, np, interp_half_, s, nz.data(), tmp.data());
+          face_sweep(Dim, np, half, s, nx.data(), tmp.data());
+          face_sweep(Dim, np, half, s, ny.data(), tmp.data());
+          face_sweep(Dim, np, half, s, nz.data(), tmp.data());
           for (int qq = 0; qq < npf; ++qq) {
             const Real len = std::sqrt(nx[static_cast<std::size_t>(qq)] * nx[static_cast<std::size_t>(qq)] +
                                        ny[static_cast<std::size_t>(qq)] * ny[static_cast<std::size_t>(qq)] +
@@ -443,17 +401,14 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
           riemann(scale);
           // Lift through the transposed interpolation and accumulate.
           for (int comp = 0; comp < ncomp; ++comp) {
-            std::memcpy(tmp2.data(), &liftv[static_cast<std::size_t>(comp * npf)],
-                        sizeof(Real) * static_cast<std::size_t>(npf));
-            face_sweep<Real>(Dim, np, interp_half_t_, s, tmp2.data(), tmp.data());
+            std::copy_n(&liftv[static_cast<std::size_t>(comp * npf)], npf, tmp2.begin());
+            face_sweep(Dim, np, half_t, s, tmp2.data(), tmp.data());
             for (int qq = 0; qq < npf; ++qq) {
               acc[static_cast<std::size_t>(comp * npf + qq)] += tmp2[static_cast<std::size_t>(qq)];
             }
           }
         }
-        std::memcpy(liftv.data(), acc.data(), sizeof(Real) * acc.size());
-        // Restore for the common lifting below.
-        vm = std::move(vm0);
+        std::copy(acc.begin(), acc.end(), liftv.begin());
       }
 
       // Apply the lifted corrections: velocity scaled by 1/rho.

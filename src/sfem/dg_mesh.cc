@@ -100,7 +100,12 @@ DgMesh<Dim> DgMesh<Dim>::build(const forest::Forest<Dim>& f, const forest::Ghost
   const auto& conn = f.conn();
   constexpr double root_len = static_cast<double>(Oct::root_len);
 
-  std::vector<double> dx(static_cast<std::size_t>(nv) * 3);  // scratch for one derivative sweep
+  std::vector<double> jmat(static_cast<std::size_t>(nv) * Dim * Dim);
+  std::vector<double> comp(static_cast<std::size_t>(nv)), dcomp(static_cast<std::size_t>(nv));
+  std::array<std::vector<int>, nfaces> face_nodes;
+  for (int fc = 0; fc < nfaces; ++fc) {
+    face_nodes[static_cast<std::size_t>(fc)] = face_node_indices(Dim, np, fc);
+  }
   std::size_t e = 0;
   f.for_each_local([&](int t, const Oct& o) {
     // --- Node coordinates ---------------------------------------------------
@@ -118,8 +123,6 @@ DgMesh<Dim> DgMesh<Dim>::build(const forest::Forest<Dim>& f, const forest::Ghost
     }
 
     // --- Metric terms: J[d][a] = dx_d/dref_a by spectral differentiation ----
-    std::vector<double> jmat(static_cast<std::size_t>(nv) * Dim * Dim);
-    std::vector<double> comp(static_cast<std::size_t>(nv)), dcomp(static_cast<std::size_t>(nv));
     for (int d = 0; d < Dim; ++d) {
       for (int node = 0; node < nv; ++node) comp[static_cast<std::size_t>(node)] = xyz[node * 3 + d];
       for (int a = 0; a < Dim; ++a) {
@@ -184,7 +187,7 @@ DgMesh<Dim> DgMesh<Dim>::build(const forest::Forest<Dim>& f, const forest::Ghost
     for (int fc = 0; fc < nfaces; ++fc) {
       const int axis = fc / 2;
       const double sgn = (fc % 2) ? 1.0 : -1.0;
-      const auto fni = face_node_indices(Dim, np, fc);
+      const auto& fni = face_nodes[static_cast<std::size_t>(fc)];
       for (int q = 0; q < npf; ++q) {
         const int node = fni[static_cast<std::size_t>(q)];
         const std::size_t nb = e * static_cast<std::size_t>(nv) + static_cast<std::size_t>(node);
@@ -271,6 +274,13 @@ DgMesh<Dim> DgMesh<Dim>::build(const forest::Forest<Dim>& f, const forest::Ghost
         side.nbr[static_cast<std::size_t>(s)] = fine->index;
         side.nbr_ghost[static_cast<std::size_t>(s)] = fine->owner != f.comm().rank();
       }
+    }
+    const FaceSide* sides = mesh.faces.data() + e * nfaces;
+    if (std::any_of(sides, sides + nfaces, [](const FaceSide& sd) {
+          return std::any_of(sd.nbr_ghost.begin(), sd.nbr_ghost.end(),
+                             [](std::uint8_t ghost) { return ghost != 0; });
+        })) {
+      mesh.ghost_adjacent.push_back(static_cast<std::int32_t>(e));
     }
     ++e;
   });

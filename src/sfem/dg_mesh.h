@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
 #include "forest/ghost.h"
 #include "sfem/geometry.h"
@@ -65,6 +66,9 @@ struct DgMesh {
   std::vector<double> fnormal;  ///< n_local*nfaces*npf*3 outward unit normals
   std::vector<double> fsj;      ///< n_local*nfaces*npf surface Jacobians
   std::vector<double> hmin;     ///< n_local: shortest physical edge (dt estimates)
+  /// Local elements with a ghost face neighbor (some nbr_ghost slot set),
+  /// ascending: the only elements whose dG terms read the halo.
+  std::vector<std::int32_t> ghost_adjacent;
 
   const forest::Forest<Dim>* forest = nullptr;
   const forest::GhostLayer<Dim>* ghost = nullptr;
@@ -76,16 +80,26 @@ struct DgMesh {
     return faces[static_cast<std::size_t>(elem * nfaces + f)];
   }
 
-  /// Exchange per-element nodal fields (`per_elem` doubles each, n_local
+  /// Exchange per-element nodal fields (`per_elem` values each, n_local
   /// blocks in SFC order) into the ghost halo (one block per ghost element).
-  std::vector<double> exchange(std::span<const double> fields, int per_elem) const {
-    std::vector<double> mirror(ghost->mirrors.size() * static_cast<std::size_t>(per_elem));
+  template <typename T = double>
+  std::vector<T> exchange(std::span<const std::type_identity_t<T>> fields, int per_elem) const {
+    return ghost->exchange_finish(exchange_begin<T>(fields, per_elem));
+  }
+
+  /// First half of exchange(): post and send the mirror blocks. The caller
+  /// may compute the elements outside `ghost_adjacent` before passing the
+  /// result to ghost->exchange_finish.
+  template <typename T = double>
+  forest::GhostExchange<T> exchange_begin(
+      std::span<const std::type_identity_t<T>> fields, int per_elem) const {
+    const auto per = static_cast<std::size_t>(per_elem);
+    std::vector<T> mirror(ghost->mirrors.size() * per);
     for (std::size_t m = 0; m < ghost->mirrors.size(); ++m) {
-      const auto src = static_cast<std::size_t>(ghost->mirrors[m].local_index) *
-                       static_cast<std::size_t>(per_elem);
-      std::copy_n(fields.data() + src, per_elem, mirror.data() + m * per_elem);
+      const auto src = static_cast<std::size_t>(ghost->mirrors[m].local_index) * per;
+      std::copy_n(fields.data() + src, per, mirror.data() + m * per);
     }
-    return ghost->template exchange<double>(forest->comm(), mirror, per_elem);
+    return ghost->exchange_begin(forest->comm(), std::span<const T>(mirror), per_elem);
   }
 };
 

@@ -3,7 +3,9 @@
 // the tensor grid. Axis 0 is the fastest-running index.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <utility>
 #include <vector>
 
 namespace esamr::sfem {
@@ -16,16 +18,27 @@ constexpr int ipow(int b, int e) {
 
 /// out = (A along `axis`) applied to u; u and out are np^dim arrays and must
 /// not alias. A is np x np, row-major (row = output node).
-inline void apply_axis(int dim, int np, int axis, const double* a, const double* u, double* out) {
+///
+/// The sweep walks (outer block, inner offset) pairs directly: `stride` =
+/// np^axis consecutive offsets share one 1D line per outer block of np *
+/// stride values, so no index is divided or skipped. Every output starts at
+/// zero and sums its np products in ascending j, the order the solvers' bit
+/// identity rests on; the loop order outside that sum is free.
+template <typename T>
+inline void apply_axis(int dim, int np, int axis, const T* a, const T* u, T* out) {
   const int stride = ipow(np, axis);
+  const int block = stride * np;
   const int total = ipow(np, dim);
-  for (int base = 0; base < total; ++base) {
-    if ((base / stride) % np != 0) continue;
-    for (int k = 0; k < np; ++k) {
-      double acc = 0.0;
-      const double* arow = a + k * np;
-      for (int j = 0; j < np; ++j) acc += arow[j] * u[base + j * stride];
-      out[base + k * stride] = acc;
+  for (int outer = 0; outer < total; outer += block) {
+    for (int line = outer; line < outer + stride; ++line) {
+      const T* ul = u + line;
+      T* ol = out + line;
+      for (int k = 0; k < np; ++k) {
+        const T* arow = a + k * np;
+        T acc = 0;
+        for (int j = 0; j < np; ++j) acc += arow[j] * ul[j * stride];
+        ol[k * stride] = acc;
+      }
     }
   }
 }
@@ -68,9 +81,23 @@ inline std::vector<int> face_node_indices(int dim, int np, int f) {
 
 /// Apply a 1D operator along one tangential direction of a face array
 /// (np^(dim-1) values; dir = 0 is the fast index).
-inline void apply_face_axis(int dim, int np, int dir, const double* a, const double* u,
-                            double* out) {
+template <typename T>
+inline void apply_face_axis(int dim, int np, int dir, const T* a, const T* u, T* out) {
   apply_axis(dim - 1, np, dir, a, u, out);
+}
+
+/// In place on a face array: apply ops[(bits >> k) & 1] along every
+/// tangential direction k in turn (the 2:1 mortar interpolations and their
+/// transposes). `tmp` is np^(dim-1) values of scratch.
+template <typename T>
+inline void face_sweep(int dim, int np, const T* const ops[2], int bits, T* data, T* tmp) {
+  T* src = data;
+  T* dst = tmp;
+  for (int k = 0; k < dim - 1; ++k) {
+    apply_face_axis(dim, np, k, ops[(bits >> k) & 1], src, dst);
+    std::swap(src, dst);
+  }
+  if (src != data) std::copy_n(src, ipow(np, dim - 1), data);
 }
 
 }  // namespace esamr::sfem

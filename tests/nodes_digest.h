@@ -1,17 +1,13 @@
-// FNV-1a style digests shared by the Nodes tests: a fold step, and a digest
-// over every field of one rank's NodeNumbering — counts and offsets, owned
+// FNV-1a style digest shared by the Nodes tests (fold step in digest.h): a
+// digest over every field of one rank's NodeNumbering — counts and offsets, owned
 // keys, gid keys, and each element slot's (gid, weight bits).
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 
+#include "digest.h"
 #include "forest/nodes.h"
-
-inline void fold(std::uint64_t& h, std::int64_t v) {
-  h ^= static_cast<std::uint64_t>(v);
-  h *= 1099511628211ull;
-}
 
 template <int Dim>
 std::uint64_t nodes_digest(const esamr::forest::NodeNumbering<Dim>& n) {

@@ -1,10 +1,12 @@
 // Tests for the dG advection solver: spectral convergence on periodic
 // meshes, exactness of the RHS for constants, conservation across hanging
-// faces, and the dynamically adaptive driver (transfer + repartition).
+// faces, the dynamically adaptive driver (transfer + repartition), and
+// recorded digests of the advected field (AdvectionGolden).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "digest.h"
 #include "sfem/dg_advection.h"
 
 using namespace esamr::sfem;
@@ -188,3 +190,99 @@ TEST_P(AdvectionRanks, AmrDriverTracksAMovingFront) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, AdvectionRanks, ::testing::Values(1, 2, 4));
+
+namespace {
+
+/// The Fig. 5 benchmark setup: degree-3 solid-body rotation of four Gaussian
+/// fronts on the shell, levels 1-3, two initial adapt rounds, then 33 steps
+/// with an adapt every 16 (two adapts, transfer and repartition included).
+std::uint64_t shell_fronts_digest(par::Comm& c) {
+  const auto conn = Connectivity<3>::shell();
+  AmrAdvectionDriver<3> driver(
+      c, &conn, shell_map(),
+      [](const std::array<double, 3>& x) { return std::array<double, 3>{-x[1], x[0], 0.0}; },
+      /*degree=*/3, /*initial_level=*/1, /*max_level=*/3);
+  const auto fronts = [](const std::array<double, 3>& x) {
+    double v = 0.0;
+    for (int k = 0; k < 4; ++k) {
+      const double phi = 2.0 * M_PI * k / 4.0;
+      const double cx = 0.78 * std::cos(phi), cy = 0.78 * std::sin(phi);
+      const double d2 = (x[0] - cx) * (x[0] - cx) + (x[1] - cy) * (x[1] - cy) + x[2] * x[2];
+      v += std::exp(-60.0 * d2);
+    }
+    return v;
+  };
+  driver.initialize(fronts, 2, 0.05, 0.015);
+  driver.run(/*nsteps=*/33, /*adapt_every=*/16, /*cfl=*/0.35, 0.05, 0.015);
+  return field_digest<double>(c, driver.solution());
+}
+
+/// Degree 4 on two unit squares joined with a 180-degree rotation, refined
+/// so that coarse and fine faces cross the rotated join; 20 steps of a
+/// sheared flow through the join.
+std::uint64_t rotated_join_digest(par::Comm& c) {
+  MacroMesh<2> mm;
+  mm.vertex_coords = {{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {1, 1, 0}, {2, 0, 0}, {2, 1, 0}};
+  mm.tree_to_vertex = {{0, 1, 2, 3}, {5, 3, 4, 1}};
+  const auto conn = Connectivity<2>::build(mm);
+  auto f = Forest<2>::new_uniform(c, &conn, 1);
+  // The low half of each tree's own frame is finer. The trees' y axes point
+  // opposite ways, so each half of the join is fine on one side only.
+  f.refine(3, true, [&](int, const Octant<2>& o) {
+    const auto half = Octant<2>::root_len / 2;
+    return o.coord(1) < half ? o.level < 3 : o.level < 2 && o.coord(0) < half;
+  });
+  f.balance();
+  f.partition();
+  const auto g = GhostLayer<2>::build(f);
+  const auto mesh = DgMesh<2>::build(f, g, 4, vertex_map<2>(conn));
+  // Both trees meet through their face 1; count hanging faces on that join.
+  std::int64_t join_coarse = 0, join_fine = 0;
+  for (std::int64_t e = 0; e < mesh.n_local; ++e) {
+    const auto& side = mesh.face(e, 1);
+    if (side.nbr_face != 1) continue;
+    join_coarse += side.kind == DgMesh<2>::FaceKind::coarse;
+    join_fine += side.kind == DgMesh<2>::FaceKind::fine;
+  }
+  EXPECT_GT(c.allreduce(join_coarse, par::ReduceOp::sum), 0);
+  EXPECT_GT(c.allreduce(join_fine, par::ReduceOp::sum), 0);
+
+  Advection<2> adv(&mesh, [](const std::array<double, 3>& x) {
+    return std::array<double, 3>{0.9 + 0.2 * x[1], 0.3 * std::sin(M_PI * x[0]), 0.0};
+  });
+  std::vector<double> cf(static_cast<std::size_t>(mesh.n_local) * mesh.nv);
+  for (std::size_t i = 0; i < cf.size(); ++i) {
+    const double dx = mesh.coords[i * 3] - 0.8, dy = mesh.coords[i * 3 + 1] - 0.5;
+    cf[i] = std::exp(-12.0 * (dx * dx + dy * dy));
+  }
+  const double dt = adv.stable_dt(0.35);
+  for (int s = 0; s < 20; ++s) adv.step(cf, dt);
+  return field_digest<double>(c, cf);
+}
+
+}  // namespace
+
+/// The solver is bitwise P-invariant, so each input has one recorded digest
+/// for every rank count. Kernel, mortar and halo-exchange changes must keep
+/// these bit for bit.
+class AdvectionGolden : public ::testing::TestWithParam<int> {};
+
+TEST_P(AdvectionGolden, ShellFrontsMatchRecordedDigest) {
+  par::run(GetParam(), [&](par::Comm& c) {
+    const std::uint64_t d = shell_fronts_digest(c);
+    if (c.rank() == 0) {
+      EXPECT_EQ(d, 0x0cccc2065e32b096ull) << std::hex << d;
+    }
+  });
+}
+
+TEST_P(AdvectionGolden, RotatedJoinMatchesRecordedDigest) {
+  par::run(GetParam(), [&](par::Comm& c) {
+    const std::uint64_t d = rotated_join_digest(c);
+    if (c.rank() == 0) {
+      EXPECT_EQ(d, 0xdef6c7f336498553ull) << std::hex << d;
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, AdvectionGolden, ::testing::Values(1, 3, 4));

@@ -2,11 +2,13 @@
 // propagation at the correct speeds, energy behavior (decaying with upwind
 // fluxes, nearly conserved for resolved solutions), free-surface boundaries,
 // heterogeneous (acoustic-elastic) interfaces, hanging faces, and agreement
-// between the double and single-precision ("accelerated") kernels.
+// between the double and single-precision ("accelerated") kernels, and
+// recorded digests of both kernels' fields (ElasticGolden).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "digest.h"
 #include "sfem/dg_elastic.h"
 
 using namespace esamr::sfem;
@@ -208,3 +210,73 @@ TEST_P(ElasticRanks, AcousticLayerCarriesPWavesOnly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ElasticRanks, ::testing::Values(1, 2, 3));
+
+namespace {
+
+/// 10 steps of a velocity blob on a randomly refined, balanced 2x1x1 brick
+/// (periodic in x, free surfaces elsewhere) with three media: two solids and
+/// an acoustic (mu = 0) layer, so same, coarse, fine and boundary faces all
+/// carry both the elastic and the fluid Riemann branches.
+template <typename Real>
+std::uint64_t elastic_brick_digest(par::Comm& c) {
+  const auto conn = Connectivity<3>::brick({2, 1, 1}, {true, false, false});
+  auto f = Forest<3>::new_uniform(c, &conn, 1);
+  // A splitmix64 pick: random_mark keys on bits that coarse octants share.
+  f.refine(2, true, [&](int t, const Octant<3>& o) {
+    std::uint64_t h = o.key() ^ static_cast<std::uint64_t>(t) << 40 ^ 0x5eedull;
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+    return o.level < 2 && (h ^ (h >> 31)) % 3 == 0;
+  });
+  f.balance();
+  f.partition();
+  const auto g = GhostLayer<3>::build(f);
+  const auto mesh = DgMesh<3>::build(f, g, 3, vertex_map<3>(conn));
+  ElasticWave<3, Real> wave(&mesh, [](const std::array<double, 3>& x) {
+    if (x[2] > 0.75) return Material{1.0, 2.0, 0.0};
+    return x[0] < 1.0 ? Material{1.0, 3.0, 1.5} : Material{2.0, 1.0, 0.5};
+  });
+  auto q = wave.zero_state();
+  const int nv = mesh.nv;
+  for (std::int64_t e = 0; e < mesh.n_local; ++e) {
+    for (int node = 0; node < nv; ++node) {
+      const std::size_t nb = static_cast<std::size_t>(e) * nv + static_cast<std::size_t>(node);
+      const double dx = mesh.coords[nb * 3] - 0.9, dy = mesh.coords[nb * 3 + 1] - 0.5,
+                   dz = mesh.coords[nb * 3 + 2] - 0.6;
+      const double blob = std::exp(-20.0 * (dx * dx + dy * dy + dz * dz));
+      Real* qe = q.data() + static_cast<std::size_t>(e) * ElasticWave<3, Real>::ncomp * nv;
+      qe[0 * nv + node] = static_cast<Real>(blob);         // vx
+      qe[2 * nv + node] = static_cast<Real>(-0.5 * blob);  // vz
+      qe[6 * nv + node] = static_cast<Real>(0.25 * blob);  // Eyz
+    }
+  }
+  const double dt = wave.stable_dt(0.3);
+  for (int s = 0; s < 10; ++s) wave.step(q, dt);
+  return field_digest<Real>(c, q);
+}
+
+}  // namespace
+
+/// Both kernels are bitwise P-invariant, so each has one recorded digest for
+/// every rank count. Kernel changes must keep these bit for bit.
+class ElasticGolden : public ::testing::TestWithParam<int> {};
+
+TEST_P(ElasticGolden, DoubleKernelMatchesRecordedDigest) {
+  par::run(GetParam(), [&](par::Comm& c) {
+    const std::uint64_t d = elastic_brick_digest<double>(c);
+    if (c.rank() == 0) {
+      EXPECT_EQ(d, 0x00a32c84cdb48d3cull) << std::hex << d;
+    }
+  });
+}
+
+TEST_P(ElasticGolden, FloatKernelMatchesRecordedDigest) {
+  par::run(GetParam(), [&](par::Comm& c) {
+    const std::uint64_t d = elastic_brick_digest<float>(c);
+    if (c.rank() == 0) {
+      EXPECT_EQ(d, 0x1cf460873d906d5bull) << std::hex << d;
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ElasticGolden, ::testing::Values(1, 3, 4));

@@ -1,7 +1,8 @@
 // Tests for the dG mesh layer: face neighbor classification, orientation
 // alignment across rotated inter-tree connections, hanging-face pairing, and
 // geometric watertightness — my face nodes must coincide physically with the
-// neighbor's mapped face nodes, including interpolated 2:1 faces.
+// neighbor's mapped face nodes, including interpolated 2:1 faces — and the
+// ghost-adjacent element set that the overlapped halo exchange relies on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -219,3 +220,57 @@ TEST_P(DgMeshRanks, AnnulusVolume) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, DgMeshRanks, ::testing::Values(1, 2, 3));
+
+namespace {
+
+/// mesh.ghost_adjacent must list, ascending, exactly the local elements with
+/// some nbr_ghost slot set: the elements a dG stage computes only after the
+/// halo exchange has finished.
+template <int Dim>
+void expect_ghost_adjacent_exact(const DgMesh<Dim>& mesh) {
+  std::vector<std::int32_t> want;
+  for (std::int64_t e = 0; e < mesh.n_local; ++e) {
+    bool ghost = false;
+    for (int f = 0; f < DgMesh<Dim>::nfaces; ++f) {
+      for (const std::uint8_t g : mesh.face(e, f).nbr_ghost) ghost = ghost || g != 0;
+    }
+    if (ghost) want.push_back(static_cast<std::int32_t>(e));
+  }
+  EXPECT_EQ(mesh.ghost_adjacent, want);
+  // Every rank of a connected mesh has a partition boundary.
+  EXPECT_FALSE(want.empty());
+}
+
+}  // namespace
+
+class DgMeshGhostAdjacent : public ::testing::TestWithParam<int> {};
+
+TEST_P(DgMeshGhostAdjacent, AdaptivePeriodicBrick2D) {
+  par::run(GetParam(), [&](par::Comm& c) {
+    const auto conn = Connectivity<2>::brick({2, 2}, {true, true});
+    auto f = Forest<2>::new_uniform(c, &conn, 2);
+    f.refine(4, true, [&](int t, const Octant<2>& o) {
+      return o.level < 4 && random_mark(t, o, 8, 3);
+    });
+    f.balance();
+    f.partition();
+    const auto g = GhostLayer<2>::build(f);
+    expect_ghost_adjacent_exact(DgMesh<2>::build(f, g, 2, vertex_map<2>(conn)));
+  });
+}
+
+TEST_P(DgMeshGhostAdjacent, AdaptiveRotcubes3D) {
+  par::run(GetParam(), [&](par::Comm& c) {
+    const auto conn = Connectivity<3>::rotcubes();
+    auto f = Forest<3>::new_uniform(c, &conn, 1);
+    f.refine(3, true, [&](int t, const Octant<3>& o) {
+      return o.level < 3 && random_mark(t, o, 6, 4);
+    });
+    f.balance();
+    f.partition();
+    const auto g = GhostLayer<3>::build(f);
+    expect_ghost_adjacent_exact(DgMesh<3>::build(f, g, 1, vertex_map<3>(conn)));
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, DgMeshGhostAdjacent, ::testing::Values(2, 3, 4));

@@ -1,9 +1,11 @@
 // Tests for the Ghost layer: completeness and exactness against a
-// brute-force adjacency computation on the globally gathered forest, and
-// round-trip payload exchange.
+// brute-force adjacency computation on the globally gathered forest,
+// round-trip payload exchange, and rejection of mis-sized payloads.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "forest/ghost.h"
 
@@ -209,6 +211,32 @@ TEST_P(GhostRanks, PayloadExchangeRoundTrip) {
       EXPECT_EQ(ghost_data[i], fingerprint(g.ghosts[i].tree, g.ghosts[i].oct));
     }
   });
+}
+
+TEST_P(GhostRanks, MismatchedPayloadSizeIsRejected) {
+  // Rank r sends 1 + r values per mirror, so each receiver gets payloads
+  // that are too large (from higher ranks) or too small (from lower ones).
+  std::string what;
+  try {
+    par::run(GetParam(), [&](par::Comm& c) {
+      const auto conn = Connectivity<2>::brick({2, 2}, {false, false});
+      auto f = Forest<2>::new_uniform(c, &conn, 3);
+      const auto g = GhostLayer<2>::build(f);
+      const int per_elem = 1 + c.rank();
+      const std::vector<double> mirror_data(g.mirrors.size() * static_cast<std::size_t>(per_elem),
+                                            1.0);
+      const auto ghost_data = g.exchange<double>(c, mirror_data, per_elem);
+      EXPECT_EQ(ghost_data.size(), g.ghosts.size() * static_cast<std::size_t>(per_elem));
+    });
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  if (GetParam() == 1) {
+    EXPECT_EQ(what, "");  // no peers, nothing to mismatch
+    return;
+  }
+  EXPECT_NE(what.find("GhostLayer::exchange: rank "), std::string::npos) << what;
+  EXPECT_NE(what.find(" bytes, expected "), std::string::npos) << what;
 }
 
 TEST_P(GhostRanks, GhostsSortedByOwnerThenSfc) {
