@@ -7,8 +7,9 @@
 // insulation layer of its parent (the 3^Dim block of level-(l-1) octants
 // centered on it, mapped into neighbor trees where it leaves the root). A
 // bucket octant at level j is a constraint demanding that every leaf
-// overlapping it end at level >= j. Buckets are processed finest to
-// coarsest with a sort+unique merge per (tree, level); each surviving
+// overlapping it end at level >= j. Buckets hold Morton keys (one level per
+// bucket, so key order is SFC order) and are processed finest to coarsest
+// with a sort+unique merge of the keys per (tree, level); each surviving
 // constraint propagates its own parent's insulation layer one level down. A
 // constraint whose region is fully owned by this rank and already tiled by
 // equal-or-finer leaves is pruned outright — the covering leaves' own seeds
@@ -93,11 +94,13 @@ void Forest<Dim>::balance_single_pass_impl(const std::vector<std::vector<Oct>>* 
   ops.balance_calls++;
   const std::int64_t n_before = num_local();
   const int nt = num_trees();
-  // Level buckets: bucket[t][l] holds constraint octants of tree t at level
-  // l, each demanding that every overlapping leaf end at level >= l.
-  std::vector<std::vector<std::vector<Oct>>> bucket(
+  // Level buckets: bucket[t][l] holds the keys of constraint octants of
+  // tree t at level l, each demanding that every overlapping leaf end at
+  // level >= l. All are inside the root at one level, so a key names its
+  // octant and key order is SFC order.
+  std::vector<std::vector<std::vector<std::uint64_t>>> bucket(
       static_cast<std::size_t>(nt),
-      std::vector<std::vector<Oct>>(static_cast<std::size_t>(Oct::max_level) + 1));
+      std::vector<std::vector<std::uint64_t>>(static_cast<std::size_t>(Oct::max_level) + 1));
   int top = 0;  // highest nonempty bucket level
 
   // Insert the insulation layer of `par` (level par.level members, including
@@ -109,11 +112,11 @@ void Forest<Dim>::balance_single_pass_impl(const std::vector<std::vector<Oct>>* 
     for (int code = 0; code < Oct::num_insulation; ++code) {
       const Oct n = par.insulation_neighbor(code);
       if (n.inside_root()) {
-        bucket[static_cast<std::size_t>(t)][l].push_back(n);
+        bucket[static_cast<std::size_t>(t)][l].push_back(n.key());
         ops.balance_seed_octants++;
       } else {
         for (const auto& [t2, img] : conn_->exterior_images(t, n)) {
-          bucket[static_cast<std::size_t>(t2)][l].push_back(img);
+          bucket[static_cast<std::size_t>(t2)][l].push_back(img.key());
           ops.balance_seed_octants++;
         }
       }
@@ -182,24 +185,24 @@ void Forest<Dim>::balance_single_pass_impl(const std::vector<std::vector<Oct>>* 
   }
 
   // Propagate finest to coarsest. Every bucket is deduplicated by one
-  // sort+unique merge pass; surviving constraints are kept for the local
-  // completion, shipped to foreign owners, and cascade their parent's
-  // insulation layer one level down.
+  // sort+unique merge pass over its keys; surviving constraints are kept for
+  // the local completion, shipped to foreign owners, and cascade their
+  // parent's insulation layer one level down.
   std::vector<std::vector<Oct>> cons(static_cast<std::size_t>(nt));
   std::vector<std::vector<OctMsg>> send(static_cast<std::size_t>(p));
   for (int l = top; l >= 1; --l) {
     for (int t = 0; t < nt; ++t) {
-      auto& buf = bucket[static_cast<std::size_t>(t)][static_cast<std::size_t>(l)];
-      if (buf.empty()) continue;
+      auto& keys = bucket[static_cast<std::size_t>(t)][static_cast<std::size_t>(l)];
+      if (keys.empty()) continue;
       ops.balance_merge_passes++;
-      std::sort(buf.begin(), buf.end());
-      buf.erase(std::unique(buf.begin(), buf.end()), buf.end());
+      std::sort(keys.begin(), keys.end());
+      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
       const auto& leaves = trees_[static_cast<std::size_t>(t)];
       Oct last_par;
       bool have_par = false;
-      for (const Oct& b : buf) {
-        const int r0 = find_owner(t, b);
-        const int r1 = find_owner(t, b.last_descendant(Oct::max_level));
+      for (const std::uint64_t k : keys) {
+        const Oct b = Oct::from_key(k, l);
+        const auto [r0, r1] = owner_range(t, b);
         bool pruned = false;
         if (r0 == me && r1 == me) {
           // Fully local: the constraint binds iff a strictly coarser leaf
@@ -232,8 +235,8 @@ void Forest<Dim>::balance_single_pass_impl(const std::vector<std::vector<Oct>>* 
           }
         }
       }
-      buf.clear();
-      buf.shrink_to_fit();
+      keys.clear();
+      keys.shrink_to_fit();
     }
   }
 

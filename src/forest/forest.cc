@@ -127,11 +127,22 @@ void Forest<Dim>::update_partition_meta() {
 }
 
 template <int Dim>
-int Forest<Dim>::find_owner(int tree_id, const Oct& o) const {
-  const SfcPosition pos{tree_id, o.key()};
+int Forest<Dim>::owner_of(const SfcPosition& pos) const {
   const auto it = std::upper_bound(markers_.begin(), markers_.end(), pos);
   const auto idx = it - markers_.begin();
   return idx > 0 ? static_cast<int>(idx - 1) : 0;
+}
+
+template <int Dim>
+int Forest<Dim>::find_owner(int tree_id, const Oct& o) const {
+  return owner_of(SfcPosition{tree_id, o.key()});
+}
+
+template <int Dim>
+std::pair<int, int> Forest<Dim>::owner_range(int tree_id, const Oct& o) const {
+  const std::uint64_t first = o.key();
+  const std::uint64_t below = (std::uint64_t{1} << (Dim * (Oct::max_level - o.level))) - 1;
+  return {owner_of(SfcPosition{tree_id, first}), owner_of(SfcPosition{tree_id, first | below})};
 }
 
 template <int Dim>

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "forest/connectivity.h"
@@ -160,6 +161,13 @@ class Forest {
   /// inside its tree's root.
   int find_owner(int tree_id, const Oct& o) const;
 
+  /// First and last rank owning part of `o`'s region: the owners of its
+  /// first and last max-level descendants, found from one key (the last
+  /// descendant's key is key() with the low Dim * (max_level - level) bits
+  /// set). Every rank in between owns part of the region or nothing at all.
+  /// `o` must be inside its tree's root.
+  std::pair<int, int> owner_range(int tree_id, const Oct& o) const;
+
   /// True if `o` lies strictly inside its tree (no insulation octant leaves
   /// the root) and this rank owns the full same-level insulation
   /// neighborhood of `o` (the 3^Dim block centered on it). Such a leaf can
@@ -212,6 +220,9 @@ class Forest {
   /// used by balance_incremental).
   void balance_single_pass_impl(const std::vector<std::vector<Oct>>* seed_filter,
                                 DeltaSet<Dim>* seed_raw = nullptr);
+
+  /// Rank owning SFC position `pos` (search of the replicated markers).
+  int owner_of(const SfcPosition& pos) const;
 
   par::Comm* comm_;
   const Conn* conn_;

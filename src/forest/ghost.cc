@@ -23,8 +23,7 @@ constexpr int ipow_dirs(int b, int e) {
 template <int Dim>
 void collect_owners(const Forest<Dim>& f, int tree, const Octant<Dim>& n,
                     const typename Connectivity<Dim>::EntityPins& pins, std::vector<int>& out) {
-  const int r0 = f.find_owner(tree, n);
-  const int r1 = f.find_owner(tree, n.last_descendant(Octant<Dim>::max_level));
+  const auto [r0, r1] = f.owner_range(tree, n);
   if (r0 == r1 || n.level >= Octant<Dim>::max_level) {
     for (int r = r0; r <= r1; ++r) out.push_back(r);
     return;

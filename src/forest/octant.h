@@ -109,15 +109,24 @@ struct Octant {
   /// Morton index of the lower corner, interleaved over all max_level bits.
   /// Requires in-root coordinates. Equal keys imply ancestor/descendant
   /// (first-descendant) relation; combined with the level this yields the
-  /// space-filling-curve total order.
+  /// space-filling-curve total order. On any input, each coordinate
+  /// contributes exactly its low max_level bits, spread apart by five
+  /// shift-and-mask steps.
   constexpr std::uint64_t key() const {
-    std::uint64_t k = 0;
-    for (int b = 0; b < max_level; ++b) {
-      k |= (static_cast<std::uint64_t>((x >> b) & 1)) << (Dim * b + 0);
-      k |= (static_cast<std::uint64_t>((y >> b) & 1)) << (Dim * b + 1);
-      if constexpr (Dim == 3) k |= (static_cast<std::uint64_t>((z >> b) & 1)) << (Dim * b + 2);
-    }
+    std::uint64_t k = spread(x) | spread(y) << 1;
+    if constexpr (Dim == 3) k |= spread(z) << 2;
     return k;
+  }
+
+  /// The in-root octant at `lvl` whose key() is `k` (the inverse of key();
+  /// `k` must be a key of a level-`lvl` octant).
+  static constexpr Octant from_key(std::uint64_t k, int lvl) {
+    Octant o;
+    o.x = compact(k);
+    o.y = compact(k >> 1);
+    if constexpr (Dim == 3) o.z = compact(k >> 2);
+    o.level = static_cast<std::int8_t>(lvl);
+    return o;
   }
 
   /// True iff the most significant set bit of `b` is strictly above that of
@@ -128,11 +137,12 @@ struct Octant {
 
   /// Space-filling-curve order: Morton key first, then level (an ancestor
   /// precedes all of its descendants). Branchless formulation: instead of
-  /// materializing the interleaved 64-bit keys (a max_level-iteration loop
-  /// per call), find the axis holding the highest differing interleaved bit
-  /// — the coordinate pair with the greatest XOR msb, ties going to the
-  /// higher axis index whose bit is more significant in the key — and
-  /// compare that coordinate directly. Identical order to comparing key().
+  /// materializing both interleaved 64-bit keys (five shift-and-mask steps
+  /// per coordinate each), find the axis holding the highest differing
+  /// interleaved bit — the coordinate pair with the greatest XOR msb, ties
+  /// going to the higher axis index whose bit is more significant in the
+  /// key — and compare that coordinate directly. Identical order to
+  /// comparing key().
   friend constexpr bool operator<(const Octant& a, const Octant& b) {
     const auto xd = static_cast<std::uint32_t>(a.x) ^ static_cast<std::uint32_t>(b.x);
     const auto yd = static_cast<std::uint32_t>(a.y) ^ static_cast<std::uint32_t>(b.y);
@@ -275,6 +285,47 @@ struct Octant {
   /// Overlap test for two octants of the same tree (one contains the other,
   /// or they are equal, iff their regions intersect).
   constexpr bool overlaps(const Octant& o) const { return contains(o) || o.contains(*this); }
+
+ private:
+  /// The low max_level bits of `v`, bit b moved to bit Dim * b.
+  static constexpr std::uint64_t spread(std::int32_t v) {
+    auto b = static_cast<std::uint64_t>(static_cast<std::uint32_t>(v) & (root_len - 1u));
+    if constexpr (Dim == 2) {
+      b = (b | b << 16) & 0x0000ffff0000ffffull;
+      b = (b | b << 8) & 0x00ff00ff00ff00ffull;
+      b = (b | b << 4) & 0x0f0f0f0f0f0f0f0full;
+      b = (b | b << 2) & 0x3333333333333333ull;
+      b = (b | b << 1) & 0x5555555555555555ull;
+    } else {
+      b = (b | b << 32) & 0x001f00000000ffffull;
+      b = (b | b << 16) & 0x001f0000ff0000ffull;
+      b = (b | b << 8) & 0x100f00f00f00f00full;
+      b = (b | b << 4) & 0x10c30c30c30c30c3ull;
+      b = (b | b << 2) & 0x1249249249249249ull;
+    }
+    return b;
+  }
+
+  /// Inverse of spread(): gathers bits 0, Dim, 2 Dim, ... of `k`.
+  static constexpr std::int32_t compact(std::uint64_t k) {
+    std::uint64_t b = k;
+    if constexpr (Dim == 2) {
+      b &= 0x5555555555555555ull;
+      b = (b | b >> 1) & 0x3333333333333333ull;
+      b = (b | b >> 2) & 0x0f0f0f0f0f0f0f0full;
+      b = (b | b >> 4) & 0x00ff00ff00ff00ffull;
+      b = (b | b >> 8) & 0x0000ffff0000ffffull;
+      b = (b | b >> 16) & 0x00000000ffffffffull;
+    } else {
+      b &= 0x1249249249249249ull;
+      b = (b | b >> 2) & 0x10c30c30c30c30c3ull;
+      b = (b | b >> 4) & 0x100f00f00f00f00full;
+      b = (b | b >> 8) & 0x001f0000ff0000ffull;
+      b = (b | b >> 16) & 0x001f00000000ffffull;
+      b = (b | b >> 32) & 0x00000000001fffffull;
+    }
+    return static_cast<std::int32_t>(b & (root_len - 1u));
+  }
 };
 
 /// Hash for octants (e.g. dedup sets). Coordinates must be in-root.

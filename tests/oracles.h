@@ -5,6 +5,7 @@
 // exactly one implementation of each algorithm.
 #pragma once
 
+#include <cstdint>
 #include <cstring>
 #include <span>
 #include <vector>
@@ -13,6 +14,21 @@
 #include "forest/ghost.h"
 
 namespace esamr::oracles {
+
+/// The original Morton key: one bit of each coordinate per iteration over
+/// all max_level bits. Octant::key() must return the same number for every
+/// input, exterior coordinates included (KeyMatchesBitLoopOracle in
+/// test_octant.cc).
+template <int Dim>
+constexpr std::uint64_t morton_key_loop(const forest::Octant<Dim>& o) {
+  std::uint64_t k = 0;
+  for (int b = 0; b < forest::Octant<Dim>::max_level; ++b) {
+    k |= (static_cast<std::uint64_t>((o.x >> b) & 1)) << (Dim * b + 0);
+    k |= (static_cast<std::uint64_t>((o.y >> b) & 1)) << (Dim * b + 1);
+    if constexpr (Dim == 3) k |= (static_cast<std::uint64_t>((o.z >> b) & 1)) << (Dim * b + 2);
+  }
+  return k;
+}
 
 /// The original iterated-ripple Balance (the seed formulation). Every leaf
 /// emits same-level "shadow" constraints into its 3^Dim - 1 neighbor

@@ -4,12 +4,15 @@
 // algorithm under test; check_balanced() (the distributed invariant walker)
 // is exercised alongside it. The Equivalence suite additionally pins the
 // single-pass rewrite to the reference ripple (tests/oracles.h), octant for
-// octant.
+// octant, and the Golden suite pins the forest and the Balance and Ghost op
+// counts of the perfbench `fractal_build` input to recorded values.
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "forest/forest.h"
+#include "forest/ghost.h"
+#include "forest/stats.h"
 #include "oracles.h"
 
 using namespace esamr::forest;
@@ -261,3 +264,62 @@ TEST_P(BalanceEquivalence, SinglePassMatchesRippleBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BalanceEquivalence, ::testing::Values(2, 4, 7, 16));
+
+namespace {
+
+/// Balance's output and work on the perfbench `fractal_build` input: the
+/// rotcubes forest refined on children {0, 3, 5, 6} until it holds at least
+/// 24,000 octants, then Partition, Balance and Ghost.
+struct FractalBalanceRun {
+  std::uint64_t checksum = 0;
+  std::int64_t octants = 0;
+  OpStats ops;  ///< summed over ranks, reset before Balance
+};
+
+FractalBalanceRun fractal_balance(int nranks) {
+  FractalBalanceRun run;
+  par::run(nranks, [&](par::Comm& c) {
+    const auto conn = Connectivity<3>::rotcubes();
+    auto f = Forest<3>::new_uniform(c, &conn, 1);
+    for (int level = 1; f.num_global() < 24000 && level < 12; ++level) {
+      f.refine(level + 1, false, [&](int, const Octant<3>& o) {
+        const int id = o.child_id();
+        return o.level == level && (id == 0 || id == 3 || id == 5 || id == 6);
+      });
+    }
+    f.partition();
+    op_stats().reset();
+    f.balance();
+    (void)GhostLayer<3>::build(f);
+    const OpStats ops = op_stats_total(c);
+    const std::uint64_t sum = f.checksum();
+    const std::int64_t n = f.num_global();
+    if (c.rank() == 0) run = FractalBalanceRun{sum, n, ops};
+  });
+  return run;
+}
+
+/// Recorded with the bit-loop Morton key: the forest and the op counts below
+/// must not depend on how SFC positions are computed.
+constexpr std::uint64_t kFractalChecksum = 0xf83092ee7a9bcae2ull;
+constexpr std::int64_t kFractalOctants = 130535;
+
+}  // namespace
+
+class BalanceGolden : public ::testing::TestWithParam<int> {};
+
+// The checksum does not depend on P; the op counts are pinned at P = 4, the
+// rank count perfbench runs.
+TEST_P(BalanceGolden, FractalBuildMatchesRecordedForestAndWork) {
+  const FractalBalanceRun run = fractal_balance(GetParam());
+  EXPECT_EQ(run.checksum, kFractalChecksum);
+  EXPECT_EQ(run.octants, kFractalOctants);
+  if (GetParam() == 4) {
+    EXPECT_EQ(run.ops.balance_seed_octants, 595665);
+    EXPECT_EQ(run.ops.balance_closure_kept, 52756);
+    EXPECT_EQ(run.ops.balance_octants_sent, 8434);
+    EXPECT_EQ(run.ops.ghost_octants_sent, 9462);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, BalanceGolden, ::testing::Values(1, 3, 4));

@@ -208,6 +208,75 @@ TEST_P(ForestRanks, FindOwnerAgreesWithStorage) {
   });
 }
 
+namespace {
+
+/// owner_range(t, o) against the two find_owner calls it replaces, for
+/// octants at every level: random ones, and every ancestor of the two
+/// max-level cells on either side of each marker, which straddle it.
+/// Returns how many checked octants span more than one rank.
+template <int Dim>
+int expect_owner_range_matches(const Forest<Dim>& f, std::uint64_t seed) {
+  using Oct = Octant<Dim>;
+  int straddling = 0;
+  const auto check = [&](int t, const Oct& o) {
+    const auto [r0, r1] = f.owner_range(t, o);
+    EXPECT_EQ(r0, f.find_owner(t, o));
+    EXPECT_EQ(r1, f.find_owner(t, o.last_descendant(Oct::max_level)));
+    if (r0 != r1) ++straddling;
+  };
+  for (const SfcPosition& m : f.markers()) {
+    if (m.tree >= f.num_trees()) continue;  // end sentinel of trailing empty ranks
+    const Oct first = Oct::from_key(m.key, Oct::max_level);
+    const Oct before = Oct::from_key(m.key - 1, Oct::max_level);
+    for (int l = 0; l <= Oct::max_level; ++l) {
+      check(m.tree, first.ancestor(l));
+      if (m.key > 0) check(m.tree, before.ancestor(l));
+    }
+  }
+  std::mt19937_64 rng(seed);
+  for (int l = 0; l <= Oct::max_level; ++l) {
+    for (int it = 0; it < 200; ++it) {
+      Oct o;
+      o.level = static_cast<std::int8_t>(l);
+      for (int a = 0; a < Dim; ++a) {
+        const auto cells = static_cast<std::uint64_t>(std::int64_t{1} << l);
+        o.set_coord(a, static_cast<std::int32_t>(rng() % cells) * o.size());
+      }
+      check(static_cast<int>(rng() % static_cast<std::uint64_t>(f.num_trees())), o);
+    }
+  }
+  return straddling;
+}
+
+}  // namespace
+
+TEST_P(ForestRanks, OwnerRangeMatchesFindOwnerPair) {
+  const int p = GetParam();
+  par::run(p, [&](par::Comm& c) {
+    const auto conn3 = Connectivity<3>::rotcubes();
+    auto f3 = Forest<3>::new_uniform(c, &conn3, 1);
+    // Tree 0 refines uniformly and the others sparsely, so rank cuts fall
+    // inside trees and coarse octants straddle them.
+    f3.refine(4, true, [](int t, const Octant<3>& o) {
+      return o.level < 4 && (t == 0 || (t + o.child_id()) % 3 == 0);
+    });
+    f3.partition();
+    const int s3 = expect_owner_range_matches(f3, 31);
+
+    const auto conn2 = Connectivity<2>::brick({3, 2}, {false, true});
+    auto f2 = Forest<2>::new_uniform(c, &conn2, 2);
+    f2.refine(6, true, [](int t, const Octant<2>& o) {
+      return o.level < 6 && (t == 1 || (t + o.child_id() + o.level) % 4 == 0);
+    });
+    f2.partition();
+    const int s2 = expect_owner_range_matches(f2, 32);
+    if (p > 1) {
+      EXPECT_GT(s3, 0);
+      EXPECT_GT(s2, 0);
+    }
+  });
+}
+
 TEST_P(ForestRanks, MaxLocalLevelAndOffsets) {
   const int p = GetParam();
   par::run(p, [&](par::Comm& c) {
@@ -224,7 +293,7 @@ TEST_P(ForestRanks, MaxLocalLevelAndOffsets) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, ForestRanks, ::testing::Values(1, 2, 3, 5, 8));
+INSTANTIATE_TEST_SUITE_P(Sizes, ForestRanks, ::testing::Values(1, 2, 3, 4, 5, 8));
 
 TEST_P(ForestRanks, PartitionForCoarseningKeepsFamiliesTogether) {
   const int p = GetParam();

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
+
+#include "oracles.h"
 
 using esamr::forest::Octant;
 using esamr::forest::Topo;
@@ -90,6 +93,62 @@ TYPED_TEST(OctantTyped, DescendantBounds) {
     EXPECT_GE(x.key(), fd.key());
     EXPECT_LE(x.key(), ld.key());
   }
+}
+
+// key() must reproduce the bit loop exactly, on in-root and exterior inputs
+// alike: aligned octants at every level with coordinates in
+// [-2 root_len, 2 root_len), plus arbitrary and extreme int32 coordinates.
+TYPED_TEST(OctantTyped, KeyMatchesBitLoopOracle) {
+  constexpr int d = TypeParam::dim;
+  using Oct = Octant<d>;
+  std::mt19937_64 rng(21);
+  const auto expect_same = [](const Oct& o) {
+    ASSERT_EQ(o.key(), esamr::oracles::morton_key_loop(o))
+        << "x=" << o.x << " y=" << o.y << " z=" << o.z << " level=" << int{o.level};
+  };
+  for (int level = 0; level <= Oct::max_level; ++level) {
+    Oct o;
+    o.level = static_cast<std::int8_t>(level);
+    const std::int64_t cells = std::int64_t{1} << level;
+    for (int it = 0; it < 2000; ++it) {
+      for (int a = 0; a < d; ++a) {
+        const auto i = static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(4 * cells));
+        o.set_coord(a, static_cast<std::int32_t>((i - 2 * cells) * o.size()));
+      }
+      expect_same(o);
+    }
+  }
+  constexpr std::int32_t edges[] = {std::numeric_limits<std::int32_t>::min(),
+                                    -Oct::root_len,
+                                    -1,
+                                    0,
+                                    1,
+                                    Oct::root_len - 1,
+                                    Oct::root_len,
+                                    std::numeric_limits<std::int32_t>::max()};
+  for (int it = 0; it < 20000; ++it) {
+    Oct o;
+    for (int a = 0; a < d; ++a) {
+      const auto r = rng();
+      o.set_coord(a, r % 4 == 0 ? edges[(r >> 2) % std::size(edges)]
+                                : static_cast<std::int32_t>(static_cast<std::uint32_t>(r >> 32)));
+    }
+    expect_same(o);
+  }
+}
+
+TYPED_TEST(OctantTyped, FromKeyInvertsKey) {
+  constexpr int d = TypeParam::dim;
+  using Oct = Octant<d>;
+  std::mt19937_64 rng(22);
+  for (int it = 0; it < 20000; ++it) {
+    const auto o = random_octant<d>(rng, Oct::max_level);
+    ASSERT_EQ(Oct::from_key(o.key(), o.level), o);
+  }
+  const auto root = Oct::root();
+  const auto last = root.last_descendant(Oct::max_level);
+  EXPECT_EQ(Oct::from_key(last.key(), Oct::max_level), last);
+  EXPECT_EQ(Oct::from_key(0, 0), root);
 }
 
 TYPED_TEST(OctantTyped, FaceNeighborsAreInvolutive) {
