@@ -218,8 +218,7 @@ void Forest<Dim>::balance_single_pass_impl(const std::vector<std::vector<Oct>>* 
         } else {
           for (int r = r0; r <= r1; ++r) {
             if (r == me) continue;
-            send[static_cast<std::size_t>(r)].push_back(
-                OctMsg{t, b.x, b.y, Dim == 3 ? b.z : 0, b.level});
+            send[static_cast<std::size_t>(r)].push_back(OctMsg::of(t, b));
           }
           if (r0 <= me && me <= r1) {
             cons[static_cast<std::size_t>(t)].push_back(b);
@@ -250,12 +249,7 @@ void Forest<Dim>::balance_single_pass_impl(const std::vector<std::vector<Oct>>* 
   for (const auto& from : recv) {
     for (const OctMsg& m : from) {
       ops.balance_octants_recv++;
-      Oct o;
-      o.x = m.x;
-      o.y = m.y;
-      if constexpr (Dim == 3) o.z = m.z;
-      o.level = static_cast<std::int8_t>(m.level);
-      cons[static_cast<std::size_t>(m.tree)].push_back(o);
+      cons[static_cast<std::size_t>(m.tree)].push_back(m.octant<Dim>());
     }
   }
 

@@ -231,78 +231,19 @@ Connectivity<Dim> Connectivity<Dim>::build(const MacroMesh<Dim>& mesh) {
   return conn;
 }
 
-template <int Dim>
-auto Connectivity<Dim>::exterior_images(int tree, const Oct& n) const
-    -> std::vector<std::pair<int, Oct>> {
-  constexpr std::int32_t r = Oct::root_len;
-  const std::int32_t h = n.size();
-  std::array<int, 3> out{0, 0, 0};
-  int nout = 0;
-  for (int a = 0; a < Dim; ++a) {
-    const std::int32_t c = n.coord(a);
-    if (c < 0) {
-      out[static_cast<std::size_t>(a)] = -1;
-      ++nout;
-    } else if (c + h > r) {
-      out[static_cast<std::size_t>(a)] = 1;
-      ++nout;
-    }
-  }
-  std::vector<std::pair<int, Oct>> images;
-  if (nout == 0) {
-    images.emplace_back(tree, n);
-    return images;
-  }
-  if (nout == 1) {
-    int axis = 0;
-    for (int a = 0; a < Dim; ++a)
-      if (out[static_cast<std::size_t>(a)] != 0) axis = a;
-    const int f = 2 * axis + (out[static_cast<std::size_t>(axis)] > 0 ? 1 : 0);
-    const FaceConn& fc = face_connection(tree, f);
-    if (fc.tree < 0) return images;
-    images.emplace_back(fc.tree, fc.xform.template apply_octant<Dim>(n));
-    return images;
-  }
-  if (nout == Dim) {  // diagonal across a macro corner
-    int c = 0;
-    for (int a = 0; a < Dim; ++a)
-      if (out[static_cast<std::size_t>(a)] > 0) c |= 1 << a;
-    for (const CornerConn& cc : corner_connections(tree, c)) {
-      Oct img;
-      img.level = n.level;
-      for (int a = 0; a < Dim; ++a)
-        img.set_coord(a, ((cc.corner >> a) & 1) ? r - h : 0);
-      images.emplace_back(cc.tree, img);
-    }
-    return images;
-  }
-  if constexpr (Dim == 3) {  // nout == 2: diagonal across a macro edge
-    int a3 = 0;
-    for (int a = 0; a < 3; ++a)
-      if (out[static_cast<std::size_t>(a)] == 0) a3 = a;
-    const auto tr = edge_transverse(a3);
-    const int idx = (out[static_cast<std::size_t>(tr[0])] > 0 ? 1 : 0) |
-                    (out[static_cast<std::size_t>(tr[1])] > 0 ? 2 : 0);
-    const int e = 4 * a3 + idx;
-    const std::int32_t t = n.coord(a3);
-    for (const EdgeConn& ec : edge_connections(tree, e)) {
-      const int axis2 = Topo<3>::edge_axis[ec.edge];
-      const auto tr2 = edge_transverse(axis2);
-      const int idx2 = ec.edge & 3;
-      Oct img;
-      img.level = n.level;
-      img.set_coord(axis2, ec.flip ? r - h - t : t);
-      img.set_coord(tr2[0], (idx2 & 1) ? r - h : 0);
-      img.set_coord(tr2[1], (idx2 & 2) ? r - h : 0);
-      images.emplace_back(ec.tree, img);
-    }
-  }
-  return images;
-}
+namespace {
 
-template <int Dim>
-auto Connectivity<Dim>::exterior_images_entity(int tree, const Oct& n, EntityPins pins) const
-    -> std::vector<std::tuple<int, Oct, EntityPins>> {
+/// The one body of exterior_images and exterior_images_entity: calls
+/// emit(tree', octant', pins') for every image of the exterior position `n`
+/// of `tree`, carrying the boundary entity `pins` of `n` into each target
+/// tree's frame. A single-axis exit crosses a macro face through its
+/// transform; a multi-axis exit lands on the touching cell of every tree
+/// sharing the macro corner (all axes) or edge (two axes, 3D).
+template <int Dim, typename Emit>
+void for_each_exterior_image(const Connectivity<Dim>& conn, int tree, const Octant<Dim>& n,
+                             const typename Connectivity<Dim>::EntityPins& pins, Emit&& emit) {
+  using Oct = Octant<Dim>;
+  using Pins = typename Connectivity<Dim>::EntityPins;
   constexpr std::int32_t r = Oct::root_len;
   const std::int32_t h = n.size();
   std::array<int, 3> out{0, 0, 0};
@@ -317,19 +258,18 @@ auto Connectivity<Dim>::exterior_images_entity(int tree, const Oct& n, EntityPin
       ++nout;
     }
   }
-  std::vector<std::tuple<int, Oct, EntityPins>> images;
   if (nout == 0) {
-    images.emplace_back(tree, n, pins);
-    return images;
+    emit(tree, n, pins);
+    return;
   }
   if (nout == 1) {
     int axis = 0;
     for (int a = 0; a < Dim; ++a)
       if (out[static_cast<std::size_t>(a)] != 0) axis = a;
     const int f = 2 * axis + (out[static_cast<std::size_t>(axis)] > 0 ? 1 : 0);
-    const FaceConn& fc = face_connection(tree, f);
-    if (fc.tree < 0) return images;
-    EntityPins p2;
+    const auto& fc = conn.face_connection(tree, f);
+    if (fc.tree < 0) return;
+    Pins p2;
     for (int j = 0; j < 3; ++j) {
       const auto i = static_cast<std::size_t>(fc.xform.perm[static_cast<std::size_t>(j)]);
       const std::int8_t v = pins.pin[i];
@@ -338,25 +278,25 @@ auto Connectivity<Dim>::exterior_images_entity(int tree, const Oct& n, EntityPin
                   : (fc.xform.sign[static_cast<std::size_t>(j)] > 0 ? v
                                                                     : static_cast<std::int8_t>(1 - v));
     }
-    images.emplace_back(fc.tree, fc.xform.template apply_octant<Dim>(n), p2);
-    return images;
+    emit(fc.tree, fc.xform.template apply_octant<Dim>(n), p2);
+    return;
   }
   if (nout == Dim) {  // across a macro corner: the interface is the corner
     int c = 0;
     for (int a = 0; a < Dim; ++a)
       if (out[static_cast<std::size_t>(a)] > 0) c |= 1 << a;
-    for (const CornerConn& cc : corner_connections(tree, c)) {
+    for (const auto& cc : conn.corner_connections(tree, c)) {
       Oct img;
       img.level = n.level;
-      EntityPins p2;
+      Pins p2;
       for (int a = 0; a < Dim; ++a) {
         const bool hi = ((cc.corner >> a) & 1) != 0;
         img.set_coord(a, hi ? r - h : 0);
         p2.pin[static_cast<std::size_t>(a)] = hi ? 1 : 0;
       }
-      images.emplace_back(cc.tree, img, p2);
+      emit(cc.tree, img, p2);
     }
-    return images;
+    return;
   }
   if constexpr (Dim == 3) {  // nout == 2: across a macro edge
     int a3 = 0;
@@ -368,7 +308,7 @@ auto Connectivity<Dim>::exterior_images_entity(int tree, const Oct& n, EntityPin
     const int e = 4 * a3 + idx;
     const std::int32_t t = n.coord(a3);
     const std::int8_t along_pin = pins.pin[static_cast<std::size_t>(a3)];
-    for (const EdgeConn& ec : edge_connections(tree, e)) {
+    for (const auto& ec : conn.edge_connections(tree, e)) {
       const int axis2 = Topo<3>::edge_axis[ec.edge];
       const auto tr2 = edge_transverse(axis2);
       const int idx2 = ec.edge & 3;
@@ -377,15 +317,38 @@ auto Connectivity<Dim>::exterior_images_entity(int tree, const Oct& n, EntityPin
       img.set_coord(axis2, ec.flip ? r - h - t : t);
       img.set_coord(tr2[0], (idx2 & 1) ? r - h : 0);
       img.set_coord(tr2[1], (idx2 & 2) ? r - h : 0);
-      EntityPins p2;
+      Pins p2;
       p2.pin[static_cast<std::size_t>(tr2[0])] = (idx2 & 1) ? 1 : 0;
       p2.pin[static_cast<std::size_t>(tr2[1])] = (idx2 & 2) ? 1 : 0;
       p2.pin[static_cast<std::size_t>(axis2)] =
           (along_pin < 0) ? std::int8_t{-1}
                           : (ec.flip ? static_cast<std::int8_t>(1 - along_pin) : along_pin);
-      images.emplace_back(ec.tree, img, p2);
+      emit(ec.tree, img, p2);
     }
   }
+}
+
+}  // namespace
+
+template <int Dim>
+auto Connectivity<Dim>::exterior_images(int tree, const Oct& n) const
+    -> std::vector<std::pair<int, Oct>> {
+  std::vector<std::pair<int, Oct>> images;
+  for_each_exterior_image(*this, tree, n, EntityPins{},
+                          [&](int t2, const Oct& img, const EntityPins&) {
+                            images.emplace_back(t2, img);
+                          });
+  return images;
+}
+
+template <int Dim>
+auto Connectivity<Dim>::exterior_images_entity(int tree, const Oct& n, EntityPins pins) const
+    -> std::vector<std::tuple<int, Oct, EntityPins>> {
+  std::vector<std::tuple<int, Oct, EntityPins>> images;
+  for_each_exterior_image(*this, tree, n, pins,
+                          [&](int t2, const Oct& img, const EntityPins& p2) {
+                            images.emplace_back(t2, img, p2);
+                          });
   return images;
 }
 

@@ -47,20 +47,12 @@ template <int Dim>
 DeltaSet<Dim> DeltaSet<Dim>::replicated(par::Comm& comm) const {
   std::vector<OctMsg> flat;
   for (std::size_t t = 0; t < regions.size(); ++t) {
-    for (const Oct& o : regions[t]) {
-      flat.push_back(OctMsg{static_cast<std::int32_t>(t), o.x, o.y, Dim == 3 ? o.z : 0,
-                            o.level});
-    }
+    for (const Oct& o : regions[t]) flat.push_back(OctMsg::of(static_cast<int>(t), o));
   }
   DeltaSet out(static_cast<int>(regions.size()));
   for (const auto& from : comm.allgatherv(flat)) {
     for (const OctMsg& m : from) {
-      Oct o;
-      o.x = m.x;
-      o.y = m.y;
-      if constexpr (Dim == 3) o.z = m.z;
-      o.level = static_cast<std::int8_t>(m.level);
-      out.regions[static_cast<std::size_t>(m.tree)].push_back(o);
+      out.regions[static_cast<std::size_t>(m.tree)].push_back(m.octant<Dim>());
     }
   }
   out.normalized_ = false;
@@ -150,13 +142,12 @@ std::vector<std::vector<Octant<Dim>>> DeltaSet<Dim>::closure(const Connectivity<
     // instead of O(ball * rings) work. visited holds exact cells (mixed
     // sizes never dedup each other); the final normalize keeps outermost.
     const std::size_t nt = regions.size();
-    std::vector<std::vector<Oct>> visited(nt);
     std::vector<std::vector<Oct>> frontier = std::move(multi);
-    for (std::size_t t = 0; t < nt; ++t) {
-      std::sort(frontier[t].begin(), frontier[t].end());
-      frontier[t].erase(std::unique(frontier[t].begin(), frontier[t].end()), frontier[t].end());
-      visited[t] = frontier[t];
+    for (auto& f : frontier) {
+      std::sort(f.begin(), f.end());
+      f.erase(std::unique(f.begin(), f.end()), f.end());
     }
+    std::vector<std::vector<Oct>> visited = frontier;
     for (int r = 0; r < rings; ++r) {
       std::vector<std::vector<Oct>> cand(nt);
       bool any = false;

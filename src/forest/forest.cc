@@ -15,6 +15,30 @@ SfcPosition end_sentinel(int num_trees) {
   return SfcPosition{num_trees, 0};
 }
 
+/// The equal split of `total` octants over `p` ranks: rank r holds global
+/// SFC indices [cut[r], cut[r+1]); ranks [0, total % p) hold one extra.
+std::vector<std::int64_t> uniform_cuts(std::int64_t total, int p) {
+  const std::int64_t base = total / p, rem = total % p;
+  std::vector<std::int64_t> cut(static_cast<std::size_t>(p) + 1);
+  for (int r = 0; r <= p; ++r) {
+    cut[static_cast<std::size_t>(r)] = r * base + std::min<std::int64_t>(r, rem);
+  }
+  return cut;
+}
+
+/// The rank holding each global SFC index in [g0, g1) under monotone `cut`
+/// (cut[0] = 0, cut[p] = total).
+std::vector<int> ranks_by_cut(const std::vector<std::int64_t>& cut, std::int64_t g0,
+                              std::int64_t g1) {
+  std::vector<int> dest;
+  dest.reserve(static_cast<std::size_t>(g1 - g0));
+  for (std::int64_t g = g0; g < g1; ++g) {
+    dest.push_back(static_cast<int>(std::upper_bound(cut.begin(), cut.end(), g) - cut.begin()) -
+                   1);
+  }
+  return dest;
+}
+
 }  // namespace
 
 template <int Dim>
@@ -272,9 +296,9 @@ void Forest<Dim>::partition_payload(const std::function<double(int, const Oct&)>
   // contiguous runs move and the receive order (by source rank) preserves
   // the SFC order.
   std::vector<int> dest;
-  dest.reserve(static_cast<std::size_t>(num_local()));
   bool weighted = weight != nullptr;
   if (weighted) {
+    dest.reserve(static_cast<std::size_t>(num_local()));
     std::vector<double> w;
     w.reserve(static_cast<std::size_t>(num_local()));
     double local_sum = 0.0;
@@ -304,31 +328,23 @@ void Forest<Dim>::partition_payload(const std::function<double(int, const Oct&)>
     }
   }
   if (!weighted) {
-    // Exact uniform split of the global SFC index range: ranks [0, rem)
-    // hold base+1 octants, the rest hold base.
-    const std::int64_t total = num_global();
-    const std::int64_t base = total / p, rem = total % p;
     const std::int64_t g0 = global_offset();
-    for (std::int64_t g = g0; g < g0 + num_local(); ++g) {
-      int d;
-      if (base == 0) {
-        d = static_cast<int>(g);
-      } else if (g < (base + 1) * rem) {
-        d = static_cast<int>(g / (base + 1));
-      } else {
-        d = static_cast<int>(rem + (g - (base + 1) * rem) / base);
-      }
-      dest.push_back(d);
-    }
+    dest = ranks_by_cut(uniform_cuts(num_global(), p), g0, g0 + num_local());
   }
+  redistribute(dest, per_oct, data);
+}
 
+template <int Dim>
+void Forest<Dim>::redistribute(const std::vector<int>& dest, int per_oct,
+                               std::vector<double>& data) {
+  const int p = comm_->size();
   std::vector<std::vector<OctMsg>> send(static_cast<std::size_t>(p));
   std::vector<std::vector<double>> send_data(static_cast<std::size_t>(p));
   std::size_t i = 0;
   for (int t = 0; t < num_trees(); ++t) {
     for (const Oct& o : trees_[static_cast<std::size_t>(t)]) {
       const auto d = static_cast<std::size_t>(dest[i]);
-      send[d].push_back(OctMsg{t, o.x, o.y, Dim == 3 ? o.z : 0, o.level});
+      send[d].push_back(OctMsg::of(t, o));
       if (per_oct > 0) {
         const double* block = data.data() + i * static_cast<std::size_t>(per_oct);
         send_data[d].insert(send_data[d].end(), block, block + per_oct);
@@ -349,12 +365,7 @@ void Forest<Dim>::partition_payload(const std::function<double(int, const Oct&)>
   for (auto& tr : trees_) tr.clear();
   for (const auto& from : recv) {
     for (const OctMsg& m : from) {
-      Oct o;
-      o.x = m.x;
-      o.y = m.y;
-      if constexpr (Dim == 3) o.z = m.z;
-      o.level = static_cast<std::int8_t>(m.level);
-      trees_[static_cast<std::size_t>(m.tree)].push_back(o);
+      trees_[static_cast<std::size_t>(m.tree)].push_back(m.octant<Dim>());
     }
   }
   if (per_oct > 0) {
@@ -369,115 +380,70 @@ template <int Dim>
 void Forest<Dim>::partition_for_coarsening() {
   constexpr int nc = T::num_children;
   const int p = comm_->size();
-  const std::int64_t total = num_global();
-  const std::int64_t base = total / p, rem = total % p;
-  std::vector<std::int64_t> bound(static_cast<std::size_t>(p) + 1);
-  for (int r = 0; r <= p; ++r) {
-    bound[static_cast<std::size_t>(r)] =
-        static_cast<std::int64_t>(r) * base + std::min<std::int64_t>(r, rem);
-  }
+  const int me = comm_->rank();
+  std::vector<std::int64_t> bound = uniform_cuts(num_global(), p);
 
-  // Flat local view for indexed access.
-  std::vector<std::pair<int, Oct>> flat;
+  // Flat local view in wire form, so octants borrowed from the neighbours
+  // splice in directly.
+  std::vector<OctMsg> flat;
   flat.reserve(static_cast<std::size_t>(num_local()));
-  for_each_local([&](int t, const Oct& o) { flat.emplace_back(t, o); });
+  for_each_local([&](int t, const Oct& o) { flat.push_back(OctMsg::of(t, o)); });
   const std::int64_t g0 = global_offset();
   const std::int64_t g1 = g0 + num_local();
 
   // Borrow up to nc-1 octants from each neighboring rank so a family window
   // around a prospective boundary can be inspected even when it crosses the
-  // current rank boundary.
-  const int me = comm_->rank();
-  {
-    std::vector<OctMsg> head, tail;
-    for (std::size_t i = 0; i < std::min<std::size_t>(nc - 1, flat.size()); ++i) {
-      const auto& [t, o] = flat[i];
-      head.push_back(OctMsg{t, o.x, o.y, Dim == 3 ? o.z : 0, o.level});
-    }
-    for (std::size_t i = flat.size() - std::min<std::size_t>(nc - 1, flat.size());
-         i < flat.size(); ++i) {
-      const auto& [t, o] = flat[i];
-      tail.push_back(OctMsg{t, o.x, o.y, Dim == 3 ? o.z : 0, o.level});
-    }
-    if (me > 0) comm_->send(me - 1, 101, head);
-    if (me < p - 1) comm_->send(me + 1, 102, tail);
-    const auto unpack = [&](const par::Message& msg) {
-      std::vector<std::pair<int, Oct>> out;
-      for (const OctMsg& m : msg.as<OctMsg>()) {
-        Oct o;
-        o.x = m.x;
-        o.y = m.y;
-        if constexpr (Dim == 3) o.z = m.z;
-        o.level = static_cast<std::int8_t>(m.level);
-        out.emplace_back(m.tree, o);
-      }
-      return out;
-    };
-    std::vector<std::pair<int, Oct>> prev_tail, next_head;
-    if (me > 0) prev_tail = unpack(comm_->recv(me - 1, 102));
-    if (me < p - 1) next_head = unpack(comm_->recv(me + 1, 101));
-    flat.insert(flat.begin(), prev_tail.begin(), prev_tail.end());
-    flat.insert(flat.end(), next_head.begin(), next_head.end());
-    // flat now covers global indices [e0, e0 + flat.size()).
-    const std::int64_t e0 = g0 - static_cast<std::int64_t>(prev_tail.size());
+  // current rank boundary. A rank sends only its head down and its tail up,
+  // so one reserved tag leaves every pair a single message.
+  const std::size_t nb = std::min<std::size_t>(nc - 1, flat.size());
+  if (me > 0) comm_->send(me - 1, tag_partition_borrow, std::span<const OctMsg>(flat.data(), nb));
+  if (me < p - 1) {
+    comm_->send(me + 1, tag_partition_borrow,
+                std::span<const OctMsg>(flat.data() + flat.size() - nb, nb));
+  }
+  std::vector<OctMsg> prev_tail, next_head;
+  if (me > 0) prev_tail = comm_->recv(me - 1, tag_partition_borrow).as<OctMsg>();
+  if (me < p - 1) next_head = comm_->recv(me + 1, tag_partition_borrow).as<OctMsg>();
+  flat.insert(flat.begin(), prev_tail.begin(), prev_tail.end());
+  flat.insert(flat.end(), next_head.begin(), next_head.end());
+  // flat now covers global indices [e0, e0 + flat.size()).
+  const std::int64_t e0 = g0 - static_cast<std::int64_t>(prev_tail.size());
 
-    // A boundary falling into the middle of a complete family is shifted
-    // back to the family start; incomplete windows are left alone.
-    struct Adj {
-      std::int64_t rank;
-      std::int64_t value;
-    };
-    std::vector<Adj> adjustments;
-    for (int r = 1; r < p; ++r) {
-      const std::int64_t g = bound[static_cast<std::size_t>(r)];
-      if (g < g0 || g >= g1) continue;  // the current owner adjusts it
-      const auto& [t, q] = flat[static_cast<std::size_t>(g - e0)];
-      const int cid = q.child_id();
-      if (q.level == 0 || cid == 0) continue;
-      const std::int64_t s = g - cid;
-      if (s < e0 || s + nc > e0 + static_cast<std::int64_t>(flat.size())) continue;
-      bool family = true;
-      const Oct parent = q.parent();
-      for (int c = 0; c < nc; ++c) {
-        const auto& [t2, o2] = flat[static_cast<std::size_t>(s + c - e0)];
-        if (t2 != t || !(o2 == parent.child(c))) family = false;
+  // A boundary falling into the middle of a complete family is shifted
+  // back to the family start; incomplete windows are left alone.
+  struct Adj {
+    std::int64_t rank;
+    std::int64_t value;
+  };
+  std::vector<Adj> adjustments;
+  for (int r = 1; r < p; ++r) {
+    const std::int64_t g = bound[static_cast<std::size_t>(r)];
+    if (g < g0 || g >= g1) continue;  // the current owner adjusts it
+    const OctMsg& m = flat[static_cast<std::size_t>(g - e0)];
+    const Oct q = m.octant<Dim>();
+    const int cid = q.child_id();
+    if (q.level == 0 || cid == 0) continue;
+    const std::int64_t s = g - cid;
+    if (s < e0 || s + nc > e0 + static_cast<std::int64_t>(flat.size())) continue;
+    bool family = true;
+    const Oct parent = q.parent();
+    for (int c = 0; c < nc; ++c) {
+      if (flat[static_cast<std::size_t>(s + c - e0)] != OctMsg::of(m.tree, parent.child(c))) {
+        family = false;
       }
-      if (family) adjustments.push_back(Adj{r, s});
     }
-    // Restore the local-only view for the redistribution below.
-    flat.erase(flat.begin(), flat.begin() + static_cast<std::ptrdiff_t>(prev_tail.size()));
-    flat.resize(flat.size() - next_head.size());
-    for (const auto& from : comm_->allgatherv(adjustments)) {
-      for (const Adj& a : from) bound[static_cast<std::size_t>(a.rank)] = a.value;
-    }
+    if (family) adjustments.push_back(Adj{r, s});
+  }
+  for (const auto& from : comm_->allgatherv(adjustments)) {
+    for (const Adj& a : from) bound[static_cast<std::size_t>(a.rank)] = a.value;
   }
   for (int r = 1; r <= p; ++r) {  // keep the cuts monotone
     bound[static_cast<std::size_t>(r)] =
         std::max(bound[static_cast<std::size_t>(r)], bound[static_cast<std::size_t>(r - 1)]);
   }
 
-  // Redistribute by the adjusted boundaries.
-  std::vector<std::vector<OctMsg>> send(static_cast<std::size_t>(p));
-  for (std::int64_t g = g0; g < g1; ++g) {
-    const int dest = static_cast<int>(std::upper_bound(bound.begin(), bound.end(), g) -
-                                      bound.begin()) - 1;
-    const auto& [t, o] = flat[static_cast<std::size_t>(g - g0)];
-    send[static_cast<std::size_t>(std::min(dest, p - 1))].push_back(
-        OctMsg{t, o.x, o.y, Dim == 3 ? o.z : 0, o.level});
-  }
-  const auto recv = comm_->alltoallv(send);
-  for (auto& tr : trees_) tr.clear();
-  for (const auto& from : recv) {
-    for (const OctMsg& m : from) {
-      Oct o;
-      o.x = m.x;
-      o.y = m.y;
-      if constexpr (Dim == 3) o.z = m.z;
-      o.level = static_cast<std::int8_t>(m.level);
-      trees_[static_cast<std::size_t>(m.tree)].push_back(o);
-    }
-  }
-  update_partition_meta();
+  std::vector<double> none;
+  redistribute(ranks_by_cut(bound, g0, g1), 0, none);
 }
 
 template <int Dim>

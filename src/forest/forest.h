@@ -36,12 +36,37 @@ struct SfcPosition {
   friend constexpr auto operator<=>(const SfcPosition&, const SfcPosition&) = default;
 };
 
-/// Serialized octant for inter-rank transfer.
+/// The octant wire format of every inter-rank transfer and of checkpoint
+/// files: five int32 words, z = 0 in 2D. of() encodes, octant() decodes.
 struct OctMsg {
   std::int32_t tree;
   std::int32_t x, y, z;
   std::int32_t level;
+
+  template <int Dim>
+  static OctMsg of(int tree, const Octant<Dim>& o) {
+    return OctMsg{tree, o.x, o.y, Dim == 3 ? o.z : 0, o.level};
+  }
+  template <int Dim>
+  Octant<Dim> octant() const {
+    Octant<Dim> o;
+    o.x = x;
+    o.y = y;
+    if constexpr (Dim == 3) o.z = z;
+    o.level = static_cast<std::int8_t>(level);
+    return o;
+  }
+  friend bool operator==(const OctMsg&, const OctMsg&) = default;
 };
+
+/// Reserved user-plane tags for the library's own point-to-point exchanges,
+/// chosen high so they stay clear of application and test tags. Each
+/// (sender, receiver) pair carries at most one message per phase, so
+/// per-pair FIFO delivery keeps repeated phases unambiguous. 0x5f9e72 is the
+/// solver's halo swap (solver/dist_csr.h).
+inline constexpr int tag_ghost_build = 0x5f9e70;
+inline constexpr int tag_ghost_exchange = 0x5f9e71;
+inline constexpr int tag_partition_borrow = 0x5f9e73;
 
 template <int Dim>
 class Forest {
@@ -223,6 +248,10 @@ class Forest {
 
   /// Rank owning SFC position `pos` (search of the replicated markers).
   int owner_of(const SfcPosition& pos) const;
+
+  /// Send every local leaf (and its `per_oct` doubles of `data`) to rank
+  /// dest[i] (SFC order, non-decreasing) and rebuild from what arrives.
+  void redistribute(const std::vector<int>& dest, int per_oct, std::vector<double>& data);
 
   par::Comm* comm_;
   const Conn* conn_;

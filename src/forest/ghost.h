@@ -7,7 +7,14 @@
 // replicated SFC markers, pruned to the touching interface) and sends those
 // leaves out; what it receives is exactly its ghost layer. The local leaves
 // that were sent are recorded as "mirrors" so that per-element payloads
-// (e.g. dG face data) can later be exchanged with a single alltoallv.
+// (e.g. dG face data) can later be exchanged with one message per peer.
+//
+// build, build_cached and build_incremental are one algorithm (ghost.cc:
+// ghost_build): one per-leaf target rule, one leaf scan, and one exchange
+// carrying exactly one message per rank pair on tag_ghost_build. They
+// differ only in where a leaf's targets come from (the owner search, or the
+// cache for leaves unchanged since it was captured) and in whether an
+// unchanged destination list is replaced by a one-octant sentinel.
 #pragma once
 
 #include <cstring>
@@ -20,19 +27,13 @@
 
 namespace esamr::forest {
 
-/// Reserved user-plane tags for the ghost layer's async exchanges, chosen
-/// high so they stay clear of application and test tags. Each (sender,
-/// receiver) pair carries at most one message per phase, so per-pair FIFO
-/// delivery keeps repeated phases unambiguous.
-inline constexpr int tag_ghost_build = 0x5f9e70;
-inline constexpr int tag_ghost_exchange = 0x5f9e71;
-
-/// Cached per-leaf foreign-target sets from a previous ghost scan, keyed by
-/// the partition markers in force at capture. A leaf's target ranks depend
-/// only on its own geometry and the replicated SFC markers — never on other
-/// leaves — so under an unchanged partition every unchanged leaf reuses its
-/// cached targets verbatim and only leaves created by the adapt step pay the
-/// per-direction owner queries.
+/// Cached per-leaf foreign-target sets from a previous ghost scan: the leaf
+/// snapshot at capture and, aligned with it, each leaf's targets, valid
+/// under the partition markers in force at capture. A leaf's target ranks
+/// depend only on its own geometry and the replicated SFC markers — never
+/// on other leaves — so under an unchanged partition every leaf found in
+/// the snapshot reuses its cached targets verbatim and only leaves created
+/// by the adapt step pay the per-direction owner queries.
 template <int Dim>
 struct GhostScanCache {
   std::vector<SfcPosition> markers;  ///< partition fingerprint at capture
@@ -83,7 +84,7 @@ struct GhostLayer {
   /// Build the ghost layer of a (typically 2:1 balanced) forest. The
   /// exchange is asynchronous post-all-then-overlap: every peer receive is
   /// posted before the leaf scan, sends adopt the packed octant buffers
-  /// (zero-copy), and receives drain in rank order afterwards.
+  /// (zero-copy), and receives are read in place, in rank order, afterwards.
   ///
   /// `layers` > 1 collects a wider halo (e.g. for semi-Lagrangian methods,
   /// the "minor extension of Ghost" of paper §II-E): every foreign leaf
@@ -92,17 +93,18 @@ struct GhostLayer {
   /// superset of the k-neighborhood on strongly graded meshes.
   static GhostLayer build(const Forest<Dim>& forest, int layers = 1);
 
-  /// Full single-layer build that also (re)captures the per-leaf target
-  /// cache for subsequent incremental builds. Identical result to build().
+  /// build() at one layer that also (re)captures the per-leaf target cache
+  /// for subsequent incremental builds. Identical result and traffic.
   static GhostLayer build_cached(const Forest<Dim>& forest, GhostScanCache<Dim>& cache);
 
-  /// Incremental single-layer build: unchanged leaves reuse their cached
-  /// targets, only new leaves pay owner queries, and each destination whose
-  /// octant list is unchanged receives a one-octant sentinel instead of the
-  /// list (the receiver splices that rank's segment from `prev`). Result is
-  /// bit-identical to build(); falls back to build_cached when the cache is
-  /// invalid or the partition changed (collective decision).
-  /// The cache is updated in place either way.
+  /// Incremental single-layer build: leaves found in the cache's snapshot
+  /// reuse their cached targets, only new leaves pay owner queries, and
+  /// each destination whose octant list equals the one this rank sent it
+  /// for `prev` receives a one-octant sentinel instead (the receiver
+  /// splices that rank's segment from `prev`). Result is bit-identical to
+  /// build(); falls back to build_cached when the cache is invalid or the
+  /// partition changed (collective decision). The cache is updated in place
+  /// either way.
   static GhostLayer build_incremental(const Forest<Dim>& forest, const GhostLayer& prev,
                                       GhostScanCache<Dim>& cache);
 

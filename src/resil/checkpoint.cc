@@ -84,21 +84,6 @@ struct Entry {
   std::vector<NamedField> fields;
 };
 
-template <int Dim>
-forest::OctMsg to_msg(int tree, const forest::Octant<Dim>& o) {
-  return forest::OctMsg{tree, o.x, o.y, Dim == 3 ? o.z : 0, o.level};
-}
-
-template <int Dim>
-forest::Octant<Dim> to_oct(const forest::OctMsg& m) {
-  forest::Octant<Dim> o;
-  o.x = m.x;
-  o.y = m.y;
-  if constexpr (Dim == 3) o.z = m.z;
-  o.level = static_cast<std::int8_t>(m.level);
-  return o;
-}
-
 [[noreturn]] void corrupt(const std::string& path, const std::string& what) {
   throw CheckpointCorrupt("checkpoint " + path + ": " + what);
 }
@@ -484,7 +469,7 @@ Restored<Dim> distribute(par::Comm& comm, const forest::Connectivity<Dim>& conn,
         throw CheckpointCorrupt("checkpoint: octant names tree " + std::to_string(om.tree) +
                                 " outside the connectivity");
       }
-      trees[static_cast<std::size_t>(om.tree)].push_back(to_oct<Dim>(om));
+      trees[static_cast<std::size_t>(om.tree)].push_back(om.octant<Dim>());
     }
   }
 
@@ -551,7 +536,7 @@ void apply_delta(Entry& img, const Entry& d, int num_trees, const std::string& p
   std::vector<std::vector<Oct>> reg(static_cast<std::size_t>(num_trees));
   for (const forest::OctMsg& m : d.regions) {
     if (m.tree < 0 || m.tree >= num_trees) corrupt(path, "delta region outside the connectivity");
-    reg[static_cast<std::size_t>(m.tree)].push_back(to_oct<Dim>(m));
+    reg[static_cast<std::size_t>(m.tree)].push_back(m.octant<Dim>());
   }
   for (auto& v : reg) std::sort(v.begin(), v.end());
   const auto covered = [&](const forest::OctMsg& m) {
@@ -559,7 +544,7 @@ void apply_delta(Entry& img, const Entry& d, int num_trees, const std::string& p
       corrupt(path, "base octant names a tree outside the connectivity");
     }
     const auto& v = reg[static_cast<std::size_t>(m.tree)];
-    const Oct o = to_oct<Dim>(m);
+    const Oct o = m.octant<Dim>();
     const auto it = std::upper_bound(v.begin(), v.end(), o);
     if (it != v.end() && o.contains(*it) && o.level < it->level) {
       // A base leaf strictly coarser than a recorded region means the
@@ -584,7 +569,7 @@ void apply_delta(Entry& img, const Entry& d, int num_trees, const std::string& p
   std::vector<std::vector<double>> mdata(img.fields.size());
   const auto less_msg = [](const forest::OctMsg& a, const forest::OctMsg& b) {
     if (a.tree != b.tree) return a.tree < b.tree;
-    return to_oct<Dim>(a) < to_oct<Dim>(b);
+    return a.octant<Dim>() < b.octant<Dim>();
   };
   const auto take = [&](const Entry& src, std::size_t i) {
     merged.push_back(src.octants[i]);
@@ -658,8 +643,9 @@ void write_checkpoint(const forest::Forest<Dim>& f, std::uint64_t conn_id, std::
   check_fields(fields, static_cast<std::size_t>(f.num_local()));
   std::vector<forest::OctMsg> octants;
   octants.reserve(static_cast<std::size_t>(f.num_local()));
-  f.for_each_local(
-      [&octants](int t, const forest::Octant<Dim>& o) { octants.push_back(to_msg(t, o)); });
+  f.for_each_local([&octants](int t, const forest::Octant<Dim>& o) {
+    octants.push_back(forest::OctMsg::of(t, o));
+  });
   std::vector<std::uint64_t> counts;
   for (const std::int64_t c : f.global_counts()) counts.push_back(static_cast<std::uint64_t>(c));
   write_entry(f, conn_id, step, Kind::full,
@@ -798,7 +784,7 @@ void write_delta_checkpoint_ring(const forest::Forest<Dim>& f, std::uint64_t con
   for (int t = 0; t < f.num_trees(); ++t) {
     const std::vector<Oct>& leaves = f.tree(t);
     for (const Oct& r : global.regions[static_cast<std::size_t>(t)]) {
-      regions.push_back(to_msg(t, r));
+      regions.push_back(forest::OctMsg::of(t, r));
       const auto [lo, hi] = forest::overlapping_range<Dim>(leaves, r);
       for (std::size_t i = lo; i < hi; ++i) {
         if (!r.contains(leaves[i])) {
@@ -807,7 +793,7 @@ void write_delta_checkpoint_ring(const forest::Forest<Dim>& f, std::uint64_t con
           throw std::runtime_error(
               "write_delta_checkpoint_ring: leaf coarser than its delta region");
         }
-        octants.push_back(to_msg(t, leaves[i]));
+        octants.push_back(forest::OctMsg::of(t, leaves[i]));
         const std::size_t li = tree_base + i;
         for (std::size_t fi = 0; fi < fields.size(); ++fi) {
           const auto w = static_cast<std::size_t>(fields[fi].per_oct);

@@ -315,6 +315,36 @@ TEST_P(ForestRanks, PartitionForCoarseningKeepsFamiliesTogether) {
   });
 }
 
+TEST_P(ForestRanks, PartitionForCoarseningLeavesUserTrafficAlone) {
+  // User messages already in flight to both neighbours, on small tags an
+  // application might pick, must reach their own receives after the call:
+  // the library's neighbour borrow may not consume them.
+  const int p = GetParam();
+  par::run(p, [&](par::Comm& c) {
+    const auto conn = Connectivity<2>::brick({3, 1}, {false, false});
+    auto f = Forest<2>::new_uniform(c, &conn, 3);
+    const auto sum = f.checksum();
+    const int me = c.rank();
+    const auto note = [](int from, int to, int tag) {
+      return std::vector<std::int32_t>{0x7e57, from, to, tag, 0};  // 20 bytes
+    };
+    for (const int nb : {me - 1, me + 1}) {
+      if (nb < 0 || nb >= p) continue;
+      for (const int tag : {101, 102}) c.send(nb, tag, note(me, nb, tag));
+    }
+    f.partition_for_coarsening();
+    for (const int nb : {me - 1, me + 1}) {
+      if (nb < 0 || nb >= p) continue;
+      for (const int tag : {101, 102}) {
+        EXPECT_EQ(c.recv(nb, tag).as<std::int32_t>(), note(nb, me, tag))
+            << "rank " << me << " from " << nb << " tag " << tag;
+      }
+    }
+    EXPECT_EQ(f.checksum(), sum);
+    expect_global_cover(f);
+  });
+}
+
 TEST_P(ForestRanks, PartitionForCoarseningOnAdaptiveForest) {
   const int p = GetParam();
   par::run(p, [&](par::Comm& c) {

@@ -1,11 +1,14 @@
 // Tests for the Ghost layer: completeness and exactness against a
 // brute-force adjacency computation on the globally gathered forest,
-// round-trip payload exchange, and rejection of mis-sized payloads.
+// the same for multi-layer halos, round-trip payload exchange, and
+// rejection of mis-sized payloads.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "forest/ghost.h"
 
@@ -120,6 +123,74 @@ void expect_ghost_exact(const Forest<Dim>& f, const GhostLayer<Dim>& g) {
     got.insert({gh.tree, gh.oct.key(), gh.oct.level});
   }
   EXPECT_EQ(got, expected);
+}
+
+/// Compare a `layers`-deep ghost layer against brute force on every rank.
+/// Leaf b of rank q is sent to rank r != q iff some leaf of r overlaps one
+/// of b's same-size regions at an offset within `layers` cells, mapped
+/// across trees by exterior_images and kept when inside the target tree.
+/// Checks the ghosts in order and every mirror list exactly.
+template <int Dim>
+void expect_multilayer_exact(const Forest<Dim>& f, const GhostLayer<Dim>& g, int layers) {
+  const auto all = gather_owned(f);
+  const int me = f.comm().rank();
+  const auto p = static_cast<std::size_t>(f.comm().size());
+  std::vector<std::vector<std::size_t>> in_tree(static_cast<std::size_t>(f.num_trees()));
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    in_tree[static_cast<std::size_t>(all[i].first.first)].push_back(i);
+  }
+  const auto targets = [&](int t, const Octant<Dim>& b) {
+    std::vector<bool> hit(p, false);
+    const int w = 2 * layers + 1;
+    int codes = 1;
+    for (int a = 0; a < Dim; ++a) codes *= w;
+    for (int code = 0; code < codes; ++code) {
+      Octant<Dim> n = b;
+      for (int a = 0, rem = code; a < Dim; ++a, rem /= w) {
+        n.set_coord(a, n.coord(a) + (rem % w - layers) * b.size());
+      }
+      if (n == b) continue;
+      for (const auto& [t2, img] : f.conn().exterior_images(t, n)) {
+        if (!img.inside_root()) continue;
+        for (const std::size_t j : in_tree[static_cast<std::size_t>(t2)]) {
+          if (all[j].second.overlaps(img)) {
+            hit[static_cast<std::size_t>(all[j].first.second)] = true;
+          }
+        }
+      }
+    }
+    return hit;
+  };
+  using Entry = std::tuple<int, int, std::uint64_t, int>;  // (owner, tree, key, level)
+  std::vector<Entry> want_ghosts;
+  std::vector<std::vector<std::int32_t>> want_lists(p);
+  std::int32_t li = 0;
+  for (const auto& [to, b] : all) {
+    const auto hit = targets(to.first, b);
+    if (to.second != me) {
+      if (hit[static_cast<std::size_t>(me)]) {
+        want_ghosts.emplace_back(to.second, to.first, b.key(), b.level);
+      }
+      continue;
+    }
+    for (std::size_t r = 0; r < p; ++r) {
+      if (hit[r] && static_cast<int>(r) != me) want_lists[r].push_back(li);
+    }
+    ++li;
+  }
+  std::vector<Entry> got_ghosts;
+  for (const auto& gh : g.ghosts) {
+    got_ghosts.emplace_back(gh.owner, gh.tree, gh.oct.key(), gh.oct.level);
+  }
+  EXPECT_EQ(got_ghosts, want_ghosts);
+  ASSERT_EQ(g.mirror_lists.size(), p);
+  for (std::size_t r = 0; r < p; ++r) {
+    std::vector<std::int32_t> got;
+    for (const std::int32_t mi : g.mirror_lists[r]) {
+      got.push_back(g.mirrors[static_cast<std::size_t>(mi)].local_index);
+    }
+    EXPECT_EQ(got, want_lists[r]) << "mirror list to rank " << r;
+  }
 }
 
 template <int Dim>
@@ -257,3 +328,38 @@ TEST_P(GhostRanks, GhostsSortedByOwnerThenSfc) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, GhostRanks, ::testing::Values(1, 2, 3, 5));
+
+// Two-layer halos on refined multi-tree forests whose partition splits
+// cells at macro corners (2D brick) and at rotated macro edges and corners
+// (3D rotcubes): a region reached across such an entity must reach every
+// rank owning part of its image, not only the ranks at the shared corner
+// point or edge line. P = 5 and 7 place such splits.
+class GhostMultiLayer : public ::testing::TestWithParam<int> {};
+
+TEST_P(GhostMultiLayer, Brick2DMatchesBruteForce) {
+  par::run(GetParam(), [&](par::Comm& c) {
+    const auto conn = Connectivity<2>::brick({2, 2}, {false, false});
+    auto f = Forest<2>::new_uniform(c, &conn, 1);
+    f.refine(2, true, [&](int t, const Octant<2>& o) {
+      return o.level < 2 && random_mark(t, o, 0, 5);
+    });
+    f.balance();
+    f.partition();
+    expect_multilayer_exact(f, GhostLayer<2>::build(f, 2), 2);
+  });
+}
+
+TEST_P(GhostMultiLayer, Rotcubes3DMatchesBruteForce) {
+  par::run(GetParam(), [&](par::Comm& c) {
+    const auto conn = Connectivity<3>::rotcubes();
+    auto f = Forest<3>::new_uniform(c, &conn, 1);
+    f.refine(3, true, [&](int t, const Octant<3>& o) {
+      return o.level < 3 && random_mark(t, o, 0, 5);
+    });
+    f.balance();
+    f.partition();
+    expect_multilayer_exact(f, GhostLayer<3>::build(f, 2), 2);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, GhostMultiLayer, ::testing::Values(1, 2, 3, 5, 7));

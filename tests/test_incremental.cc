@@ -7,10 +7,12 @@
 // the exact state a full snapshot of the final forest restores; a corrupted
 // mid-chain delta must degrade to the longest valid prefix (here: the full
 // snapshot itself) instead of hanging or restoring silently-wrong state.
+// GhostFront3D runs the ghost paths on a 3D forest of rotated trees.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -214,6 +216,81 @@ TEST_P(IncrementalBattery, AdaptSequenceBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, IncrementalBattery, ::testing::Values(1, 2, 4, 7, 16));
+
+/// Every GhostLayer field build_incremental must reproduce, flattened with
+/// separators: ghosts, rank_offset, mirrors and mirror_lists.
+std::vector<std::int64_t> ghost_words(const GhostLayer<3>& g) {
+  std::vector<std::int64_t> w;
+  for (const auto& go : g.ghosts) {
+    w.insert(w.end(), {go.tree, go.owner, go.oct.x, go.oct.y, go.oct.z, go.oct.level});
+  }
+  w.push_back(-1);
+  for (const std::size_t r : g.rank_offset) w.push_back(static_cast<std::int64_t>(r));
+  w.push_back(-1);
+  for (const auto& m : g.mirrors) {
+    w.insert(w.end(), {m.tree, m.local_index, m.oct.x, m.oct.y, m.oct.z, m.oct.level});
+  }
+  for (const auto& lst : g.mirror_lists) {
+    w.push_back(-1 - static_cast<std::int64_t>(lst.size()));
+    w.insert(w.end(), lst.begin(), lst.end());
+  }
+  return w;
+}
+
+/// Distance from the plane x = s (in each tree's own frame, unit root) to
+/// the slab the octant spans along x; negative inside.
+double front_gap(const Octant<3>& o, double s) {
+  const double h = static_cast<double>(o.size()) / Octant<3>::root_len;
+  const double cx = static_cast<double>(o.x) / Octant<3>::root_len + 0.5 * h;
+  return std::abs(cx - s) - 0.5 * h;
+}
+
+class GhostFront3D : public ::testing::TestWithParam<int> {};
+
+// A front sweeping through the six mutually rotated rotcubes trees: leaves
+// near the plane refine to level 3, families left behind coarsen. Ghost
+// targets cross rotated inter-tree faces, edges and corners. Each step
+// checks build_cached and build_incremental against build on every field,
+// then repeats build_incremental on the unchanged forest: every non-empty
+// destination list is then unchanged, so each costs exactly one sentinel.
+TEST_P(GhostFront3D, IncrementalMatchesBuildAndIdleStepSendsSentinels) {
+  const int P = GetParam();
+  par::run(P, [&](par::Comm& c) {
+    const auto conn = Connectivity<3>::rotcubes();
+    auto f = Forest<3>::new_uniform(c, &conn, 1);
+    GhostScanCache<3> gc;
+    auto gi = GhostLayer<3>::build_cached(f, gc);
+    ASSERT_EQ(ghost_words(gi), ghost_words(GhostLayer<3>::build(f)));
+    std::int64_t sentinels = 0;
+    for (int step = 0; step < 5; ++step) {
+      const double s = 0.1 + 0.2 * step;
+      f.coarsen(false, [&](int, const Octant<3>& par) { return front_gap(par, s) > 0.15; });
+      f.refine(3, true, [&](int, const Octant<3>& o) { return front_gap(o, s) < 0.05; });
+      f.balance();
+      const auto gr = GhostLayer<3>::build(f);
+      const std::string at = "P=" + std::to_string(P) + " step=" + std::to_string(step) +
+                             " rank=" + std::to_string(c.rank());
+      GhostScanCache<3> fresh;
+      ASSERT_EQ(ghost_words(GhostLayer<3>::build_cached(f, fresh)), ghost_words(gr)) << at;
+      gi = GhostLayer<3>::build_incremental(f, gi, gc);
+      ASSERT_EQ(ghost_words(gi), ghost_words(gr)) << at;
+
+      const std::int64_t sent0 = forest::op_stats().ghost_octants_sent;
+      const auto idle = GhostLayer<3>::build_incremental(f, gi, gc);
+      const std::int64_t sent = forest::op_stats().ghost_octants_sent - sent0;
+      std::int64_t nonempty = 0;
+      for (const auto& lst : gi.mirror_lists) nonempty += lst.empty() ? 0 : 1;
+      EXPECT_EQ(sent, nonempty) << at;
+      sentinels += sent;
+      ASSERT_EQ(ghost_words(idle), ghost_words(gr)) << at;
+    }
+    if (P > 1) {
+      EXPECT_GT(sentinels, 0);
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, GhostFront3D, ::testing::Values(1, 2, 3, 5));
 
 TEST(DeltaCheckpoint, ChainRestoreMatchesFullSnapshot) {
   for (const int P : {1, 4, 7}) {
