@@ -91,7 +91,6 @@ void Forest<Dim>::balance_single_pass_impl(const std::vector<std::vector<Oct>>* 
   const int p = comm_->size();
   const int me = comm_->rank();
   OpStats& ops = op_stats();
-  ops.balance_calls++;
   const std::int64_t n_before = num_local();
   const int nt = num_trees();
   // Level buckets: bucket[t][l] holds the keys of constraint octants of
@@ -248,7 +247,6 @@ void Forest<Dim>::balance_single_pass_impl(const std::vector<std::vector<Oct>>* 
   const auto recv = comm_->alltoallv(send);
   for (const auto& from : recv) {
     for (const OctMsg& m : from) {
-      ops.balance_octants_recv++;
       cons[static_cast<std::size_t>(m.tree)].push_back(m.octant<Dim>());
     }
   }

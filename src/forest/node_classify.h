@@ -45,25 +45,12 @@ struct NodeClassifier {
   std::vector<std::vector<LeafRef<Dim>>> dir;
   int nranks;
   OpStats& ops;
-  // Recently-hit directory positions, move-to-front. The quadrant queries
-  // for one boundary element's corners revisit the same handful of
-  // neighborhood leaves, but in Morton order those leaves are scattered
-  // across the array — a single last-hit hint misses most of them while a
-  // small LRU catches nearly all. Safe under the thread-per-rank model
-  // because each rank builds its own classifier.
-  static constexpr int kLru = 8;
-  mutable std::array<std::int32_t, kLru> lru{};
-  mutable int lru_tree = -1;
-  mutable std::vector<std::size_t> seed;  // per-tree cursor for seed_hint
 
   NodeClassifier(const Forest<Dim>& forest, const GhostLayer<Dim>& ghost)
       : conn(forest.conn()),
         dir(build_leaf_directory(forest, ghost)),
         nranks(forest.comm().size()),
-        ops(op_stats()),
-        seed(dir.size(), 0) {
-    lru.fill(-1);
-  }
+        ops(op_stats()) {}
 
   /// True iff the point lies strictly inside the tree's root cube, i.e. on no
   /// macro face/edge/corner — then it has no images in other tree frames.
@@ -77,61 +64,15 @@ struct NodeClassifier {
     return true;
   }
 
-  /// Move directory position `idx` of tree t to the front of the LRU.
-  void remember(int t, std::int32_t idx) const {
-    if (t != lru_tree) {
-      lru.fill(-1);
-      lru_tree = t;
-    }
-    for (int j = kLru - 1; j > 0; --j) {
-      lru[static_cast<std::size_t>(j)] = lru[static_cast<std::size_t>(j - 1)];
-    }
-    lru[0] = idx;
-  }
-
   /// Find the known leaf containing a (max-level) cell, or nullptr.
   const LeafRef<Dim>* find_leaf(int t, const Oct& cell) const {
     ops.nodes_leaf_lookups++;
     const auto& v = dir[static_cast<std::size_t>(t)];
-    if (t == lru_tree) {
-      for (int i = 0; i < kLru; ++i) {
-        const std::int32_t idx = lru[static_cast<std::size_t>(i)];
-        if (idx < 0) break;
-        if (v[static_cast<std::size_t>(idx)].oct.contains(cell)) {
-          for (int j = i; j > 0; --j) {
-            lru[static_cast<std::size_t>(j)] = lru[static_cast<std::size_t>(j - 1)];
-          }
-          lru[0] = idx;
-          return &v[static_cast<std::size_t>(idx)];
-        }
-      }
-    }
     const auto it = std::upper_bound(
         v.begin(), v.end(), cell,
         [](const Oct& a, const LeafRef<Dim>& b) { return a < b.oct; });
-    if (it == v.begin()) return nullptr;
-    const LeafRef<Dim>* cand = &*(it - 1);
-    if (!cand->oct.contains(cell)) return nullptr;
-    remember(t, static_cast<std::int32_t>(cand - v.data()));
-    return cand;
-  }
-
-  /// Prime the leaf memo with local leaf `o` of tree t (amortized O(1) when
-  /// leaves are visited in SFC order).
-  void seed_hint(int t, const Oct& o) const {
-    const auto& v = dir[static_cast<std::size_t>(t)];
-    std::size_t& cur = seed[static_cast<std::size_t>(t)];
-    if (cur >= v.size() || !(v[cur].oct == o)) {
-      if (cur < v.size() && v[cur].oct < o) {
-        while (!(v[cur].oct == o)) ++cur;  // forward scan past ghosts
-      } else {
-        cur = static_cast<std::size_t>(
-            std::lower_bound(v.begin(), v.end(), o,
-                             [](const LeafRef<Dim>& a, const Oct& b) { return a.oct < b; }) -
-            v.begin());
-      }
-    }
-    remember(t, static_cast<std::int32_t>(cur));
+    if (it == v.begin() || !(it - 1)->oct.contains(cell)) return nullptr;
+    return &*(it - 1);
   }
 
   /// The point's representation in the lowest tree frame.

@@ -11,15 +11,14 @@
 //     tree-boundary ones by looking up their leaves in every tree frame,
 //  2. merges the fresh owned independent keys with the caller's surviving
 //     ones and assigns contiguous per-rank ids (one allgather),
-//  3. resolves every corner by a memoized recursive expansion onto
-//     independent gids. What this rank cannot close it asks of the rank that
-//     can advance the chain, and each answer ships the answerer's FULL
-//     transitive expansion (gids attached) rather than a single hop.
-//     Candidate owners come from the post-balance ghost layer, so in the
-//     common case one request batch and one answer batch settle everything;
-//     only constraint chains that cross three or more ranks (rare, measured
-//     by OpStats::nodes_rounds) need another round. The loop is
-//     allreduce-terminated with a 64-round safety cap,
+//  3. resolves every corner onto independent gids in one hop, since 2:1
+//     balance keeps every master independent: an independent corner takes
+//     its own gid, a hanging one its masters' gids. A missing gid is asked
+//     once — of the owner of the master's constraining leaf while the master
+//     is unclassified here, else of the node's owner — and each answer is
+//     the gid or the owner to re-ask. One request round settles most keys,
+//     a second the re-asked ones (OpStats::nodes_rounds); the
+//     allreduce-terminated loop throws on a third round or a hanging master,
 //  4. lays out the CSR slots of every element in one pass: stale rows from
 //     the resolved corners, reused rows (incremental build) remapped.
 //
@@ -30,11 +29,9 @@
 #include "forest/nodes.h"
 
 #include <algorithm>
-#include <bit>
 #include <optional>
 #include <set>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "forest/iterate.h"
 #include "forest/node_classify.h"
@@ -47,15 +44,12 @@ using detail::NodeClassifier;
 
 namespace {
 
-/// Request payload (a canonical node key).
-struct KeyMsg {
-  std::int32_t tree, x, y, z;
+/// Answer to a request for a node key (tree, x, y, z): the node's gid when
+/// the answerer knows it, else ~rank (< 0) of its owner, to re-ask.
+struct Answer {
+  std::array<std::int32_t, 4> key;
+  std::int64_t gid;
 };
-
-/// Answer record kinds (serialized int64 stream).
-constexpr std::int64_t kRecExpansion = 0;  // n x (gid, weight bits, key)
-constexpr std::int64_t kRecOwner = 1;      // node independent; re-ask owner
-constexpr std::int64_t kRecMasters = 2;    // n x (key, ask rank)
 
 /// Node keys are lattice points whose low coordinate bits are mostly zero, so
 /// every field is spread by its own odd multiplier and the sum is finalized
@@ -115,16 +109,10 @@ struct NodeTable {
   }
   void classify_as(std::int32_t ei, const Cls& c) {
     Entry& e = entries[static_cast<std::size_t>(ei)];
-    if (c.independent) {
-      e.owner = c.owner;
-      return;
-    }
-    e.owner = kDependent;
-    if (e.dep < 0) {
+    e.owner = c.independent ? c.owner : kDependent;
+    if (!c.independent) {
       e.dep = static_cast<std::int32_t>(deps.size());
       deps.push_back(c);
-    } else {
-      deps[static_cast<std::size_t>(e.dep)] = c;
     }
   }
 
@@ -330,7 +318,6 @@ static StaleNumbering<Dim> number_stale(
     for (int t = 0; t < forest.num_trees(); ++t) {
       for (const Octant<Dim>& o : forest.tree(t)) {
         if (stale[li] != 0 && touches_tree_boundary(o)) {
-          cl.seed_hint(t, o);
           for (int c = 0; c < nc; ++c) {
             const auto cp = o.corner_point(c);
             if (NodeClassifier<Dim>::tree_interior(cp)) continue;
@@ -392,13 +379,6 @@ static StaleNumbering<Dim> number_stale(
   for (std::size_t i = 0; i < out.owned_keys.size(); ++i) {
     out.gid_keys.emplace_back(out.owned_offset + static_cast<std::int64_t>(i), out.owned_keys[i]);
   }
-  // Keys of the gids learned from answers, for re-shipping expansions.
-  std::unordered_map<std::int64_t, Key> fetched;
-  const auto key_of_gid = [&](std::int64_t g) -> const Key& {
-    return (g >= out.owned_offset && g < out.owned_offset + out.num_owned)
-               ? out.owned_keys[static_cast<std::size_t>(g - out.owned_offset)]
-               : fetched.at(g);
-  };
   const auto owned_gid_of = [&](const Key& k) -> std::int64_t {
     const auto it = std::lower_bound(out.owned_keys.begin(), out.owned_keys.end(), k);
     if (it == out.owned_keys.end() || !(*it == k)) {
@@ -413,103 +393,89 @@ static StaleNumbering<Dim> number_stale(
                                             out.owned_keys.size() * sizeof(Key),
                                             "nodes owned keys");
   std::set<std::pair<Key, int>> asked;
-  std::vector<std::vector<KeyMsg>> req(static_cast<std::size_t>(p));
+  std::vector<std::vector<Key>> req(static_cast<std::size_t>(p));
 
-  // Classify a key routed to this rank: it owns the node or its constraining
-  // leaf, so the point touches a local leaf and every touching leaf is in
-  // local + ghost storage.
-  const auto classify_entry = [&](std::int32_t ei) {
-    const Key k = tab.entries[static_cast<std::size_t>(ei)].key;
-    tab.classify_as(ei, nclass().classify(k[0], {k[1], k[2], k[3]}));
-  };
-
-  // Memoized recursive expansion onto independent gids. Constraint chains are
-  // acyclic (the constraining entity's level strictly decreases), so plain
-  // recursion terminates. An unclassified key whose routing hint is this rank
-  // is classified on the spot (only the incremental case, whose pass 1 saw
-  // just the stale elements, meets one), and an independent key this rank
-  // owns takes its gid from the owned set. On any other miss, `collect`
-  // routes one request to the rank that can advance the chain: the owner for
-  // an independent key, the rank that classified the constraining leaf
-  // (`hint`) for an unclassified one. Entries may grow during recursion, so
-  // state is re-fetched by index after every recursive call.
-  // One expansion is built here before it enters the pool (which may move).
-  std::vector<Contrib> acc;
-  const auto expand = [&](auto&& self, std::int32_t ei, int hint, bool collect) -> bool {
-    if (tab.resolved(ei)) return true;
-    const auto note = [&](int target) {
-      if (!collect) return;
-      if (target < 0) throw std::runtime_error("nodes: unclassified key without hint");
-      const Key& k = tab.entries[static_cast<std::size_t>(ei)].key;
-      if (asked.insert({k, target}).second) {
-        req[static_cast<std::size_t>(target)].push_back(KeyMsg{k[0], k[1], k[2], k[3]});
-      }
-    };
+  // Where the gid of independent entry ei stands: the gid if this rank knows
+  // or owns it, else ~rank (< 0) of the rank to ask — `hint`, the owner of a
+  // leaf the point is a corner of, while the point is unclassified here, and
+  // the node's owner after. An unclassified point whose hint is this rank is
+  // classified on the spot: it is a corner of a local leaf, so every touching
+  // leaf is local or ghost (only the incremental case, whose pass 1 saw just
+  // the stale elements, meets one). A master is a corner of its constraining
+  // leaf C, at level l, and touches a leaf of level l + 1 across C's face or
+  // edge; a leaf with the master inside a face or edge would have level
+  // l - 1 or less. So under 2:1 balance no master hangs, and one that does
+  // means the forest breaks the precondition.
+  const auto locate = [&](std::int32_t ei, int hint) -> std::int64_t {
     if (!tab.classified(ei)) {
-      if (hint != me) {
-        note(hint);
-        return false;
-      }
-      classify_entry(ei);
+      if (hint != me) return ~std::int64_t{hint};
+      const Key k = tab.entries[static_cast<std::size_t>(ei)].key;
+      tab.classify_as(ei, nclass().classify(k[0], {k[1], k[2], k[3]}));
     }
-    if (const std::int32_t owner = tab.owner(ei); owner >= 0) {
-      if (owner == me) {
-        tab.set_res(ei, Contrib{owned_gid_of(tab.entries[static_cast<std::size_t>(ei)].key), 1.0});
-        return true;
-      }
-      note(owner);  // gid not yet fetched from the owner
-      return false;
+    const std::int32_t owner = tab.owner(ei);
+    if (owner < 0) {
+      throw std::runtime_error(
+          "nodes: a hanging node's master hangs too; the forest is not 2:1 balanced");
     }
-    // Dependent: the classification is copied out first — the recursive
-    // calls below may insert entries and reallocate the entry and master
-    // vectors.
-    const Classification<Dim> cls = tab.dependent(ei);
+    if (tab.resolved(ei)) return tab.res(ei)[0].gid;
+    if (owner != me) return ~std::int64_t{owner};
+    const std::int64_t g = owned_gid_of(tab.entries[static_cast<std::size_t>(ei)].key);
+    tab.set_res(ei, Contrib{g, 1.0});
+    return g;
+  };
+  // The gid of independent entry ei, or -1 after asking for it (once per key
+  // and rank).
+  const auto gid_or_ask = [&](std::int32_t ei, int hint) -> std::int64_t {
+    const std::int64_t g = locate(ei, hint);
+    if (g >= 0) return g;
+    const Key& k = tab.entries[static_cast<std::size_t>(ei)].key;
+    if (asked.insert({k, static_cast<int>(~g)}).second) {
+      req[static_cast<std::size_t>(~g)].push_back(k);
+    }
+    return -1;
+  };
+  // Resolve stale corner entry ei, or ask for what it lacks: an independent
+  // corner takes its own gid, a hanging one its masters' gids with weight 1/n
+  // each, sorted by gid.
+  const auto resolve = [&](std::int32_t ei) -> bool {
+    if (tab.resolved(ei)) return true;
+    if (tab.owner(ei) >= 0) return gid_or_ask(ei, me) >= 0;
+    const Classification<Dim> cls = tab.dependent(ei);  // copied: classifying grows deps
     const auto nm = static_cast<std::size_t>(cls.num_masters);
+    std::array<Contrib, Classification<Dim>::kMaxMasters> v{};
     bool all = true;
-    std::array<std::int32_t, Classification<Dim>::kMaxMasters> mi{};
     for (std::size_t i = 0; i < nm; ++i) {
-      mi[i] = tab.get_or_insert(cls.masters[i]);
-      if (!self(self, mi[i], cls.ask[i], collect)) all = false;
+      v[i] = Contrib{gid_or_ask(tab.get_or_insert(cls.masters[i]), cls.ask[i]),
+                     1.0 / static_cast<double>(nm)};
+      all = all && v[i].gid >= 0;
     }
     if (!all) return false;
-    // Flat accumulation (a handful of masters x contribs), in master order per
-    // gid, then sorted by gid.
-    std::vector<Contrib>& v = acc;
-    v.clear();
-    const double w = 1.0 / static_cast<double>(nm);
-    for (std::size_t i = 0; i < nm; ++i) {
-      for (const Contrib& c : tab.res(mi[i])) {
-        bool found = false;
-        for (Contrib& x : v) {
-          if (x.gid == c.gid) {
-            x.weight += w * c.weight;
-            found = true;
-            break;
-          }
-        }
-        if (!found) v.push_back(Contrib{c.gid, w * c.weight});
-      }
+    // Insertion sort of at most four: std::sort on the fixed array trips
+    // GCC 12's -Warray-bounds in sanitizer builds.
+    for (std::size_t i = 1; i < nm; ++i) {
+      for (std::size_t j = i; j > 0 && v[j].gid < v[j - 1].gid; --j) std::swap(v[j], v[j - 1]);
     }
-    std::sort(v.begin(), v.end(), [](const Contrib& a, const Contrib& b) { return a.gid < b.gid; });
-    tab.set_res(ei, v);
+    tab.set_res(ei, std::span<const Contrib>(v.data(), nm));
     return true;
   };
 
   // Round 0 walks each distinct pass-1 entry once (every element corner maps
-  // to one); later rounds only the still-pending entries (the frontier), so
-  // local-only regions are scanned exactly once.
+  // to one); later rounds only the still-pending ones. The first request
+  // round answers a key asked of its owner with the gid, and a master asked
+  // of its leaf's owner with the gid or the node's owner, whom the second
+  // round asks. Nothing is left for a third.
   std::vector<std::int32_t> pending(n_pass1);
   for (std::size_t i = 0; i < n_pass1; ++i) pending[i] = static_cast<std::int32_t>(i);
   for (int round = 0;; ++round) {
-    if (round > 64) throw std::runtime_error("nodes: resolution did not converge");
     std::vector<std::int32_t> still;
     for (const std::int32_t ei : pending) {
-      if (!expand(expand, ei, -1, true)) still.push_back(ei);
+      if (!resolve(ei)) still.push_back(ei);
     }
     pending = std::move(still);
     const int any =
         comm.allreduce(static_cast<int>(!pending.empty()), par::ReduceOp::logical_or);
     if (!any) break;
+    if (round == 2) throw std::logic_error("nodes: resolution needs a third request round");
 
     ops.nodes_rounds++;
     for (const auto& buf : req) {
@@ -520,92 +486,24 @@ static StaleNumbering<Dim> number_stale(
     const auto req_in = comm.alltoallv(req);
     for (auto& buf : req) buf.clear();
 
-    // Answer every incoming request with the deepest local knowledge: the
-    // full transitive expansion when it closes over known gids, otherwise
-    // the direct masters (or the owner to re-ask) so the requester can route
-    // the next hop precisely.
-    std::vector<std::vector<std::int64_t>> ans(static_cast<std::size_t>(p));
+    // A key is routed here as its owner or as the owner of a leaf it is a
+    // corner of, so locate() classifies it if new.
+    std::vector<std::vector<Answer>> ans(static_cast<std::size_t>(p));
     for (int src = 0; src < p; ++src) {
-      auto& buf = ans[static_cast<std::size_t>(src)];
-      for (const KeyMsg& km : req_in[static_cast<std::size_t>(src)]) {
-        const std::int32_t ei = tab.get_or_insert(Key{km.tree, km.x, km.y, km.z});
-        if (!tab.classified(ei)) classify_entry(ei);
-        buf.insert(buf.end(), {km.tree, km.x, km.y, km.z});
-        if (expand(expand, ei, -1, false)) {
-          const auto v = tab.res(ei);
-          buf.push_back(kRecExpansion);
-          buf.push_back(static_cast<std::int64_t>(v.size()));
-          for (const Contrib& c : v) {
-            const Key& ck = key_of_gid(c.gid);
-            buf.insert(buf.end(),
-                       {c.gid, std::bit_cast<std::int64_t>(c.weight), ck[0], ck[1], ck[2], ck[3]});
-          }
-        } else {
-          if (tab.owner(ei) >= 0) {
-            buf.push_back(kRecOwner);
-            buf.push_back(tab.owner(ei));
-          } else {
-            const auto& cls = tab.dependent(ei);
-            buf.push_back(kRecMasters);
-            buf.push_back(cls.num_masters);
-            for (int i = 0; i < cls.num_masters; ++i) {
-              const Key& m = cls.masters[static_cast<std::size_t>(i)];
-              buf.insert(buf.end(), {m[0], m[1], m[2], m[3], cls.ask[static_cast<std::size_t>(i)]});
-            }
-          }
-        }
+      for (const Key& k : req_in[static_cast<std::size_t>(src)]) {
+        ans[static_cast<std::size_t>(src)].push_back(Answer{k, locate(tab.get_or_insert(k), me)});
       }
     }
     const auto ans_in = comm.alltoallv(ans);
-    for (const auto& from : ans_in) {
-      for (std::size_t i = 0; i < from.size();) {
-        const Key k{static_cast<std::int32_t>(from[i]), static_cast<std::int32_t>(from[i + 1]),
-                    static_cast<std::int32_t>(from[i + 2]), static_cast<std::int32_t>(from[i + 3])};
-        const std::int64_t kind = from[i + 4];
-        const std::int64_t n = from[i + 5];
-        i += 6;
-        ops.nodes_answers_recv++;
-        const std::int32_t ei = tab.get_or_insert(k);
-        if (kind == kRecExpansion) {
-          std::vector<Contrib>& v = acc;
-          v.clear();
-          for (std::int64_t e = 0; e < n; ++e) {
-            const std::int64_t gid = from[i];
-            const double w = std::bit_cast<double>(from[i + 1]);
-            const Key ck{static_cast<std::int32_t>(from[i + 2]),
-                         static_cast<std::int32_t>(from[i + 3]),
-                         static_cast<std::int32_t>(from[i + 4]),
-                         static_cast<std::int32_t>(from[i + 5])};
-            i += 6;
-            v.push_back(Contrib{gid, w});
-            // Record the member gid's key, and let other chains resolve
-            // through it without a second fetch.
-            const std::int32_t ci = tab.get_or_insert(ck);
-            if (!tab.resolved(ci)) tab.set_res(ci, Contrib{gid, 1.0});
-            out.gid_keys.emplace_back(gid, ck);
-            fetched.emplace(gid, ck);
-          }
-          tab.set_res(ei, v);
-        } else if (kind == kRecOwner) {
-          Classification<Dim> cls;
-          cls.independent = true;
-          cls.owner = static_cast<int>(n);  // owner rides in the count slot
-          tab.classify_as(ei, cls);
-        } else {
-          if (n < 1 || n > Classification<Dim>::kMaxMasters) {
-            throw std::runtime_error("nodes: answer carries an invalid master count");
-          }
-          Classification<Dim> cls;
-          cls.num_masters = static_cast<int>(n);
-          for (std::size_t rec = 0; rec < static_cast<std::size_t>(n); ++rec) {
-            cls.masters[rec] = Key{static_cast<std::int32_t>(from[i]),
-                                   static_cast<std::int32_t>(from[i + 1]),
-                                   static_cast<std::int32_t>(from[i + 2]),
-                                   static_cast<std::int32_t>(from[i + 3])};
-            cls.ask[rec] = static_cast<int>(from[i + 4]);
-            i += 5;
-          }
-          tab.classify_as(ei, cls);
+    for (int src = 0; src < p; ++src) {
+      for (const Answer& a : ans_in[static_cast<std::size_t>(src)]) {
+        const std::int32_t ei = tab.get_or_insert(a.key);
+        // Independent: a gid comes from its owner, else the answer names it.
+        tab.entries[static_cast<std::size_t>(ei)].owner =
+            a.gid >= 0 ? src : static_cast<std::int32_t>(~a.gid);
+        if (a.gid >= 0) {
+          tab.set_res(ei, Contrib{a.gid, 1.0});
+          out.gid_keys.emplace_back(a.gid, a.key);
         }
       }
     }
@@ -708,15 +606,13 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
   //       strictly inside an element: nesting would make it a changed
   //       descendant, so box overlap <=> some corner in the closed region up
   //       to face-adjacent contact, a sound over-approximation); or
-  //   (b) some corner hung in the cached numbering and the chain's bounding
-  //       box touches the delta: a hanging slot stores the transitively
-  //       expanded master chain, and every chain node lies in the convex
-  //       hull of the final independent masters (each intermediate is inside
-  //       the hull of its own entity's corners), so the bbox of {corner,
-  //       final master keys} bounds the whole chain. When the finals
-  //       canonicalize into another tree frame, or the bbox reaches a tree
-  //       boundary while boundary-touching delta regions exist, fall back to
-  //       the conservative kNodesRings element-ball.
+  //   (b) some corner hung in the cached numbering and its constraining face
+  //       or edge touches the delta: a hanging slot holds the gids of that
+  //       entity's corners, so the bbox of {corner, master keys} is the face
+  //       or edge. When a master canonicalizes into another tree frame, or
+  //       the bbox reaches a tree boundary while boundary-touching delta
+  //       regions exist, fall back to the conservative kNodesRings
+  //       element-ball.
   // Every other element must exist unchanged in the snapshot.
   std::vector<std::int64_t> old_of(n_local, -1);  // reused: old local index
   std::vector<std::uint8_t> stale(n_local, 0);
@@ -885,7 +781,7 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
       sn, stale, reused_contribs,
       [&](std::size_t li, int c) { return old.slot(static_cast<std::size_t>(old_of[li]), c); },
       remap);
-  // gid -> key records: owned + fetched + remap-recorded covers exactly the
+  // gid -> key records: owned + answered + remap-recorded covers exactly the
   // gids referenced by the element slots, same as a full rebuild.
   sort_gid_keys(out.gid_keys);
   return std::move(out);

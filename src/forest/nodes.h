@@ -5,12 +5,12 @@
 //     several trees is represented once, in the lowest frame; paper §II-E),
 //   * hanging-node constraints: a corner node lying in the interior of a
 //     coarse neighbor's face or edge carries no unknown of its own; its
-//     element slot interpolates the corners of the constraining entity
-//     (transitively, since a constraining corner may itself hang),
+//     element slot interpolates the corners of the constraining entity,
+//     which 2:1 balance keeps independent (one level of constraint),
 //   * distributed ownership: an independent node is owned by the lowest
 //     rank among the owners of the leaves touching it; ids are assigned
-//     contiguously per rank (exscan) and resolved across ranks with a
-//     small number of query rounds.
+//     contiguously per rank (exscan) and resolved across ranks with at
+//     most two query rounds.
 #pragma once
 
 #include <array>
@@ -93,6 +93,9 @@ struct NodeNumbering {
   }
 
   /// Build the numbering for a 2:1-balanced forest with its ghost layer.
+  /// The precondition is checked: a forest on which a hanging node's master
+  /// hangs too, which 2:1 balance rules out, throws std::runtime_error
+  /// naming 2:1 balance.
   static NodeNumbering build(const Forest<Dim>& forest, const GhostLayer<Dim>& ghost);
 
   /// Incremental build after a tracked adapt step (collective). It runs the

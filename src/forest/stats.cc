@@ -7,18 +7,15 @@
 namespace esamr::forest {
 
 OpStats& OpStats::operator+=(const OpStats& o) {
-  balance_calls += o.balance_calls;
   balance_merge_passes += o.balance_merge_passes;
   balance_seed_octants += o.balance_seed_octants;
   balance_closure_kept += o.balance_closure_kept;
   balance_octants_sent += o.balance_octants_sent;
-  balance_octants_recv += o.balance_octants_recv;
   balance_exchange_rounds += o.balance_exchange_rounds;
   balance_leaves_created += o.balance_leaves_created;
   nodes_rounds += o.nodes_rounds;
   nodes_request_batches += o.nodes_request_batches;
   nodes_requests_sent += o.nodes_requests_sent;
-  nodes_answers_recv += o.nodes_answers_recv;
   nodes_leaf_lookups += o.nodes_leaf_lookups;
   ghost_octants_sent += o.ghost_octants_sent;
   ghost_interior_skipped += o.ghost_interior_skipped;

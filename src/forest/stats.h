@@ -18,12 +18,10 @@ namespace esamr::forest {
 /// calling rank's counters.
 struct OpStats {
   // Balance.
-  std::int64_t balance_calls = 0;
   std::int64_t balance_merge_passes = 0;     ///< level buckets sorted+merged
   std::int64_t balance_seed_octants = 0;     ///< insulation octants generated
   std::int64_t balance_closure_kept = 0;     ///< constraints kept after pruning
   std::int64_t balance_octants_sent = 0;     ///< boundary constraints sent
-  std::int64_t balance_octants_recv = 0;
   std::int64_t balance_exchange_rounds = 0;  ///< alltoallv rounds (1 = single-pass)
   std::int64_t balance_leaves_created = 0;   ///< leaves after minus before
 
@@ -31,7 +29,6 @@ struct OpStats {
   std::int64_t nodes_rounds = 0;             ///< resolution rounds (1 = one-shot)
   std::int64_t nodes_request_batches = 0;    ///< non-empty request batches sent
   std::int64_t nodes_requests_sent = 0;      ///< total keys asked of other ranks
-  std::int64_t nodes_answers_recv = 0;
   std::int64_t nodes_leaf_lookups = 0;       ///< leaf-directory searches classifying points
 
   // Ghost.

@@ -5,6 +5,8 @@
 //  * on affine macro meshes the constrained interpolation reproduces global
 //    linear functions exactly — this exercises hanging face/edge constraints
 //    and inter-tree canonicalization at once,
+//  * every hanging slot interpolates the 2 or 4 corners of one coarser edge
+//    or face, and a forest that breaks 2:1 balance is rejected,
 //  * build() emits exactly the recorded digests (NodesGolden): every gid,
 //    weight bit, owned key and gid key on four inputs at four rank counts,
 //  * the corner iterator (NodesIterate) reports every tree-interior corner of
@@ -14,6 +16,8 @@
 
 #include <array>
 #include <map>
+#include <set>
+#include <string>
 
 #include "forest/iterate.h"
 #include "forest/node_classify.h"
@@ -73,7 +77,10 @@ std::map<std::int64_t, std::array<double, 3>> gather_node_positions(
   return table;
 }
 
-/// Check partition of unity and linear reproduction on an affine mesh.
+/// Check partition of unity and linear reproduction on an affine mesh, and
+/// the one-hop slot shape of a 2:1-balanced forest: an independent corner
+/// holds its own gid with weight 1, a hanging one the 2 or 4 distinct corners
+/// of its constraining edge or face with weight exactly 1/2 or 1/4.
 template <int Dim>
 void expect_linear_reproduction(const Forest<Dim>& f, const NodeNumbering<Dim>& nodes) {
   const auto table = gather_node_positions(f.comm(), f.conn(), nodes);
@@ -85,12 +92,17 @@ void expect_linear_reproduction(const Forest<Dim>& f, const NodeNumbering<Dim>& 
     for (int c = 0; c < Topo<Dim>::num_corners; ++c) {
       const auto slot = nodes.slot(li, c);
       ASSERT_FALSE(slot.empty());
+      EXPECT_TRUE(slot.size() == 1 || slot.size() == 2 || slot.size() == 4) << slot.size();
       double wsum = 0.0, value = 0.0;
+      std::set<std::int64_t> gids;
       for (const auto& [gid, w] : slot) {
         ASSERT_TRUE(table.count(gid));
+        EXPECT_EQ(w, 1.0 / static_cast<double>(slot.size()));
+        gids.insert(gid);
         wsum += w;
         value += w * lin(table.at(gid));
       }
+      EXPECT_EQ(gids.size(), slot.size());
       EXPECT_NEAR(wsum, 1.0, 1e-12);
       const auto cp = o.corner_point(c);
       EXPECT_NEAR(value, lin(physical_point<Dim>(f.conn(), t, cp)), 1e-9);
@@ -156,8 +168,9 @@ TEST_P(NodesRanks, HangingNodesReproduceLinears3D) {
 }
 
 TEST_P(NodesRanks, CascadedHangingCorner3D) {
-  // A corner-concentrated refinement produces hanging nodes whose masters
-  // can themselves hang (constraint chains).
+  // A corner-concentrated refinement grades down level by level after
+  // balance: hanging corners at every level, each constrained by the
+  // independent corners of a leaf one level coarser.
   par::run(GetParam(), [&](par::Comm& c) {
     const auto conn = Connectivity<3>::unit();
     auto f = Forest<3>::new_uniform(c, &conn, 1);
@@ -242,6 +255,31 @@ TEST_P(NodesRanks, ShellNodesConsistent) {
   });
 }
 
+TEST_P(NodesRanks, RejectsForestWhoseMastersHang) {
+  // Refined without balance(): a deep octant two or more levels finer than
+  // its neighbours puts masters of its hanging corners inside a coarse
+  // neighbour's face or edge, which breaks Nodes' 2:1 precondition.
+  constexpr std::int32_t h = Octant<3>::root_len / 2;
+  const std::pair<std::array<std::int32_t, 3>, int> deep[] = {{{h, h, h}, 4}, {{h, 0, 0}, 3}};
+  for (const auto& [corner, level] : deep) {
+    std::string what = "no error";
+    try {
+      par::run(GetParam(), [&](par::Comm& c) {
+        const auto conn = Connectivity<3>::unit();
+        auto f = Forest<3>::new_uniform(c, &conn, 1);
+        f.refine(level, true, [&](int, const Octant<3>& o) {
+          return o.x == corner[0] && o.y == corner[1] && o.z == corner[2] && o.level < level;
+        });
+        const auto g = GhostLayer<3>::build(f);
+        (void)NodeNumbering<3>::build(f, g);
+      });
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find("2:1 balance"), std::string::npos) << "level " << level << ": " << what;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, NodesRanks, ::testing::Values(1, 2, 3, 5));
 
 namespace {
@@ -299,7 +337,8 @@ const GoldenInput kGoldenInputs[] = {
        });
        return global_nodes_digest(f);
      }},
-    // Corner-concentrated refinement: constraint chains across ranks.
+    // Corner-concentrated refinement: hanging corners at every level of the
+    // grading, split across ranks.
     {"corner_cascade_3d",
      [](par::Comm& c) {
        const auto conn = Connectivity<3>::unit();
