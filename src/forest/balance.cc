@@ -71,10 +71,8 @@ namespace {
 /// level >= level(d) invariant of delta regions), and a level-l constraint
 /// octant lies within the geometric sum of its cascade steps — under
 /// 4 * size of its originating family — so every family whose closure can
-/// bind inside or cascade out of the delta overlaps this many rings. The
-/// same bound read from the family's side — a family's constraints reach
-/// under 4 * its own size — makes the parent-sized ball test
-/// (DeltaSet::ball_overlaps) sound too, so seeding requires both. The
+/// bind inside or cascade out of the delta overlaps this many rings, and
+/// seeding exactly the families the closure selects is sound. The
 /// bit-identity battery (test_incremental.cc) pins the sufficiency.
 constexpr int kBalanceSeedRings = 6;
 
@@ -86,8 +84,7 @@ constexpr double kDeltaThreshold = 0.10;
 }  // namespace
 
 template <int Dim>
-void Forest<Dim>::balance_single_pass_impl(const std::vector<std::vector<Oct>>* seed_filter,
-                                           DeltaSet<Dim>* seed_raw) {
+void Forest<Dim>::balance_single_pass_impl(const std::vector<std::vector<Oct>>* seed_filter) {
   const int p = comm_->size();
   const int me = comm_->rank();
   OpStats& ops = op_stats();
@@ -147,8 +144,7 @@ void Forest<Dim>::balance_single_pass_impl(const std::vector<std::vector<Oct>>* 
     // region — O(|filter| log n) lookups instead of O(n) scans. A parent P
     // overlaps region w iff (octant nesting) P <= w, caught by the leaf
     // ranges overlapping w, or P strictly contains w, caught by probing for
-    // leaf children of each ancestor of w. The ball test against the raw
-    // delta then prunes candidates just like the full scan did.
+    // leaf children of each ancestor of w.
     for (int t = 0; t < nt; ++t) {
       const std::vector<Oct>& filter = (*seed_filter)[static_cast<std::size_t>(t)];
       const auto& leaves = trees_[static_cast<std::size_t>(t)];
@@ -174,12 +170,7 @@ void Forest<Dim>::balance_single_pass_impl(const std::vector<std::vector<Oct>>* 
       }
       std::sort(parents.begin(), parents.end());
       parents.erase(std::unique(parents.begin(), parents.end()), parents.end());
-      for (const Oct& par : parents) {
-        if (seed_raw != nullptr && !seed_raw->ball_overlaps(*conn_, t, par, kBalanceSeedRings)) {
-          continue;
-        }
-        insert_layer(t, par);
-      }
+      for (const Oct& par : parents) insert_layer(t, par);
     }
   }
 
@@ -312,9 +303,8 @@ bool Forest<Dim>::balance_incremental(DeltaSet<Dim>& delta) {
   // recorded; then run the single pass seeded only near the replicated delta
   // (changes on any rank can force refinement across its partition boundary).
   const std::vector<std::vector<Oct>> before = trees_;
-  DeltaSet<Dim> global = delta.replicated(*comm_);
-  const auto filter = global.closure(*conn_, kBalanceSeedRings);
-  balance_single_pass_impl(&filter, &global);
+  const auto filter = delta.replicated(*comm_).closure(*conn_, kBalanceSeedRings);
+  balance_single_pass_impl(&filter);
 
   // Balance only refines: every pre-balance leaf is either kept or replaced
   // by its complete refined subtree (contiguous in SFC order).
@@ -379,10 +369,8 @@ bool check_balanced(const Forest<Dim>& forest) {
 
 template void Forest<2>::balance();
 template void Forest<3>::balance();
-template void Forest<2>::balance_single_pass_impl(const std::vector<std::vector<Octant<2>>>*,
-                                                  DeltaSet<2>*);
-template void Forest<3>::balance_single_pass_impl(const std::vector<std::vector<Octant<3>>>*,
-                                                  DeltaSet<3>*);
+template void Forest<2>::balance_single_pass_impl(const std::vector<std::vector<Octant<2>>>*);
+template void Forest<3>::balance_single_pass_impl(const std::vector<std::vector<Octant<3>>>*);
 template bool Forest<2>::balance_incremental(DeltaSet<2>&);
 template bool Forest<3>::balance_incremental(DeltaSet<3>&);
 template bool check_balanced<2>(const Forest<2>&);

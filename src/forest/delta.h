@@ -7,11 +7,11 @@
 // differs between the pre- and post-adapt forests is a descendant-of-or-equal
 // of some recorded delta octant, and leaves inside a delta octant d have
 // level >= level(d) both before and after the adapt step. Consumers
-// (balance seed filter, node-table patching, ghost target cache, delta
-// checkpoints) derive their invalidation regions from the normalized set —
-// sorted, deduplicated, outermost octants only, hence mutually disjoint —
-// optionally widened by same-size insulation rings mapped across tree
-// junctions (closure()).
+// (balance seed filter, node-table patching, delta checkpoints) derive
+// their invalidation regions from the normalized set — sorted,
+// deduplicated, outermost octants only, hence mutually disjoint — which
+// the balance seed filter widens by same-size insulation rings mapped
+// across tree junctions (closure()).
 #pragma once
 
 #include <array>
@@ -70,24 +70,12 @@ struct DeltaSet {
   DeltaSet replicated(par::Comm& comm) const;
 
   /// The delta regions widened by `rings` same-size insulation rings, mapped
-  /// into neighbor trees across macro faces/edges/corners. Per tree sorted
-  /// and disjoint. Ring r covers everything within r * size(d) of each delta
-  /// octant d, which is what the balance seed filter and the node-table
-  /// invalidation rule quantify their horizons in.
+  /// into neighbor trees across macro faces/edges/corners: a sorted,
+  /// disjoint superset per tree of everything within rings * size(d) of
+  /// each delta octant d, which is what the balance seed filter quantifies
+  /// its horizon in. A region coarser than level ceil(log2(rings + 1))
+  /// makes it every tree's root.
   std::vector<std::vector<Oct>> closure(const Connectivity<Dim>& conn, int rings);
-
-  /// True iff `o` overlaps some octant of a sorted, mutually disjoint list
-  /// (e.g. one tree of a normalized delta or of a closure()).
-  static bool overlaps_any(const std::vector<Oct>& sorted_disjoint, const Oct& o);
-
-  /// True iff the `rings`-ring same-size ball of (tree, o) — the closed box
-  /// within rings * size(o) of o — touches some delta region, looking
-  /// through macro-tree junctions. This is the element-side dual of
-  /// closure(): consumers AND it with the region-side closure filter, and
-  /// since both are individually sound supersets of the true hazard set,
-  /// the conjunction is too. Conservatively true when o is too coarse to
-  /// form the exterior cover (o.level < ceil(log2(rings + 1))).
-  bool ball_overlaps(const Connectivity<Dim>& conn, int tree, const Oct& o, int rings);
 
   /// True iff the lattice point `pt` (in tree-`tree` coordinates) lies in the
   /// CLOSED region of some delta octant of that tree. Callers must test every

@@ -194,13 +194,6 @@ bool Forest<Dim>::owns_insulation(int tree_id, const Oct& o) const {
 }
 
 template <int Dim>
-bool Forest<Dim>::overlaps_local(int tree_id, const Oct& o) const {
-  const auto& leaves = trees_[static_cast<std::size_t>(tree_id)];
-  const auto [lo, hi] = overlapping_range(leaves, o);
-  return lo < hi;
-}
-
-template <int Dim>
 const Octant<Dim>* Forest<Dim>::find_local_leaf_containing(int tree_id, const Oct& o) const {
   const auto& leaves = trees_[static_cast<std::size_t>(tree_id)];
   const auto it = std::upper_bound(leaves.begin(), leaves.end(), o);

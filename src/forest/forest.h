@@ -200,10 +200,6 @@ class Forest {
   /// Ghost skips it without any per-direction owner queries.
   bool owns_insulation(int tree_id, const Oct& o) const;
 
-  /// True if some local leaf equals `o` or is an ancestor/descendant of it
-  /// (i.e. this rank's storage overlaps the region of `o`).
-  bool overlaps_local(int tree_id, const Oct& o) const;
-
   /// Local leaf exactly matching, or the leaf that contains `o`, if stored
   /// on this rank; returns nullptr otherwise.
   const Oct* find_local_leaf_containing(int tree_id, const Oct& o) const;
@@ -240,11 +236,8 @@ class Forest {
 
   /// The single-pass balance body; a non-null `seed_filter` (per tree,
   /// sorted, disjoint) restricts initial seeding to families whose parent
-  /// overlaps it, additionally requiring the parent's own seed-ring ball to
-  /// touch `seed_raw` (the raw replicated delta) when non-null (balance.cc;
-  /// used by balance_incremental).
-  void balance_single_pass_impl(const std::vector<std::vector<Oct>>* seed_filter,
-                                DeltaSet<Dim>* seed_raw = nullptr);
+  /// overlaps it (balance.cc; used by balance_incremental).
+  void balance_single_pass_impl(const std::vector<std::vector<Oct>>* seed_filter);
 
   /// Rank owning SFC position `pos` (search of the replicated markers).
   int owner_of(const SfcPosition& pos) const;

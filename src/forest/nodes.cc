@@ -529,28 +529,11 @@ NodeNumbering<Dim> NodeNumbering<Dim>::build(const Forest<Dim>& forest,
 // outside the delta neighborhood, run the engine only on the stale elements.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Invalidation horizon for element re-classification, in same-size
-/// insulation rings around each delta octant d. A corner's expansion depends
-/// on its touching leaves (<= 1 cell), its masters on the constraining
-/// entity of a touching leaf (<= 1 leaf size), and — because the forest is
-/// corner-balanced, so the corners of a constraining face/edge are corners
-/// of the coarse leaf and cannot themselves hang — the chain stops there:
-/// the hazard horizon is <= 2 * size(d), plus one ring of margin for the
-/// touching relation being closed-region. The bit-identity battery
-/// (test_incremental) pins this bound; a violation is caught at runtime by
-/// the invalidated-node check in the gid remap.
-constexpr int kNodesRings = 3;
-
-}  // namespace
-
 template <int Dim>
 static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>& ghost,
                                 DeltaSet<Dim>& delta, NodesCache<Dim>& cache) {
   using Oct = Octant<Dim>;
   using Key = typename NodeNumbering<Dim>::Key;
-  using Contrib = typename NodeNumbering<Dim>::Contrib;
   constexpr int nc = Topo<Dim>::num_corners;
   par::Comm& comm = forest.comm();
   const Connectivity<Dim>& conn = forest.conn();
@@ -595,55 +578,38 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
   };
 
   // --- Align new elements against the cached leaf snapshot --------------------
-  // An element's row must be rebuilt (stale) iff
-  //   (a) one of its corner points lies in the CLOSED delta region, in any
-  //       tree frame — a corner's classification depends only on its touching
-  //       leaves, and by octree nesting a leaf overlapping a delta octant is
-  //       contained in it (the DeltaSet level invariant forbids a coarser
-  //       leaf), hence touches the corner only if the corner is on the closed
-  //       delta boundary. This also covers every changed leaf itself. Tested
-  //       as a closed element-box/region overlap (a region cannot hide
-  //       strictly inside an element: nesting would make it a changed
-  //       descendant, so box overlap <=> some corner in the closed region up
-  //       to face-adjacent contact, a sound over-approximation); or
-  //   (b) some corner hung in the cached numbering and its constraining face
-  //       or edge touches the delta: a hanging slot holds the gids of that
-  //       entity's corners, so the bbox of {corner, master keys} is the face
-  //       or edge. When a master canonicalizes into another tree frame, or
-  //       the bbox reaches a tree boundary while boundary-touching delta
-  //       regions exist, fall back to the conservative kNodesRings
-  //       element-ball.
-  // Every other element must exist unchanged in the snapshot.
+  // An element's row must be rebuilt (stale) iff one of its corner points
+  // lies in the CLOSED delta region, in any tree frame: a corner's
+  // classification depends only on its touching leaves, and by octree
+  // nesting a leaf overlapping a delta octant is contained in it (the
+  // DeltaSet level invariant forbids a coarser leaf), hence touches the
+  // corner only if the corner is on the closed delta boundary. This also
+  // covers every changed leaf itself. A reused row's hanging slots stay
+  // valid by 2:1 balance:
+  //  * its corners keep their touching leaves, so a hanging corner keeps its
+  //    constraining leaf C and its masters, the corners of C's face or edge;
+  //  * the leaves one level finer across C that make the corner hang stay
+  //    too: coarsening them would change the corner's touching leaves, and
+  //    refining them would break 2:1 against C; so the masters stay
+  //    independent;
+  //  * refine, coarsen and balance are rank-local (a changed partition
+  //    forces a full build), so every master keeps its owner;
+  //  * a master whose own touching leaves changed drops out of the survivors
+  //    and comes back through the engine, because its owner's leaf at the
+  //    master is stale by this rule.
+  // So the gid remap finds every master; its invalidated-node throw checks
+  // that. Every element that is not stale must exist unchanged in the
+  // snapshot.
   std::vector<std::int64_t> old_of(n_local, -1);  // reused: old local index
   std::vector<std::uint8_t> stale(n_local, 0);
   std::int64_t n_stale = 0;
   std::size_t reused_contribs = 0;
-  const auto old_key_of = [&](std::int64_t g) -> const Key& {
-    return (g >= old.owned_offset && g < old.owned_offset + old.num_owned)
-               ? old.owned_keys[static_cast<std::size_t>(g - old.owned_offset)]
-               : old.key_of(g);
-  };
-  // Closed-interval overlap of any tree-t delta region with the box [lo, hi].
-  const auto delta_box_overlap = [&](int t, const std::array<std::int64_t, 3>& lo,
-                                     const std::array<std::int64_t, 3>& hi) {
-    for (const Oct& d : global.regions[static_cast<std::size_t>(t)]) {
-      bool hit = true;
-      for (int a = 0; a < Dim; ++a) {
-        const std::int64_t dc = d.coord(a);
-        if (dc > hi[static_cast<std::size_t>(a)] || lo[static_cast<std::size_t>(a)] > dc + d.size()) {
-          hit = false;
-          break;
-        }
-      }
-      if (hit) return true;
-    }
-    return false;
-  };
   {
     std::int64_t li = 0, old_base = 0;
     for (int t = 0; t < forest.num_trees(); ++t) {
       const auto& news = forest.tree(t);
       const auto& olds = cache.leaves[static_cast<std::size_t>(t)];
+      const auto& regions = global.regions[static_cast<std::size_t>(t)];
       std::size_t oi = 0;
       for (const Oct& o : news) {
         // Closed-box overlap of the element with the tree's delta regions is
@@ -651,15 +617,19 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
         // face-adjacent neighbors (octant nesting rules out a region hiding
         // strictly inside a leaf) — one linear region scan instead of 2^Dim
         // point probes. Cross-frame corners still need the image walk.
-        std::array<std::int64_t, 3> elo{}, ehi{};
+        bool is_stale = std::any_of(regions.begin(), regions.end(), [&](const Oct& d) {
+          for (int a = 0; a < Dim; ++a) {
+            if (d.coord(a) > o.coord(a) + o.size() || o.coord(a) > d.coord(a) + d.size()) {
+              return false;
+            }
+          }
+          return true;
+        });
         bool on_tree_boundary = false;
         for (int a = 0; a < Dim; ++a) {
-          elo[static_cast<std::size_t>(a)] = o.coord(a);
-          ehi[static_cast<std::size_t>(a)] = o.coord(a) + o.size();
           on_tree_boundary = on_tree_boundary || o.coord(a) == 0 ||
                              o.coord(a) + o.size() == Oct::root_len;
         }
-        bool is_stale = delta_box_overlap(t, elo, ehi);
         if (!is_stale && any_boundary_region && on_tree_boundary) {
           for (int c = 0; c < nc && !is_stale; ++c) {
             const auto cp = o.corner_point(c);
@@ -672,52 +642,19 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
             }
           }
         }
-        if (!is_stale) {
+        if (is_stale) {
+          stale[static_cast<std::size_t>(li)] = 1;
+          ++n_stale;
+        } else {
           while (oi < olds.size() && olds[oi] < o) ++oi;
           if (oi >= olds.size() || !(olds[oi] == o)) {
             throw std::runtime_error("nodes: changed element escaped the delta closure");
           }
           const std::int64_t og = old_base + static_cast<std::int64_t>(oi);
           ++oi;
-          for (int c = 0; c < nc && !is_stale; ++c) {
-            const auto slot = old.slot(static_cast<std::size_t>(og), c);
-            if (slot.size() <= 1) continue;  // independent corner: (a) was exact
-            const auto cp = o.corner_point(c);
-            std::array<std::int64_t, 3> lo{cp[0], cp[1], cp[2]};
-            std::array<std::int64_t, 3> hi = lo;
-            bool cross = false;
-            for (const Contrib& cb : slot) {
-              const Key& mk = old_key_of(cb.gid);
-              if (mk[0] != t) {
-                cross = true;
-                break;
-              }
-              for (int a = 0; a < Dim; ++a) {
-                const std::int64_t v = mk[1 + a];
-                lo[static_cast<std::size_t>(a)] = std::min(lo[static_cast<std::size_t>(a)], v);
-                hi[static_cast<std::size_t>(a)] = std::max(hi[static_cast<std::size_t>(a)], v);
-              }
-            }
-            bool on_boundary = false;
-            for (int a = 0; a < Dim && !on_boundary; ++a) {
-              on_boundary = lo[static_cast<std::size_t>(a)] <= 0 ||
-                            hi[static_cast<std::size_t>(a)] >= Oct::root_len;
-            }
-            if (cross || (on_boundary && any_boundary_region)) {
-              is_stale = global.ball_overlaps(conn, t, o, kNodesRings);
-            } else {
-              is_stale = delta_box_overlap(t, lo, hi);
-            }
-          }
-          if (!is_stale) {
-            old_of[static_cast<std::size_t>(li)] = og;
-            reused_contribs += old.slot_offsets[static_cast<std::size_t>(og + 1) * nc] -
-                               old.slot_offsets[static_cast<std::size_t>(og) * nc];
-          }
-        }
-        if (is_stale) {
-          stale[static_cast<std::size_t>(li)] = 1;
-          ++n_stale;
+          old_of[static_cast<std::size_t>(li)] = og;
+          reused_contribs += old.slot_offsets[static_cast<std::size_t>(og + 1) * nc] -
+                             old.slot_offsets[static_cast<std::size_t>(og) * nc];
         }
         ++li;
       }

@@ -99,11 +99,11 @@ struct NodeNumbering {
   static NodeNumbering build(const Forest<Dim>& forest, const GhostLayer<Dim>& ghost);
 
   /// Incremental build after a tracked adapt step (collective). It runs the
-  /// same engine as build(), but only on the elements near the delta
-  /// regions; owned nodes whose every touching leaf is unchanged survive
-  /// with their relative order intact, so the reused contribution lists only
-  /// need a monotone gid remap. The result — ids included — is identical to
-  /// a full build() on the new forest. Falls back to build() (and recaptures
+  /// same engine as build(), but only on the elements with a corner in the
+  /// closed delta, in some tree frame; owned nodes whose every touching leaf
+  /// is unchanged survive with their relative order intact, so the reused
+  /// contribution lists only need a monotone gid remap. The result — ids
+  /// included — is identical to a full build() on the new forest. Falls back to build() (and recaptures
   /// the cache) when the cache is invalid, the partition changed, or the
   /// delta overflowed; the decision is collective. Returns the numbering now
   /// held by `cache`.

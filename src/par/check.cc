@@ -469,24 +469,6 @@ void Checker::detect(int rank, World& world) {
   throw CheckError(Violation::deadlock, std::move(stuck), msg);
 }
 
-// --- CRC32C -----------------------------------------------------------------
-
-std::uint32_t Checker::crc32c(const void* data, std::size_t nbytes) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0x82f63b78u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xffffffffu;
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < nbytes; ++i) crc = table[(crc ^ bytes[i]) & 0xffu] ^ (crc >> 8);
-  return crc ^ 0xffffffffu;
-}
-
 // --- Annotation API ---------------------------------------------------------
 
 bool enabled(const Comm& comm) { return comm.checker() != nullptr; }

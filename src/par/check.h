@@ -196,9 +196,6 @@ class Checker {
   /// rank when it is a member of a provably stuck set.
   void detect(int rank, World& world);
 
-  /// CRC32C (Castagnoli), software table — used for the level-2 result pass.
-  static std::uint32_t crc32c(const void* data, std::size_t nbytes);
-
  private:
   struct Region {
     std::uint64_t id = 0;

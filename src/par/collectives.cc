@@ -17,6 +17,7 @@
 #include <stdexcept>
 
 #include "par/comm.h"
+#include "par/crc32c.h"
 #include "par/world.h"
 
 namespace esamr::par {
@@ -67,7 +68,7 @@ void Comm::coll_check_result(const void* data, std::size_t nbytes) {
   if (checker_ == nullptr || checker_->level() < 2) return;
   check::Fingerprint fp;
   fp.kind = 0xff;
-  fp.invariant = check::Checker::crc32c(data, nbytes);
+  fp.invariant = crc32c(data, nbytes);
   fp.site = coll_site_;
   checker_->collective(rank_, coll_seq_ - 1, fp, /*result_pass=*/true, world_);
 }
@@ -79,7 +80,7 @@ void Comm::coll_check_result(const std::vector<std::vector<std::byte>>& parts) {
   digest.reserve(parts.size() * 2);
   for (const auto& p : parts) {
     digest.push_back(p.size());
-    digest.push_back(check::Checker::crc32c(p.data(), p.size()));
+    digest.push_back(crc32c(p.data(), p.size()));
   }
   coll_check_result(digest.data(), digest.size() * sizeof(std::uint64_t));
 }

@@ -6,6 +6,7 @@
 #include <exception>
 #include <thread>
 
+#include "par/crc32c.h"
 #include "par/request.h"
 #include "par/world.h"
 
@@ -189,7 +190,7 @@ void Comm::send_impl(bool coll, int dest, int tag, Buffer payload) {
   msg.seq = send_seq_[static_cast<std::size_t>(dest)]++;
   if (checker_ != nullptr) checker_->on_send(rank_, msg);
   if (integrity_) {
-    msg.seal.crc = check::Checker::crc32c(msg.data(), msg.size());
+    msg.seal.crc = crc32c(msg.data(), msg.size());
     msg.seal.nbytes = msg.size();
     msg.seal.stamped = true;
     if (world_->opts.arq.enabled) {
@@ -315,7 +316,7 @@ void Comm::verify_envelope(Message& m, const char* what) {
   st.bytes_verified += static_cast<std::int64_t>(m.size());
   // The CRC is recomputed over the shared storage in place — verification
   // never copies the payload.
-  const std::uint32_t got = check::Checker::crc32c(m.data(), m.size());
+  const std::uint32_t got = crc32c(m.data(), m.size());
   if (m.size() == m.seal.nbytes && got == m.seal.crc) {
     if (arq_active()) arq_ack(world_, rank_, m);
     return;
@@ -365,7 +366,7 @@ void Comm::verify_envelope(Message& m, const char* what) {
           fresh = Buffer::adopt(std::move(bytes));
         }
         st.bytes_verified += static_cast<std::int64_t>(fresh.size());
-        const std::uint32_t crc = check::Checker::crc32c(fresh.data(), fresh.size());
+        const std::uint32_t crc = crc32c(fresh.data(), fresh.size());
         if (fresh.size() == entry.seal.nbytes && crc == entry.seal.crc) {
           m.payload = std::move(fresh);
           ++st.arq_healed;

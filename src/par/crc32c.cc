@@ -1,8 +1,8 @@
-#include "resil/crc32c.h"
+#include "par/crc32c.h"
 
 #include <array>
 
-namespace esamr::resil {
+namespace esamr::par {
 
 namespace {
 
@@ -35,4 +35,4 @@ std::uint32_t crc32c(const void* data, std::size_t nbytes) {
   return crc32c_update(0, data, nbytes);
 }
 
-}  // namespace esamr::resil
+}  // namespace esamr::par

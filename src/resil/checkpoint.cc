@@ -11,8 +11,8 @@
 
 #include "forest/stats.h"
 #include "io/checked_file.h"
+#include "par/crc32c.h"
 #include "par/inject.h"
-#include "resil/crc32c.h"
 
 namespace esamr::resil {
 
@@ -137,7 +137,7 @@ Header read_header(io::CheckedFile& fp, const std::string& path) {
   Header h{};
   fp.read_exact(&h, sizeof(h));
   if (std::memcmp(h.magic, magic_bytes, sizeof(magic_bytes)) != 0) corrupt(path, "bad magic");
-  if (crc32c(&h, header_crc_span) != h.header_crc) corrupt(path, "header CRC mismatch");
+  if (par::crc32c(&h, header_crc_span) != h.header_crc) corrupt(path, "header CRC mismatch");
   return h;
 }
 
@@ -194,7 +194,7 @@ Entry read_entry(const std::string& path, Kind kind, int dim, std::uint64_t conn
     buf.resize(d.nbytes);
     fp.seek(static_cast<long>(d.offset));
     fp.read_exact(buf.data(), buf.size());
-    const std::uint32_t got = crc32c(buf.data(), buf.size());
+    const std::uint32_t got = par::crc32c(buf.data(), buf.size());
     if (got != d.crc) {
       char msg[160];
       std::snprintf(msg, sizeof(msg),
@@ -374,7 +374,7 @@ void write_entry(const forest::Forest<Dim>& f, std::uint64_t conn_id, std::uint6
     h.num_octants = all_octants.size();
     h.step = step;
     h.num_sections = static_cast<std::uint32_t>(sections.size());
-    h.header_crc = crc32c(&h, header_crc_span);
+    h.header_crc = par::crc32c(&h, header_crc_span);
 
     std::vector<SectionDesc> descs;
     std::uint64_t offset = sizeof(Header) + sections.size() * sizeof(SectionDesc);
@@ -383,7 +383,7 @@ void write_entry(const forest::Forest<Dim>& f, std::uint64_t conn_id, std::uint6
       std::snprintf(d.name, sizeof(d.name), "%s", s.name.c_str());
       d.offset = offset;
       d.nbytes = s.nbytes;
-      d.crc = crc32c(s.data, s.nbytes);
+      d.crc = par::crc32c(s.data, s.nbytes);
       d.aux = s.aux;
       descs.push_back(d);
       offset += s.nbytes;

@@ -30,6 +30,19 @@ constexpr std::uint64_t morton_key_loop(const forest::Octant<Dim>& o) {
   return k;
 }
 
+/// Bitwise CRC32C (reflected Castagnoli polynomial 0x82F63B78): one shift
+/// per bit, no table. par::crc32c must return the same value for every
+/// buffer (Crc32c.MatchesBitwiseOracle in test_resil.cc).
+inline std::uint32_t crc32c_bitwise(const void* data, std::size_t nbytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < nbytes; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) crc = (crc >> 1) ^ (0x82F63B78u & (0u - (crc & 1u)));
+  }
+  return ~crc;
+}
+
 /// The original iterated-ripple Balance (the seed formulation). Every leaf
 /// emits same-level "shadow" constraints into its 3^Dim - 1 neighbor
 /// directions; too-coarse ancestors are refined and the new children emit

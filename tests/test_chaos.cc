@@ -41,9 +41,9 @@
 #include "forest/forest.h"
 #include "par/check.h"
 #include "par/comm.h"
+#include "par/crc32c.h"
 #include "par/inject.h"
 #include "resil/checkpoint.h"
-#include "resil/crc32c.h"
 #include "resil/supervisor.h"
 
 using namespace esamr;
@@ -167,7 +167,7 @@ void chaos_body(par::Comm& c, resil::RecoveryContext& ctx, const Connectivity<2>
   if (c.rank() == 0) {
     std::uint32_t crc = 0;
     for (const auto& part : parts) {
-      crc = resil::crc32c_update(crc, part.data(), part.size() * sizeof(std::int64_t));
+      crc = par::crc32c_update(crc, part.data(), part.size() * sizeof(std::int64_t));
     }
     *digest_out = (static_cast<std::uint64_t>(crc) << 32) ^ fsum;
   }
@@ -467,7 +467,7 @@ void adapt_fault_body(par::Comm& c, resil::RecoveryContext& ctx, const Connectiv
   if (c.rank() == 0) {
     std::uint32_t crc = 0;
     for (const auto& part : parts) {
-      crc = resil::crc32c_update(crc, part.data(), part.size() * sizeof(std::int64_t));
+      crc = par::crc32c_update(crc, part.data(), part.size() * sizeof(std::int64_t));
     }
     *digest_out = (static_cast<std::uint64_t>(crc) << 32) ^ fsum;
   }

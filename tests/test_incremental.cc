@@ -7,7 +7,10 @@
 // the exact state a full snapshot of the final forest restores; a corrupted
 // mid-chain delta must degrade to the longest valid prefix (here: the full
 // snapshot itself) instead of hanging or restoring silently-wrong state.
-// GhostFront3D runs the ghost paths on a 3D forest of rotated trees.
+// The battery also checks that the node patch rebuilds exactly the elements
+// with a corner in the closed delta. DeltaClosure pins the balance seed
+// filter's coarse-region contract; GhostFront3D runs the ghost paths on a 3D
+// forest of rotated trees.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -182,7 +185,10 @@ TEST_P(IncrementalBattery, AdaptSequenceBitIdentical) {
       for (int step = 0; step < 5; ++step) {
         DeltaSet<2> delta = adapt_step(fi, seed, step, &incr_balances);
         gi = GhostLayer<2>::build_incremental(fi, gi, gc);
+        const forest::OpStats ops0 = forest::op_stats();
         const NodeNumbering<2>& ni = NodeNumbering<2>::build_incremental(fi, gi, delta, nc);
+        const std::int64_t patched = forest::op_stats().nodes_patched - ops0.nodes_patched;
+        const std::int64_t reused = forest::op_stats().nodes_reused - ops0.nodes_reused;
 
         fr.refine(6, false, [&](int t, const Octant<2>& o) {
           return marked(seed, step, 0x5eedull, 67, t, o);
@@ -201,6 +207,29 @@ TEST_P(IncrementalBattery, AdaptSequenceBitIdentical) {
         ASSERT_EQ(forest_digest(fi), forest_digest(fr)) << at;
         ASSERT_EQ(ghost_digest(gi), ghost_digest(gr)) << at;
         ASSERT_EQ(nodes_digest(ni), nodes_digest(nr)) << at;
+
+        // When the patch path ran (it accounts for every local element), it
+        // rebuilt exactly the elements with a corner in the closed delta:
+        // a closed-box overlap with a region of their own tree, or a corner
+        // image inside a closed region of another tree.
+        const DeltaSet<2> global = delta.replicated(c);
+        if (patched + reused == fi.num_local()) {
+          std::int64_t expect = 0;
+          fi.for_each_local([&](int t, const Octant<2>& o) {
+            bool hit = false;
+            for (const Octant<2>& d : global.regions[static_cast<std::size_t>(t)]) {
+              hit = hit || (d.x <= o.x + o.size() && o.x <= d.x + d.size() &&
+                            d.y <= o.y + o.size() && o.y <= d.y + d.size());
+            }
+            for (int k = 0; k < 4 && !hit; ++k) {
+              for (const auto& [t2, p2] : conn.point_images(t, o.corner_point(k))) {
+                hit = hit || global.contains_point(t2, p2);
+              }
+            }
+            expect += hit ? 1 : 0;
+          });
+          EXPECT_EQ(patched, expect) << at;
+        }
       }
 
       // The incremental paths must actually engage, not silently fall back
@@ -216,6 +245,32 @@ TEST_P(IncrementalBattery, AdaptSequenceBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, IncrementalBattery, ::testing::Values(1, 2, 4, 7, 16));
+
+// The balance seed filter's contract on rotcubes: a region too coarse for
+// the six-ring cover (level < 3) closes over every tree's root, while a
+// level-4 region's closure stays below the root in every tree.
+TEST(DeltaClosure, CoarseRegionTakesTheWholeForest) {
+  const auto conn = Connectivity<3>::rotcubes();
+  const auto root_only = [](const std::vector<Octant<3>>& v) {
+    return v.size() == 1 && v[0] == Octant<3>::root();
+  };
+  const auto level2 = Octant<3>::root().child(0).child(7);
+  DeltaSet<3> coarse(conn.num_trees());
+  coarse.record(0, level2);
+  const auto all = coarse.closure(conn, 6);
+  ASSERT_EQ(all.size(), 6u);
+  for (std::size_t t = 0; t < all.size(); ++t) {
+    EXPECT_TRUE(root_only(all[t])) << "tree " << t << ": " << all[t].size() << " cells";
+  }
+  DeltaSet<3> fine(conn.num_trees());
+  fine.record(0, level2.child(0).child(7));
+  const auto near = fine.closure(conn, 6);
+  ASSERT_EQ(near.size(), 6u);
+  EXPECT_FALSE(near[0].empty());
+  for (std::size_t t = 0; t < near.size(); ++t) {
+    EXPECT_FALSE(root_only(near[t])) << "tree " << t;
+  }
+}
 
 /// Every GhostLayer field build_incremental must reproduce, flattened with
 /// separators: ghosts, rank_offset, mirrors and mirror_lists.

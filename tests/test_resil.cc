@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -19,10 +20,11 @@
 
 #include "apps/mantle.h"
 #include "forest/forest.h"
+#include "oracles.h"
 #include "par/comm.h"
+#include "par/crc32c.h"
 #include "par/inject.h"
 #include "resil/checkpoint.h"
-#include "resil/crc32c.h"
 #include "resil/supervisor.h"
 
 using namespace esamr;
@@ -132,13 +134,51 @@ std::uint64_t ops_of(const par::CommStats& st) {
 TEST(Crc32c, KnownAnswerAndIncremental) {
   // RFC 3720 check value for "123456789".
   const char* s = "123456789";
-  EXPECT_EQ(resil::crc32c(s, 9), 0xE3069283u);
+  EXPECT_EQ(par::crc32c(s, 9), 0xE3069283u);
   // Incremental folding matches the one-shot result.
   std::uint32_t crc = 0;
-  crc = resil::crc32c_update(crc, s, 4);
-  crc = resil::crc32c_update(crc, s + 4, 5);
+  crc = par::crc32c_update(crc, s, 4);
+  crc = par::crc32c_update(crc, s + 4, 5);
   EXPECT_EQ(crc, 0xE3069283u);
-  EXPECT_EQ(resil::crc32c(s, 0), 0u);
+  EXPECT_EQ(par::crc32c(s, 0), 0u);
+  // RFC 3720 section B.4 vectors.
+  std::array<unsigned char, 32> b{};
+  EXPECT_EQ(par::crc32c(b.data(), b.size()), 0x8A9136AAu);
+  b.fill(0xFF);
+  EXPECT_EQ(par::crc32c(b.data(), b.size()), 0x62A8AB43u);
+  for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<unsigned char>(i);
+  EXPECT_EQ(par::crc32c(b.data(), b.size()), 0x46DD794Eu);
+  for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<unsigned char>(31 - i);
+  EXPECT_EQ(par::crc32c(b.data(), b.size()), 0x113FDB5Cu);
+  // The iSCSI SCSI Read (10) command PDU.
+  const std::array<unsigned char, 48> read_pdu{
+      0x01, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+      0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x18, 0x28, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  EXPECT_EQ(par::crc32c(read_pdu.data(), read_pdu.size()), 0xD9963A56u);
+}
+
+TEST(Crc32c, MatchesBitwiseOracle) {
+  // Every length 0..4096 at every misalignment 0..7 of a pseudo-random
+  // buffer, one-shot and folded through crc32c_update at a split point that
+  // sweeps the buffer from n/8 to n with the misalignment.
+  std::vector<unsigned char> buf(4096 + 8);
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (auto& v : buf) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    v = static_cast<unsigned char>(x >> 56);
+  }
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t n = 0; n <= 4096; ++n) {
+      const unsigned char* p = buf.data() + off;
+      const std::uint32_t want = oracles::crc32c_bitwise(p, n);
+      ASSERT_EQ(par::crc32c(p, n), want) << "off=" << off << " n=" << n;
+      const std::size_t split = n * (off + 1) / 8;
+      ASSERT_EQ(par::crc32c_update(par::crc32c(p, split), p + split, n - split), want)
+          << "off=" << off << " n=" << n << " split=" << split;
+    }
+  }
 }
 
 TEST(Checkpoint, RoundTripSameRankCount) {
@@ -291,7 +331,7 @@ std::uint32_t file_crc(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
                                 std::istreambuf_iterator<char>());
-  return resil::crc32c(bytes.data(), bytes.size());
+  return par::crc32c(bytes.data(), bytes.size());
 }
 
 /// Writes a full anchor and three tracked adapt steps as delta entries into a
