@@ -129,56 +129,85 @@ std::uint64_t ops_of(const par::CommStats& st) {
   return static_cast<std::uint64_t>(n);
 }
 
+/// One path of par::crc32c_update: the dispatched entry point, the table
+/// walk, or the SSE4.2 instruction.
+struct CrcPath {
+  const char* name;
+  std::uint32_t (*update)(std::uint32_t, const void*, std::size_t);
+};
+
+/// Every path this CPU can run; the SSE4.2 one only where it has SSE4.2.
+std::vector<CrcPath> crc_paths() {
+  std::vector<CrcPath> paths{{"dispatched", par::crc32c_update},
+                             {"table", par::detail::crc32c_update_table}};
+  if (par::detail::crc32c_have_sse42()) {
+    paths.push_back({"sse4.2", par::detail::crc32c_update_sse42});
+  }
+  return paths;
+}
+
+constexpr const char* no_sse42 = "CPU lacks SSE4.2: only the table path was checked";
+
 }  // namespace
 
 TEST(Crc32c, KnownAnswerAndIncremental) {
-  // RFC 3720 check value for "123456789".
   const char* s = "123456789";
   EXPECT_EQ(par::crc32c(s, 9), 0xE3069283u);
-  // Incremental folding matches the one-shot result.
-  std::uint32_t crc = 0;
-  crc = par::crc32c_update(crc, s, 4);
-  crc = par::crc32c_update(crc, s + 4, 5);
-  EXPECT_EQ(crc, 0xE3069283u);
   EXPECT_EQ(par::crc32c(s, 0), 0u);
-  // RFC 3720 section B.4 vectors.
-  std::array<unsigned char, 32> b{};
-  EXPECT_EQ(par::crc32c(b.data(), b.size()), 0x8A9136AAu);
-  b.fill(0xFF);
-  EXPECT_EQ(par::crc32c(b.data(), b.size()), 0x62A8AB43u);
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<unsigned char>(i);
-  EXPECT_EQ(par::crc32c(b.data(), b.size()), 0x46DD794Eu);
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<unsigned char>(31 - i);
-  EXPECT_EQ(par::crc32c(b.data(), b.size()), 0x113FDB5Cu);
-  // The iSCSI SCSI Read (10) command PDU.
-  const std::array<unsigned char, 48> read_pdu{
-      0x01, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
-      0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x18, 0x28, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
-  EXPECT_EQ(par::crc32c(read_pdu.data(), read_pdu.size()), 0xD9963A56u);
+  for (const CrcPath& path : crc_paths()) {
+    SCOPED_TRACE(path.name);
+    const auto crc = [&](const void* p, std::size_t n) { return path.update(0, p, n); };
+    // RFC 3720 check value for "123456789".
+    EXPECT_EQ(crc(s, 9), 0xE3069283u);
+    // Incremental folding matches the one-shot result.
+    EXPECT_EQ(path.update(path.update(0, s, 4), s + 4, 5), 0xE3069283u);
+    EXPECT_EQ(crc(s, 0), 0u);
+    // RFC 3720 section B.4 vectors.
+    std::array<unsigned char, 32> b{};
+    EXPECT_EQ(crc(b.data(), b.size()), 0x8A9136AAu);
+    b.fill(0xFF);
+    EXPECT_EQ(crc(b.data(), b.size()), 0x62A8AB43u);
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<unsigned char>(i);
+    EXPECT_EQ(crc(b.data(), b.size()), 0x46DD794Eu);
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<unsigned char>(31 - i);
+    EXPECT_EQ(crc(b.data(), b.size()), 0x113FDB5Cu);
+    // The iSCSI SCSI Read (10) command PDU.
+    const std::array<unsigned char, 48> read_pdu{
+        0x01, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+        0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x18, 0x28, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+    EXPECT_EQ(crc(read_pdu.data(), read_pdu.size()), 0xD9963A56u);
+  }
+  if (!par::detail::crc32c_have_sse42()) GTEST_SKIP() << no_sse42;
 }
 
 TEST(Crc32c, MatchesBitwiseOracle) {
   // Every length 0..4096 at every misalignment 0..7 of a pseudo-random
-  // buffer, one-shot and folded through crc32c_update at a split point that
-  // sweeps the buffer from n/8 to n with the misalignment.
+  // buffer, through every path: one-shot and folded through the update at
+  // a split point that sweeps the buffer from n/8 to n with the
+  // misalignment.
   std::vector<unsigned char> buf(4096 + 8);
   std::uint64_t x = 0x9e3779b97f4a7c15ull;
   for (auto& v : buf) {
     x = x * 6364136223846793005ull + 1442695040888963407ull;
     v = static_cast<unsigned char>(x >> 56);
   }
+  const std::vector<CrcPath> paths = crc_paths();
   for (std::size_t off = 0; off < 8; ++off) {
     for (std::size_t n = 0; n <= 4096; ++n) {
       const unsigned char* p = buf.data() + off;
       const std::uint32_t want = oracles::crc32c_bitwise(p, n);
       ASSERT_EQ(par::crc32c(p, n), want) << "off=" << off << " n=" << n;
       const std::size_t split = n * (off + 1) / 8;
-      ASSERT_EQ(par::crc32c_update(par::crc32c(p, split), p + split, n - split), want)
-          << "off=" << off << " n=" << n << " split=" << split;
+      for (const CrcPath& path : paths) {
+        ASSERT_EQ(path.update(0, p, n), want) << path.name << " off=" << off << " n=" << n;
+        ASSERT_EQ(path.update(path.update(0, p, split), p + split, n - split), want)
+            << path.name << " off=" << off << " n=" << n << " split=" << split;
+      }
     }
   }
+  if (!par::detail::crc32c_have_sse42()) GTEST_SKIP() << no_sse42;
 }
 
 TEST(Checkpoint, RoundTripSameRankCount) {
