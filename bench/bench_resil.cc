@@ -185,7 +185,7 @@ std::vector<RecoveryRow> recovery_table() {
     opts.inject.kill_rank_stride = P;
     opts.inject.kill_after_ops = base_ops[static_cast<std::size_t>(victim)] * 3 / 4;
     resil::SupervisorOptions sopt;
-    sopt.backoff_initial_s = 0.0;
+    sopt.backoff.initial_s = 0.0;
     t0 = wall_s();
     const auto stats = resil::supervise(
         P, opts, sopt, nullptr, [&](par::Comm& c, resil::RecoveryContext& ctx) {
@@ -268,16 +268,17 @@ std::vector<MttrRow> mttr_table() {
     // One ring per cell, created up front: the retry must find the previous
     // attempt's snapshots (a fresh scratch per attempt would defeat restore).
     const std::string dir = scratch_dir(std::string("mttr_") + fault + "_" + layer);
-    const auto a0 = par::arq_stats();
+    par::CommSum link;  // every rank of every attempt, faulted ones included
     const auto stats = resil::supervise(
         P, opts, sopt, nullptr, [&](par::Comm& c, resil::RecoveryContext& ctx) {
+          const par::CommSum::Tally tally(link, c.stats());
           mttr_body(c, ctx, conn, cid, dir);
         });
-    const auto a1 = par::arq_stats();
     MttrRow row{fault, layer, 0, stats.detect_s, 0.0};
     if (link_layer) {
-      row.heals = static_cast<int>(a1.healed - a0.healed);
-      row.mttr_s = row.heals > 0 ? (a1.heal_s - a0.heal_s) / row.heals : 0.0;
+      const par::CommStats t = link.total();
+      row.heals = static_cast<int>(t.arq_healed);
+      row.mttr_s = row.heals > 0 ? t.arq_heal_s / row.heals : 0.0;
     } else {
       row.heals = stats.repairs;
       row.mttr_s = stats.mttr_s();
@@ -291,7 +292,7 @@ std::vector<MttrRow> mttr_table() {
     opts.inject.seed = 4242;
     opts.inject.corrupt_msg_stride = 16;
     resil::SupervisorOptions sopt;
-    sopt.backoff_initial_s = 0.0;
+    sopt.backoff.initial_s = 0.0;
     run_cell("corrupt_msg", "link_arq", opts, sopt, /*link_layer=*/true);
     opts.arq.enabled = false;
     run_cell("corrupt_msg", "full_restart", opts, sopt, /*link_layer=*/false);
@@ -303,7 +304,7 @@ std::vector<MttrRow> mttr_table() {
     opts.inject.kill_rank_stride = P;
     opts.inject.kill_after_ops = kill_at;
     resil::SupervisorOptions sopt;
-    sopt.backoff_initial_s = 0.0;
+    sopt.backoff.initial_s = 0.0;
     sopt.clear_kill_on_retry = false;
     sopt.policy.on_rank_failure = resil::RecoveryMode::shrink;
     run_cell("rank_kill", "shrink", opts, sopt, /*link_layer=*/false);
@@ -320,7 +321,7 @@ std::vector<MttrRow> mttr_table() {
     opts.inject.kill_silent = true;
     opts.heartbeat_timeout_s = 0.2;
     resil::SupervisorOptions sopt;
-    sopt.backoff_initial_s = 0.0;
+    sopt.backoff.initial_s = 0.0;
     sopt.clear_kill_on_retry = false;
     sopt.policy.on_rank_failure = resil::RecoveryMode::shrink;
     run_cell("silent_death", "heartbeat_shrink", opts, sopt, /*link_layer=*/false);

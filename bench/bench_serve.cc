@@ -159,7 +159,7 @@ void write_json(const char* path, int pool, double jobs_per_hour, bool ok,
         r.exhaustions, r.recovery.attempts, r.recovery.failures,
         static_cast<unsigned long long>(r.recovery.steps_replayed),
         r.recovery.bytes_reread, r.recovery.healed_link, r.recovery.healed_spare,
-        r.recovery.healed_shrink, r.recovery.healed_restart, r.arq.healed,
+        r.recovery.healed_shrink, r.recovery.healed_restart, r.comm.arq_healed,
         r.wait_s, r.run_s, r.recovery.mttr_s(), r.recovery.detect_s,
         digest_ok ? "true" : "false", i + 1 < tenants.size() ? "," : "");
   }
@@ -363,7 +363,7 @@ int main(int argc, char** argv) {
       if (!done) fail("an admitted tenant did not complete");
       if (!digest_ok) fail("served digest differs from the solo oracle");
       if (t.clean && (r.recovery.failures != 0 || r.exhaustions != 0 ||
-                      r.recovery.steps_replayed != 0 || r.arq.healed != 0)) {
+                      r.recovery.steps_replayed != 0 || r.comm.arq_healed != 0)) {
         fail("fault traffic leaked into a clean tenant");
       }
     }
@@ -372,7 +372,7 @@ int main(int argc, char** argv) {
       fail("the interactive job did not preempt bg-batch");
     }
     const auto& arq_tenant = reps[static_cast<std::size_t>(tenants[6].id)];
-    if (arq_tenant.arq.healed < 1 || arq_tenant.recovery.failures != 0) {
+    if (arq_tenant.comm.arq_healed < 1 || arq_tenant.recovery.failures != 0) {
       fail("corrupt-arq was not healed at the link layer");
     }
     for (const auto& rj : rejects) {

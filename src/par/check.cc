@@ -267,24 +267,30 @@ void Checker::collective(int rank, std::uint64_t seq, const Fingerprint& fp, boo
 void Checker::ledger_check(int rank, std::uint64_t key, const Fingerprint& fp,
                            const World* world) {
   Slot& s = ledger_[static_cast<std::size_t>(key % ledger_slots)];
+  // If every peer terminated while we wait for its check-in, the collective
+  // counts diverged: this rank issued a collective no peer ever reached. But
+  // a peer may check in after our last test of the wait condition and return
+  // without waiting for us (a reduce non-root does). So a pause that finds
+  // every peer returned only arms the verdict: the caller re-tests, now
+  // seeing every check-in (each precedes its rank's done mark, which
+  // graph_m_ orders before our read), and the next pause reports.
+  bool peers_returned = false;
   const auto spin_pause = [&](const char* why) {
-    std::this_thread::yield();
-    if (world != nullptr && world->poisoned.load()) throw detail::WorldPoisoned{};
-    // If every peer terminated while we wait for its check-in, the
-    // collective counts diverged: this rank issued a collective no peer
-    // ever reached.
-    std::lock_guard<std::mutex> lock(graph_m_);
-    int finished = 0;
-    for (int r = 0; r < nranks_; ++r) {
-      if (r != rank && done_[static_cast<std::size_t>(r)] != 0) ++finished;
-    }
-    if (finished == nranks_ - 1) {
+    if (peers_returned) {
       throw CheckError(Violation::collective_mismatch, {rank},
                        std::string("esamr check [collective_mismatch]: rank ") +
                            std::to_string(rank) + " issued collective #" +
                            std::to_string(key / 2) + " (" + fp.site.str() +
                            ") but every peer rank returned without issuing it (" + why + ")");
     }
+    std::this_thread::yield();
+    if (world != nullptr && world->poisoned.load()) throw detail::WorldPoisoned{};
+    std::lock_guard<std::mutex> lock(graph_m_);
+    int finished = 0;
+    for (int r = 0; r < nranks_; ++r) {
+      if (r != rank && done_[static_cast<std::size_t>(r)] != 0) ++finished;
+    }
+    peers_returned = finished == nranks_ - 1;
   };
   for (;;) {
     const std::uint64_t cur = s.key.load(std::memory_order_acquire);

@@ -46,14 +46,6 @@ struct BlockClear {
 /// even with timeouts disabled).
 constexpr double detect_slice_s = 0.05;
 
-/// Release the sender-retained ARQ payload for a verified message (the
-/// receiver-side ack). No-op for messages that were never retained.
-void arq_ack(World* w, int dest, const Message& m) {
-  auto& box = *w->retain[static_cast<std::size_t>(dest)];
-  std::lock_guard<std::mutex> lock(box.m);
-  if (box.entries.erase({m.source, m.seq}) != 0) detail::arq_note_acked(w->opts.arq_scope);
-}
-
 }  // namespace
 
 void World::hb_check(int rank, const char* what, check::Site site) {
@@ -193,15 +185,10 @@ void Comm::send_impl(bool coll, int dest, int tag, Buffer payload) {
     msg.seal.crc = crc32c(msg.data(), msg.size());
     msg.seal.nbytes = msg.size();
     msg.seal.stamped = true;
-    if (world_->opts.arq.enabled) {
-      // Retain the clean sealed payload (zero-copy: one refcount) until the
-      // receiver's verification acks it, so a corrupt delivery can be healed
-      // by link-level retransmission instead of escalating.
-      auto& box = *world_->retain[static_cast<std::size_t>(dest)];
-      std::lock_guard<std::mutex> lock(box.m);
-      box.entries.insert_or_assign({rank_, msg.seq}, World::RetainEntry{msg.payload, msg.seal});
-      detail::arq_note_retained(world_->opts.arq_scope);
-    }
+    // The message carries its clean sealed payload (zero-copy: one
+    // refcount) so a delivery that injection corrupts below can be healed
+    // by link-level retransmission instead of escalating.
+    if (world_->opts.arq.enabled) msg.retained = msg.payload;
   }
 
   // Delays and payload corruption share the per-(src, dst) sequence stream,
@@ -318,67 +305,52 @@ void Comm::verify_envelope(Message& m, const char* what) {
   // never copies the payload.
   const std::uint32_t got = crc32c(m.data(), m.size());
   if (m.size() == m.seal.nbytes && got == m.seal.crc) {
-    if (arq_active()) arq_ack(world_, rank_, m);
+    m.retained = Buffer{};
     return;
   }
   ++st.corrupt_detected;
   const auto& arq = world_->opts.arq;
   int retransmits_spent = 0;
   if (arq_active()) {
-    // Link-level repair: re-read the sender-retained clean payload under a
+    // Link-level repair: re-read the message's clean payload under a
     // bounded seeded-backoff retransmission loop. Each retransmission
     // travels the same injected link, so the corruption stream is redrawn
     // with a retransmit-salted sequence coordinate — persistent injection
     // (stride 1) defeats every retry and escalates; sparse injection heals
-    // on the first clean draw, zero-copy from the retained buffer.
+    // on the first clean draw, zero-copy from `m.retained`.
     const double t0 = wall_seconds();
-    World::RetainEntry entry;
-    bool have = false;
-    {
-      auto& box = *world_->retain[static_cast<std::size_t>(rank_)];
-      std::lock_guard<std::mutex> lock(box.m);
-      const auto it = box.entries.find({m.source, m.seq});
-      if (it != box.entries.end()) {
-        entry = it->second;
-        have = true;
+    const auto& inj = world_->opts.inject;
+    const std::uint64_t pair = (static_cast<std::uint64_t>(m.source) << 32) |
+                               static_cast<std::uint64_t>(rank_);
+    SeededBackoff backoff(arq.backoff,
+                          detail::mix64(inj.seed ^ 0xa29e770aULL ^ detail::mix64(pair)) ^ m.seq);
+    for (int attempt = 1; attempt <= arq.max_retransmits; ++attempt) {
+      ++st.retransmits;
+      ++retransmits_spent;
+      backoff.sleep();
+      world_->hb_beat(rank_);
+      Buffer fresh = m.retained;
+      const std::uint64_t rseq =
+          detail::mix64(m.seq ^ (0xa1970000ULL + static_cast<std::uint64_t>(attempt)));
+      if (inj.corrupt_enabled() &&
+          detail::payload_fault(inj, m.source, rank_, rseq) != detail::PayloadFault::none) {
+        std::vector<std::byte> bytes(fresh.data(), fresh.data() + fresh.size());
+        detail::buffer_note_copy(bytes.size());
+        detail::corrupt_payload(inj, m.source, rank_, rseq, bytes);
+        fresh = Buffer::adopt(std::move(bytes));
       }
-    }
-    if (have) {
-      const auto& inj = world_->opts.inject;
-      const std::uint64_t pair = (static_cast<std::uint64_t>(m.source) << 32) |
-                                 static_cast<std::uint64_t>(rank_);
-      SeededBackoff backoff(arq.backoff,
-                            detail::mix64(inj.seed ^ 0xa29e770aULL ^ detail::mix64(pair)) ^ m.seq);
-      for (int attempt = 1; attempt <= arq.max_retransmits; ++attempt) {
-        ++st.retransmits;
-        ++retransmits_spent;
-        detail::arq_note_retransmit(world_->opts.arq_scope);
-        backoff.sleep();
-        world_->hb_beat(rank_);
-        Buffer fresh = entry.payload;
-        const std::uint64_t rseq =
-            detail::mix64(m.seq ^ (0xa1970000ULL + static_cast<std::uint64_t>(attempt)));
-        if (inj.corrupt_enabled() &&
-            detail::payload_fault(inj, m.source, rank_, rseq) != detail::PayloadFault::none) {
-          std::vector<std::byte> bytes(fresh.data(), fresh.data() + fresh.size());
-          detail::buffer_note_copy(bytes.size());
-          detail::corrupt_payload(inj, m.source, rank_, rseq, bytes);
-          fresh = Buffer::adopt(std::move(bytes));
-        }
-        st.bytes_verified += static_cast<std::int64_t>(fresh.size());
-        const std::uint32_t crc = crc32c(fresh.data(), fresh.size());
-        if (fresh.size() == entry.seal.nbytes && crc == entry.seal.crc) {
-          m.payload = std::move(fresh);
-          ++st.arq_healed;
-          detail::arq_note_healed(world_->opts.arq_scope, wall_seconds() - t0);
-          arq_ack(world_, rank_, m);
-          return;
-        }
-        ++st.corrupt_detected;
+      st.bytes_verified += static_cast<std::int64_t>(fresh.size());
+      const std::uint32_t crc = crc32c(fresh.data(), fresh.size());
+      if (fresh.size() == m.seal.nbytes && crc == m.seal.crc) {
+        m.payload = std::move(fresh);
+        m.retained = Buffer{};
+        ++st.arq_healed;
+        st.arq_heal_s += wall_seconds() - t0;
+        return;
       }
+      ++st.corrupt_detected;
     }
     ++st.arq_escalations;
-    detail::arq_note_escalated(world_->opts.arq_scope);
   }
   char buf[256];
   std::snprintf(buf, sizeof(buf),

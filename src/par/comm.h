@@ -50,12 +50,13 @@ enum class ReduceOp { sum, min, max, logical_or, logical_and };
 
 /// Link-level automatic repeat request — the cheapest rung of the graded
 /// recovery ladder (DESIGN.md "Recovery ladder"). With integrity on, every
-/// sealed send retains a zero-copy reference to the clean payload (keyed by
-/// (source, seq) per destination) until the receiver's CRC verification acks
-/// it. On a CRC failure the receiver, instead of escalating CorruptMessage
-/// to the supervisor, re-reads the retained payload under a bounded
-/// seeded-backoff loop; only when the budget is exhausted (retransmissions
-/// keep drawing injected faults) does the corruption escalate.
+/// sealed message carries a zero-copy reference to its clean payload
+/// (Message::retained) until the receiver's CRC verification releases it.
+/// On a CRC failure the receiver, instead of escalating CorruptMessage to
+/// the supervisor, re-reads that payload under a bounded seeded-backoff
+/// loop; only when the budget is exhausted (retransmissions keep drawing
+/// injected faults) does the corruption escalate. Heals, retransmissions and
+/// escalations are counted in the receiver's CommStats.
 struct ArqConfig {
   bool enabled = true;
   /// Retransmission requests per corrupt message before escalating.
@@ -78,13 +79,6 @@ struct RunOptions {
   /// Link-level retransmission of corrupt messages (see ArqConfig). Active
   /// only when `integrity` is also on.
   ArqConfig arq{};
-  /// Optional caller-owned ARQ accounting scope (par/stats.h): when set,
-  /// every link-level ARQ event in this world bumps these counters in
-  /// addition to the process-wide ArqStats. resil::supervise installs one per
-  /// supervised run unless the caller provided its own, so concurrent
-  /// supervisors (the serving layer) never read each other's heals. Not
-  /// owned; must outlive the run.
-  ArqScope* arq_scope = nullptr;
   /// Heartbeat failure detection: every comm operation (and every slice of a
   /// blocked wait) stamps the rank's liveness; a rank silent for longer than
   /// this window — and not yet returned from its SPMD function — is declared
@@ -192,6 +186,11 @@ struct Message {
   /// count stamped once at the sender over the shared storage, verified by
   /// the receiver in place — no second copy on either side.
   Seal seal;
+  /// Link-level ARQ (ArqConfig): the clean sealed payload, shared with
+  /// `payload` at send time (one refcount, no copy) so a corrupt delivery
+  /// can be redelivered from it. Released once the payload verifies, as
+  /// delivered or healed.
+  Buffer retained;
   /// Internal: earliest wall time (par::wall_seconds) at which the message
   /// is visible to recv/irecv under fault injection. 0 = immediately.
   double visible_at = 0.0;
@@ -553,10 +552,11 @@ class Comm {
   void maybe_kill();
   /// Verify a received message's integrity envelope; counts bytes_verified /
   /// corrupt_detected. On mismatch with ARQ active, repairs the payload in
-  /// place from the sender's retained copy under a bounded seeded-backoff
-  /// retransmission loop; throws CorruptMessage only when ARQ is off or the
-  /// budget is exhausted. A verified message acks (releases) the retained
-  /// payload. `what` names the operation (recv / collective).
+  /// place from `m.retained` under a bounded seeded-backoff retransmission
+  /// loop; throws CorruptMessage only when ARQ is off or the budget is
+  /// exhausted. A verified or healed message releases `m.retained`, so
+  /// take_bytes stays zero-copy. `what` names the operation (recv /
+  /// collective).
   void verify_envelope(Message& m, const char* what);
   /// True when the link-level ARQ layer is active (integrity + arq.enabled).
   bool arq_active() const noexcept;

@@ -1,98 +1,8 @@
 #include "par/stats.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace esamr::par {
-
-namespace {
-
-// Process-wide ARQ counters (BufferStats pattern): relaxed atomics, heal
-// latency accumulated via CAS so the double stays exact under concurrency.
-std::atomic<std::int64_t> g_arq_retained{0};
-std::atomic<std::int64_t> g_arq_acked{0};
-std::atomic<std::int64_t> g_arq_retransmits{0};
-std::atomic<std::int64_t> g_arq_healed{0};
-std::atomic<std::int64_t> g_arq_escalated{0};
-std::atomic<double> g_arq_heal_s{0.0};
-
-}  // namespace
-
-ArqStats arq_stats() {
-  ArqStats s;
-  s.retained = g_arq_retained.load(std::memory_order_relaxed);
-  s.acked = g_arq_acked.load(std::memory_order_relaxed);
-  s.retransmits = g_arq_retransmits.load(std::memory_order_relaxed);
-  s.healed = g_arq_healed.load(std::memory_order_relaxed);
-  s.escalated = g_arq_escalated.load(std::memory_order_relaxed);
-  s.heal_s = g_arq_heal_s.load(std::memory_order_relaxed);
-  return s;
-}
-
-void arq_stats_reset() {
-  g_arq_retained.store(0, std::memory_order_relaxed);
-  g_arq_acked.store(0, std::memory_order_relaxed);
-  g_arq_retransmits.store(0, std::memory_order_relaxed);
-  g_arq_healed.store(0, std::memory_order_relaxed);
-  g_arq_escalated.store(0, std::memory_order_relaxed);
-  g_arq_heal_s.store(0.0, std::memory_order_relaxed);
-}
-
-ArqStats ArqScope::snapshot() const {
-  ArqStats s;
-  s.retained = retained.load(std::memory_order_relaxed);
-  s.acked = acked.load(std::memory_order_relaxed);
-  s.retransmits = retransmits.load(std::memory_order_relaxed);
-  s.healed = healed.load(std::memory_order_relaxed);
-  s.escalated = escalated.load(std::memory_order_relaxed);
-  s.heal_s = heal_s.load(std::memory_order_relaxed);
-  return s;
-}
-
-namespace detail {
-
-namespace {
-
-// Exact accumulation of a double under concurrency (the CAS loop the global
-// heal clock already used, shared with the scoped one).
-void atomic_add(std::atomic<double>& acc, double v) {
-  double cur = acc.load(std::memory_order_relaxed);
-  while (!acc.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
-void arq_note_retained(ArqScope* scope) {
-  g_arq_retained.fetch_add(1, std::memory_order_relaxed);
-  if (scope != nullptr) scope->retained.fetch_add(1, std::memory_order_relaxed);
-}
-
-void arq_note_acked(ArqScope* scope) {
-  g_arq_acked.fetch_add(1, std::memory_order_relaxed);
-  if (scope != nullptr) scope->acked.fetch_add(1, std::memory_order_relaxed);
-}
-
-void arq_note_retransmit(ArqScope* scope) {
-  g_arq_retransmits.fetch_add(1, std::memory_order_relaxed);
-  if (scope != nullptr) scope->retransmits.fetch_add(1, std::memory_order_relaxed);
-}
-
-void arq_note_healed(ArqScope* scope, double heal_s) {
-  g_arq_healed.fetch_add(1, std::memory_order_relaxed);
-  atomic_add(g_arq_heal_s, heal_s);
-  if (scope != nullptr) {
-    scope->healed.fetch_add(1, std::memory_order_relaxed);
-    atomic_add(scope->heal_s, heal_s);
-  }
-}
-
-void arq_note_escalated(ArqScope* scope) {
-  g_arq_escalated.fetch_add(1, std::memory_order_relaxed);
-  if (scope != nullptr) scope->escalated.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace detail
 
 const char* coll_name(Coll k) {
   switch (k) {
@@ -109,53 +19,49 @@ const char* coll_name(Coll k) {
   return "?";
 }
 
-CommStats& CommStats::operator+=(const CommStats& o) {
-  p2p_sends += o.p2p_sends;
-  p2p_send_bytes += o.p2p_send_bytes;
-  p2p_recvs += o.p2p_recvs;
-  p2p_recv_bytes += o.p2p_recv_bytes;
-  isends += o.isends;
-  irecvs += o.irecvs;
-  requests_drained += o.requests_drained;
-  coll_msgs += o.coll_msgs;
-  coll_bytes += o.coll_bytes;
-  for (int k = 0; k < n_coll_kinds; ++k) {
-    coll_calls[static_cast<std::size_t>(k)] += o.coll_calls[static_cast<std::size_t>(k)];
-    coll_payload_bytes[static_cast<std::size_t>(k)] +=
-        o.coll_payload_bytes[static_cast<std::size_t>(k)];
+namespace {
+
+/// The one list of CommStats fields: applies `op(mine, theirs)` to each pair
+/// of counters. A member added to CommStats must join this list and
+/// summary(); the static_assert fails the build until it does.
+template <typename Op>
+void each_field(CommStats& a, const CommStats& b, Op op) {
+  op(a.p2p_sends, b.p2p_sends);
+  op(a.p2p_send_bytes, b.p2p_send_bytes);
+  op(a.p2p_recvs, b.p2p_recvs);
+  op(a.p2p_recv_bytes, b.p2p_recv_bytes);
+  op(a.isends, b.isends);
+  op(a.irecvs, b.irecvs);
+  op(a.requests_drained, b.requests_drained);
+  op(a.coll_msgs, b.coll_msgs);
+  op(a.coll_bytes, b.coll_bytes);
+  for (std::size_t k = 0; k < a.coll_calls.size(); ++k) {
+    op(a.coll_calls[k], b.coll_calls[k]);
+    op(a.coll_payload_bytes[k], b.coll_payload_bytes[k]);
   }
-  corrupt_detected += o.corrupt_detected;
-  bytes_verified += o.bytes_verified;
-  retransmits += o.retransmits;
-  arq_healed += o.arq_healed;
-  arq_escalations += o.arq_escalations;
-  recv_blocked_s += o.recv_blocked_s;
-  barrier_blocked_s += o.barrier_blocked_s;
+  op(a.corrupt_detected, b.corrupt_detected);
+  op(a.bytes_verified, b.bytes_verified);
+  op(a.retransmits, b.retransmits);
+  op(a.arq_healed, b.arq_healed);
+  op(a.arq_escalations, b.arq_escalations);
+  op(a.arq_heal_s, b.arq_heal_s);
+  op(a.recv_blocked_s, b.recv_blocked_s);
+  op(a.barrier_blocked_s, b.barrier_blocked_s);
+}
+
+// 17 scalar counters plus the two per-collective arrays, all 8 bytes wide.
+static_assert(sizeof(CommStats) == (17 + 2 * n_coll_kinds) * 8,
+              "CommStats changed: update each_field() and summary()");
+
+}  // namespace
+
+CommStats& CommStats::operator+=(const CommStats& o) {
+  each_field(*this, o, [](auto& x, auto y) { x += y; });
   return *this;
 }
 
 CommStats& CommStats::operator-=(const CommStats& o) {
-  p2p_sends -= o.p2p_sends;
-  p2p_send_bytes -= o.p2p_send_bytes;
-  p2p_recvs -= o.p2p_recvs;
-  p2p_recv_bytes -= o.p2p_recv_bytes;
-  isends -= o.isends;
-  irecvs -= o.irecvs;
-  requests_drained -= o.requests_drained;
-  coll_msgs -= o.coll_msgs;
-  coll_bytes -= o.coll_bytes;
-  for (int k = 0; k < n_coll_kinds; ++k) {
-    coll_calls[static_cast<std::size_t>(k)] -= o.coll_calls[static_cast<std::size_t>(k)];
-    coll_payload_bytes[static_cast<std::size_t>(k)] -=
-        o.coll_payload_bytes[static_cast<std::size_t>(k)];
-  }
-  corrupt_detected -= o.corrupt_detected;
-  bytes_verified -= o.bytes_verified;
-  retransmits -= o.retransmits;
-  arq_healed -= o.arq_healed;
-  arq_escalations -= o.arq_escalations;
-  recv_blocked_s -= o.recv_blocked_s;
-  barrier_blocked_s -= o.barrier_blocked_s;
+  each_field(*this, o, [](auto& x, auto y) { x -= y; });
   return *this;
 }
 
@@ -188,9 +94,10 @@ std::string summary(const CommStats& s) {
                 static_cast<long long>(s.corrupt_detected));
   out += line;
   if (s.retransmits != 0 || s.arq_healed != 0 || s.arq_escalations != 0) {
-    std::snprintf(line, sizeof(line), "arq: %lld retransmits, %lld healed, %lld escalated\n",
+    std::snprintf(line, sizeof(line),
+                  "arq: %lld retransmits, %lld healed in %.6f s, %lld escalated\n",
                   static_cast<long long>(s.retransmits), static_cast<long long>(s.arq_healed),
-                  static_cast<long long>(s.arq_escalations));
+                  s.arq_heal_s, static_cast<long long>(s.arq_escalations));
     out += line;
   }
   std::snprintf(line, sizeof(line), "blocked: %.3f s in recv, %.3f s in barrier\n",

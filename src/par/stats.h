@@ -9,8 +9,8 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -70,12 +70,16 @@ struct CommStats {
   // Link-level ARQ (the cheapest rung of the recovery ladder; see DESIGN.md
   // "Recovery ladder"). retransmits counts retransmission requests this rank
   // issued as a receiver; arq_healed counts corrupt envelopes repaired from
-  // the sender's retained payload without escalating; arq_escalations counts
-  // corruptions that exhausted the retransmission budget and escalated to
-  // CorruptMessage (the supervisor layer).
+  // the message's clean payload without escalating, and arq_heal_s their
+  // summed detect-to-heal latency; arq_escalations counts corruptions that
+  // exhausted the retransmission budget and escalated to CorruptMessage (the
+  // supervisor layer). These are the only ARQ counters: a heal is charged
+  // to the receiving rank of the world it happened in, so tenants' counts
+  // stay apart by construction.
   std::int64_t retransmits = 0;
   std::int64_t arq_healed = 0;
   std::int64_t arq_escalations = 0;
+  double arq_heal_s = 0.0;
 
   // Wall time this rank spent blocked (includes blocking inside collectives).
   double recv_blocked_s = 0.0;
@@ -98,51 +102,36 @@ struct CommStatsSnapshot {
 /// Multi-line human-readable summary (used by the bench drivers).
 std::string summary(const CommStats& s);
 
-/// Process-wide counters for the link-level ARQ layer, following the
-/// BufferStats pattern (par/buffer.h): atomics aggregated across every World
-/// so resil::supervise and the benches can observe link-layer heals that, by
-/// design, never surface as exceptions out of par::run.
-struct ArqStats {
-  std::int64_t retained = 0;     ///< sealed payloads retained for retransmission
-  std::int64_t acked = 0;        ///< retained payloads released by a verified recv
-  std::int64_t retransmits = 0;  ///< retransmission requests served
-  std::int64_t healed = 0;       ///< corrupt envelopes repaired at the link layer
-  std::int64_t escalated = 0;    ///< corruptions that exhausted the ARQ budget
-  double heal_s = 0.0;           ///< total detect-to-heal latency over `healed`
+/// A CommStats sum over the ranks of one or more runs (thread-safe). A rank
+/// body adds its counters through a Tally, which folds them in when the body
+/// returns *or unwinds*, so an attempt that faulted still counts.
+class CommSum {
+ public:
+  class Tally {
+   public:
+    Tally(CommSum& sum, const CommStats& rank) : sum_(sum), rank_(rank) {}
+    ~Tally() { sum_.add(rank_); }
+    Tally(const Tally&) = delete;
+    Tally& operator=(const Tally&) = delete;
+
+   private:
+    CommSum& sum_;
+    const CommStats& rank_;
+  };
+
+  CommStats total() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return sum_;
+  }
+
+ private:
+  void add(const CommStats& s) {
+    std::lock_guard<std::mutex> lock(mu_);
+    sum_ += s;
+  }
+
+  mutable std::mutex mu_;
+  CommStats sum_;
 };
-
-/// Snapshot of the process-wide ARQ counters.
-ArqStats arq_stats();
-/// Reset the process-wide ARQ counters (bench/test phase boundaries).
-void arq_stats_reset();
-
-/// Caller-scoped ARQ accounting (RunOptions::arq_scope): the same counters as
-/// the process-wide ArqStats, but owned by one caller and bumped only by the
-/// world(s) whose RunOptions point at it. resil::supervise installs one per
-/// supervised run (unless the caller provided its own), so concurrent
-/// supervisors — the multi-tenant serving layer runs hundreds — observe only
-/// their *own* link-layer heals instead of reading each other's out of the
-/// process-wide totals. The globals keep accumulating the cross-world sum.
-struct ArqScope {
-  std::atomic<std::int64_t> retained{0};
-  std::atomic<std::int64_t> acked{0};
-  std::atomic<std::int64_t> retransmits{0};
-  std::atomic<std::int64_t> healed{0};
-  std::atomic<std::int64_t> escalated{0};
-  std::atomic<double> heal_s{0.0};
-
-  /// Coherent plain-value copy of the counters.
-  ArqStats snapshot() const;
-};
-
-namespace detail {
-// Each note bumps the process-wide counter and, when `scope` is non-null, the
-// caller's ArqScope (the World threads its RunOptions::arq_scope through).
-void arq_note_retained(ArqScope* scope);
-void arq_note_acked(ArqScope* scope);
-void arq_note_retransmit(ArqScope* scope);
-void arq_note_healed(ArqScope* scope, double heal_s);
-void arq_note_escalated(ArqScope* scope);
-}  // namespace detail
 
 }  // namespace esamr::par

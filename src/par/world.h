@@ -1,13 +1,13 @@
 // Internal shared state for one SPMD section (not part of the public API):
 // per-rank mailboxes for user and collective-internal traffic, the counting
-// barrier, per-rank counters, ARQ retention and heartbeats.
+// barrier, per-rank counters and heartbeats. Link-level ARQ keeps no state
+// here: each message carries its own clean payload (Message::retained).
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -35,11 +35,9 @@ class World {
   World(int n, RunOptions options)
       : size(n), opts(std::move(options)), mail(static_cast<std::size_t>(n)),
         coll_mail(static_cast<std::size_t>(n)), stats(static_cast<std::size_t>(n)),
-        retain(static_cast<std::size_t>(n)), hb_last(static_cast<std::size_t>(n)),
-        hb_done(static_cast<std::size_t>(n)) {
+        hb_last(static_cast<std::size_t>(n)), hb_done(static_cast<std::size_t>(n)) {
     for (auto& m : mail) m = std::make_unique<Mailbox>(n);
     for (auto& m : coll_mail) m = std::make_unique<Mailbox>(n);
-    for (auto& box : retain) box = std::make_unique<RetainBox>();
     const double now = wall_seconds();
     for (auto& t : hb_last) t.store(now, std::memory_order_relaxed);
     for (auto& d : hb_done) d.store(false, std::memory_order_relaxed);
@@ -57,23 +55,6 @@ class World {
     /// monotone per (source, this) pair so delays never reorder a pair's
     /// messages (tag-matching semantics are preserved under injection).
     std::vector<double> last_visible;
-  };
-
-  /// A sender-retained clean payload awaiting the receiver's integrity ack
-  /// (link-level ARQ; see ArqConfig). `payload` is a zero-copy reference to
-  /// the exact sealed buffer — retaining it costs one refcount, not a copy.
-  struct RetainEntry {
-    Buffer payload;
-    Seal seal;
-  };
-
-  /// Per-destination retention store, keyed by (source, seq). seq is the
-  /// per-(src, dst) post counter shared by the user and collective planes, so
-  /// the key is unique per destination. The receiver is the only reader; the
-  /// senders to this destination are the writers.
-  struct RetainBox {
-    std::mutex m;
-    std::map<std::pair<int, std::uint64_t>, RetainEntry> entries;
   };
 
   /// The barrier primitive shared by Comm::barrier and Comm::stats_snapshot;
@@ -125,7 +106,6 @@ class World {
   std::vector<std::unique_ptr<Mailbox>> mail;       ///< user point-to-point
   std::vector<std::unique_ptr<Mailbox>> coll_mail;  ///< collective-internal
   std::vector<CommStats> stats;                          ///< per rank
-  std::vector<std::unique_ptr<RetainBox>> retain;        ///< ARQ retention, per dest
   std::vector<std::atomic<double>> hb_last;              ///< last heartbeat, per rank
   std::vector<std::atomic<bool>> hb_done;                ///< cleanly finished, per rank
   std::unique_ptr<check::Checker> checker;               ///< null = checking off

@@ -81,27 +81,18 @@ enum class Fault { rank_failure, timeout, corrupt_msg, corrupt_ckpt };
 RecoveryStats supervise(int nranks, par::RunOptions opts, const SupervisorOptions& sopts,
                         CheckpointRing* ring, const SupervisedBody& body) {
   RecoveryStats stats;
-  // Link-layer heals never surface as exceptions, so they are observed as a
-  // counter delta across this supervised run — against a *scoped* counter
-  // (par::ArqScope installed into the RunOptions), not the process-wide one,
-  // so concurrent supervisors never read each other's heals. A caller-
-  // provided scope is respected (and read the same delta-wise).
-  par::ArqScope arq_local;
-  if (opts.arq_scope == nullptr) opts.arq_scope = &arq_local;
-  const std::int64_t arq_healed0 = opts.arq_scope->healed.load(std::memory_order_relaxed);
-  const auto arq_healed_delta = [&] {
-    return static_cast<int>(opts.arq_scope->healed.load(std::memory_order_relaxed) -
-                            arq_healed0);
-  };
-  // The jittered-exponential restart schedule (one draw per caught fault) —
-  // the same stream the pre-refactor inline formula produced, now drawn from
-  // the shared seeded-backoff helper. backoff_salt decorrelates concurrent
-  // supervisors that share an inject seed; the default salt of 0 mixes to 0,
-  // keeping single-job schedules bit-identical.
+  // Link-layer heals never surface as exceptions; every rank of every
+  // attempt adds its CommStats here as its body returns or unwinds, so the
+  // heals of failed attempts count too. Each World is this run's own, so
+  // concurrent supervisors never see each other's heals.
+  par::CommSum link;
+  const auto healed_link = [&] { return static_cast<int>(link.total().arq_healed); };
+  // The jittered-exponential restart schedule (one draw per caught fault).
+  // backoff_salt decorrelates concurrent supervisors that share an inject
+  // seed; the default salt of 0 mixes to 0, keeping single-job schedules
+  // bit-identical.
   par::SeededBackoff backoff(
-      par::BackoffPolicy{sopts.backoff_initial_s, sopts.backoff_factor, sopts.backoff_cap_s,
-                         sopts.backoff_jitter},
-      opts.inject.seed ^ 0xbac0ffULL ^ par::detail::mix64(sopts.backoff_salt));
+      sopts.backoff, opts.inject.seed ^ 0xbac0ffULL ^ par::detail::mix64(sopts.backoff_salt));
   int world_size = nranks;
   int spares_left = sopts.policy.spares;
   double fault_wall = 0.0;  // wall time of the currently-unrepaired fault
@@ -113,7 +104,7 @@ RecoveryStats supervise(int nranks, par::RunOptions opts, const SupervisorOption
     if (sopts.suspend != nullptr && sopts.suspend->requested()) {
       stats.suspended = true;
       stats.ranks_final = world_size;
-      stats.healed_link = arq_healed_delta();
+      stats.healed_link = healed_link();
       return stats;
     }
     RecoveryContext ctx(attempt);
@@ -185,11 +176,14 @@ RecoveryStats supervise(int nranks, par::RunOptions opts, const SupervisorOption
 
     ++stats.attempts;
     try {
-      par::run(world_size, opts, [&](par::Comm& c) { body(c, ctx); });
+      par::run(world_size, opts, [&](par::Comm& c) {
+        const par::CommSum::Tally tally(link, c.stats());
+        body(c, ctx);
+      });
       settle_mttr();
       stats.bytes_reread += ctx.bytes_reread();
       stats.ranks_final = world_size;
-      stats.healed_link = arq_healed_delta();
+      stats.healed_link = healed_link();
       return stats;
     } catch (const Suspended&) {
       // A cooperative checkpoint-and-suspend, not a fault: the body committed
@@ -201,7 +195,7 @@ RecoveryStats supervise(int nranks, par::RunOptions opts, const SupervisorOption
       stats.bytes_reread += ctx.bytes_reread();
       stats.ranks_final = world_size;
       stats.suspended = true;
-      stats.healed_link = arq_healed_delta();
+      stats.healed_link = healed_link();
       return stats;
     } catch (const par::RankFailure& e) {
       stats.detect_s += e.silent_s();

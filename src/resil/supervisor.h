@@ -151,8 +151,8 @@ struct RecoveryStats {
   int repairs = 0;        ///< completed fault -> restored intervals
   double repair_s = 0.0;  ///< total wall time across those intervals
   double detect_s = 0.0;  ///< total silent-before-detection time
-  /// Mean time to repair at the supervisor layer (link-layer heals are
-  /// process-wide: see par::arq_stats().heal_s / healed).
+  /// Mean time to repair at the supervisor layer (link-layer heal latency is
+  /// counted per rank: par::CommStats::arq_heal_s / arq_healed).
   double mttr_s() const { return repairs > 0 ? repair_s / repairs : 0.0; }
 
   /// One message per caught fault, capped at SupervisorOptions::
@@ -173,19 +173,15 @@ struct RecoveryStats {
 struct SupervisorOptions {
   /// Retries after the first attempt; attempt count is at most 1 + max_retries.
   int max_retries = 3;
-  double backoff_initial_s = 0.01;
-  double backoff_factor = 2.0;
-  /// Nominal backoff ceiling (the cap the exponential schedule saturates at;
-  /// the *realised* longest sleep is RecoveryStats::backoff_max_s).
-  double backoff_cap_s = 1.0;
-  /// Fractional jitter applied to each backoff sleep: the actual sleep is
-  /// backoff * (1 + jitter * u) with u drawn deterministically from
-  /// (inject seed, attempt) in [-1, 1). 0 disables jitter. Jitter decorrelates
-  /// retry storms across concurrent supervisors while staying reproducible;
-  /// the realised bounds are recorded in RecoveryStats::backoff_{min,max}_s.
-  /// The schedule is drawn from par::SeededBackoff with key inject.seed ^
-  /// 0xbac0ff ^ mix64(backoff_salt), one draw per caught fault.
-  double backoff_jitter = 0.5;
+  /// Restart backoff between attempts (the same policy type ARQ uses): the
+  /// nominal sleep starts at initial_s and grows by factor up to cap_s, and
+  /// each sleep is scaled by (1 + jitter * u) with u drawn deterministically
+  /// from (inject seed, attempt) in [-1, 1). Jitter decorrelates retry storms
+  /// across concurrent supervisors while staying reproducible; the realised
+  /// bounds are recorded in RecoveryStats::backoff_{min,max}_s. The schedule
+  /// is drawn from par::SeededBackoff with key inject.seed ^ 0xbac0ff ^
+  /// mix64(backoff_salt), one draw per caught fault.
+  par::BackoffPolicy backoff{0.01, 2.0, 1.0, 0.5};
   /// Per-supervisor identity mixed into the backoff key so concurrent
   /// supervisors sharing an inject seed draw *decorrelated* jitter instead of
   /// retrying in lockstep (a retry storm). The serving layer passes the job

@@ -68,7 +68,8 @@ struct JobSpec {
   /// it burns the tenant's retry budget like any other fault. 0 = none.
   double deadline_s = 0.0;
 
-  /// First backoff sleep of the per-lease supervisor retry schedule.
+  /// First backoff sleep of the per-lease supervisor retry schedule
+  /// (resil::SupervisorOptions::backoff.initial_s).
   double backoff_initial_s = 0.002;
 
   /// How this job's supervisor repairs confirmed rank failures.

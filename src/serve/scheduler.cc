@@ -11,15 +11,14 @@ namespace esamr::serve {
 
 /// Scheduler-internal job record. Addresses are stable (unique_ptr in jobs_)
 /// because the lease worker and the SPMD body hold references. Fields are
-/// guarded by Scheduler::mu_ except: `spec`/`id` (immutable after admission),
-/// `control`/`arq` (internally synchronised), and `comm` (guarded by the
-/// job-local comm_mu so body ranks never contend on the scheduler lock).
+/// guarded by Scheduler::mu_ except: `spec`/`id` (immutable after admission)
+/// and `control`/`comm` (internally synchronised, so body ranks never contend
+/// on the scheduler lock).
 struct Scheduler::Job {
   int id = -1;
   JobSpec spec;
   JobState state = JobState::queued;
   JobControl control;
-  par::ArqScope arq;
 
   /// Job-scope fault environment: starts as spec.inject; one-shot faults are
   /// cleared after a lease that caught them (see run_lease).
@@ -35,8 +34,7 @@ struct Scheduler::Job {
   int exhaustions = 0;
 
   resil::RecoveryStats recovery;
-  mutable std::mutex comm_mu;
-  par::CommStats comm;
+  par::CommSum comm;  ///< every rank of every attempt of every lease
 
   double queued_since = 0.0;
   double lease_start = 0.0;
@@ -222,11 +220,10 @@ void Scheduler::run_lease(Job& j, int nranks) {
   opts.heartbeat_timeout_s = j.spec.heartbeat_timeout_s;
   opts.recv_timeout_s = j.spec.recv_timeout_s;
   opts.arq.enabled = j.spec.arq_enabled;
-  opts.arq_scope = &j.arq;
 
   resil::SupervisorOptions sopts;
   sopts.max_retries = j.spec.max_retries;
-  sopts.backoff_initial_s = j.spec.backoff_initial_s;
+  sopts.backoff.initial_s = j.spec.backoff_initial_s;
   // Job identity decorrelates concurrent retry schedules (id 0 maps to a
   // nonzero salt on purpose: every served job is salted).
   sopts.backoff_salt = static_cast<std::uint64_t>(j.id) + 1;
@@ -237,15 +234,8 @@ void Scheduler::run_lease(Job& j, int nranks) {
   std::uint64_t digest = 0;
   const auto inner = make_body(j.spec, &j.control, &digest);
   const resil::SupervisedBody body = [&](par::Comm& c, resil::RecoveryContext& ctx) {
-    try {
-      inner(c, ctx);
-    } catch (...) {
-      std::lock_guard<std::mutex> lk(j.comm_mu);
-      j.comm += c.stats();
-      throw;
-    }
-    std::lock_guard<std::mutex> lk(j.comm_mu);
-    j.comm += c.stats();
+    const par::CommSum::Tally tally(j.comm, c.stats());
+    inner(c, ctx);
   };
 
   // A lease ends exactly one of four ways; every path releases the slots.
@@ -318,11 +308,7 @@ JobReport Scheduler::report_locked(const Job& j) const {
   r.preemptions = j.preemptions;
   r.exhaustions = j.exhaustions;
   r.recovery = j.recovery;
-  {
-    std::lock_guard<std::mutex> lk(j.comm_mu);
-    r.comm = j.comm;
-  }
-  r.arq = j.arq.snapshot();
+  r.comm = j.comm.total();
   r.wait_s = j.wait_s;
   r.run_s = j.run_s;
   r.lease_slots = j.lease_slots;

@@ -26,12 +26,12 @@
 //
 // Every lease runs under resil::supervise with the job's own retry budget,
 // recovery policy, backoff salt (the job id — concurrent supervisors draw
-// decorrelated jitter), and a private par::ArqScope, so recovery accounting
-// and link-layer heal counts are per-tenant. All throws are absorbed at the
-// lease boundary: fault classes that exhausted the supervisor budget consume
-// one relaunch (then quarantine); anything else is a tenant bug and
-// quarantines immediately. Either way the pool slots come back and every
-// other tenant is untouched.
+// decorrelated jitter) and its own worlds, so recovery accounting and the
+// link-layer heal counts in its CommStats are per-tenant. All throws are
+// absorbed at the lease boundary: fault classes that exhausted the
+// supervisor budget consume one relaunch (then quarantine); anything else is
+// a tenant bug and quarantines immediately. Either way the pool slots come
+// back and every other tenant is untouched.
 #pragma once
 
 #include <condition_variable>
@@ -73,10 +73,9 @@ struct JobReport {
   /// exhausted its budget contributes only its exhaustion count — the
   /// supervisor throws instead of returning stats).
   resil::RecoveryStats recovery;
-  /// Comm counters summed over every rank of every attempt of every lease.
+  /// Comm counters summed over every rank of every attempt of every lease,
+  /// link-layer ARQ heals and retransmissions included.
   par::CommStats comm;
-  /// Link-layer ARQ events scoped to this job's worlds alone.
-  par::ArqStats arq;
 
   double wait_s = 0.0;  ///< time spent queued or suspended
   double run_s = 0.0;   ///< time spent leased

@@ -243,7 +243,7 @@ Outcome chaos_run(int p, const FaultClass& fc, std::uint64_t seed, const Connect
 
   resil::SupervisorOptions sopt;
   sopt.max_retries = 4;
-  sopt.backoff_initial_s = 0.0;
+  sopt.backoff.initial_s = 0.0;
 
   const std::string dir =
       test_dir(std::string(fc.name) + "_p" + std::to_string(p) + "_s" + std::to_string(seed));
@@ -511,7 +511,7 @@ TEST(Chaos, AdaptUnderFault) {
       opts.arq.enabled = false;
       resil::SupervisorOptions sopt;
       sopt.max_retries = 4;
-      sopt.backoff_initial_s = 0.0;
+      sopt.backoff.initial_s = 0.0;
       const std::string dir =
           test_dir("adapt_fault_p" + std::to_string(p) + "_s" + std::to_string(seed));
       std::uint64_t digest = 0;
@@ -658,7 +658,7 @@ Outcome ladder_run(int p, resil::RecoveryMode mode, const FaultClass& fc, std::u
 
   resil::SupervisorOptions sopt;
   sopt.max_retries = 10;  // worst case every rank of a shrinking world dies
-  sopt.backoff_initial_s = 0.0;
+  sopt.backoff.initial_s = 0.0;
   sopt.policy.on_rank_failure = mode;
   sopt.policy.spares = 1;
   sopt.policy.min_ranks = 1;

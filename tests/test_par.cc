@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <mutex>
 #include <numeric>
 #include <string>
@@ -146,16 +145,16 @@ struct ArqTally {
 }  // namespace
 
 // Seeded in-flight corruption with ARQ on: every corrupt delivery is repaired
-// from the sender's retained payload (the healed bytes match the original
-// exactly), nothing escalates, and the process-wide counters agree with the
-// per-rank ones.
+// from the message's clean payload (the healed bytes match the original
+// exactly), nothing escalates, and each rank that healed also clocked the
+// detect-to-heal latency.
 TEST(Arq, HealsInFlightCorruptionAtTheLinkLayer) {
   par::RunOptions opts;
   opts.inject.seed = 99;
   opts.inject.corrupt_msg_stride = 8;
-  par::arq_stats_reset();
-  std::atomic<long long> healed{0}, escalated{0}, retransmits{0}, detected{0};
+  par::CommSum sum;
   par::run(4, opts, [&](par::Comm& c) {
+    const par::CommSum::Tally tally(sum, c.stats());
     const int next = (c.rank() + 1) % c.size();
     const int prev = (c.rank() + c.size() - 1) % c.size();
     for (int i = 0; i < 32; ++i) {
@@ -164,23 +163,55 @@ TEST(Arq, HealsInFlightCorruptionAtTheLinkLayer) {
       // A healed payload is the sender's original, bit for bit.
       EXPECT_EQ(m.value<int>(), ((prev + 3) % 4) * 1000 + i);
     }
-    healed += c.stats().arq_healed;
-    escalated += c.stats().arq_escalations;
-    retransmits += c.stats().retransmits;
-    detected += c.stats().corrupt_detected;
+    EXPECT_EQ(c.stats().arq_healed > 0, c.stats().arq_heal_s > 0.0) << "rank " << c.rank();
   });
-  EXPECT_GT(healed.load(), 0) << "seed 99 / stride 8 must corrupt some messages";
-  EXPECT_EQ(escalated.load(), 0);
-  EXPECT_GE(retransmits.load(), healed.load());
-  EXPECT_GE(detected.load(), healed.load());
-  const auto a = par::arq_stats();
-  EXPECT_EQ(a.healed, healed.load());
-  EXPECT_EQ(a.escalated, 0);
-  EXPECT_EQ(a.retransmits, retransmits.load());
-  EXPECT_GT(a.retained, 0);
-  // Every delivered message was verified, so every retained payload was acked.
-  EXPECT_EQ(a.acked, a.retained);
-  EXPECT_GT(a.heal_s, 0.0);
+  const par::CommStats t = sum.total();
+  EXPECT_GT(t.arq_healed, 0) << "seed 99 / stride 8 must corrupt some messages";
+  EXPECT_EQ(t.arq_escalations, 0);
+  EXPECT_GE(t.retransmits, t.arq_healed);
+  EXPECT_GE(t.corrupt_detected, t.arq_healed);
+  EXPECT_GT(t.arq_heal_s, 0.0);
+}
+
+// A healed delivery is as zero-copy as a clean one: the only payload copies
+// are the injected corrupt clones (one per corrupt delivery, retransmission
+// redraws included), and once the message has healed it holds the sender's
+// storage alone, so every take_bytes moves it out without copying.
+TEST(Arq, HealedDeliveryStaysZeroCopy) {
+  constexpr int kRanks = 4;
+  constexpr int iters = 16;
+  constexpr std::size_t n = 256;
+  par::RunOptions opts;
+  opts.inject.seed = 99;
+  opts.inject.corrupt_msg_stride = 4;
+  par::CommSum sum;
+  par::buffer_stats_reset();
+  par::run(kRanks, opts, [&](par::Comm& c) {
+    const par::CommSum::Tally tally(sum, c.stats());
+    const int next = (c.rank() + 1) % c.size();
+    const int prev = (c.rank() + c.size() - 1) % c.size();
+    for (int it = 0; it < iters; ++it) {
+      std::vector<std::byte> buf(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        buf[j] = static_cast<std::byte>(c.rank() + static_cast<int>(j) + it);
+      }
+      par::Request rr = c.irecv(prev, 42);
+      par::Request rs = c.isend(next, 42, std::move(buf));  // storage adopted
+      rr.wait();
+      rs.wait();
+      // After the barrier every sender has released its reference.
+      c.barrier();
+      const auto bytes = rr.message().take_bytes();
+      ASSERT_EQ(bytes.size(), n);
+      EXPECT_EQ(bytes[1], static_cast<std::byte>(prev + 1 + it));
+    }
+  });
+  const par::CommStats t = sum.total();
+  const par::BufferStats bs = par::buffer_stats();
+  EXPECT_GT(t.arq_healed, 0) << "seed 99 / stride 4 must corrupt some messages";
+  EXPECT_EQ(t.arq_escalations, 0);
+  EXPECT_EQ(bs.copies, t.corrupt_detected);
+  EXPECT_EQ(bs.zero_copy_takes, kRanks * iters);
 }
 
 // ARQ heals are deterministic: the same seed replays the same retransmission
@@ -253,22 +284,24 @@ TEST(Arq, DisabledEscalatesOnFirstFailure) {
 }
 
 // A zero-retransmit budget behaves like ARQ off (escalate at once), but still
-// counts the escalation on the ARQ ledger.
+// counts the escalation on the ARQ ledger. par::run throws, so each rank's
+// counters are tallied as its body unwinds.
 TEST(Arq, ZeroBudgetEscalatesAndCounts) {
   par::RunOptions opts;
   opts.inject.seed = 99;
   opts.inject.corrupt_msg_stride = 1;
   opts.arq.max_retransmits = 0;
-  par::arq_stats_reset();
+  par::CommSum sum;
   EXPECT_THROW(par::run(2, opts,
-                        [](par::Comm& c) {
+                        [&](par::Comm& c) {
+                          const par::CommSum::Tally tally(sum, c.stats());
                           c.send_value(1 - c.rank(), 1, c.rank());
                           (void)c.recv(1 - c.rank(), 1);
                         }),
                par::CorruptMessage);
-  const auto a = par::arq_stats();
-  EXPECT_GE(a.escalated, 1);
-  EXPECT_EQ(a.retransmits, 0);
+  const par::CommStats t = sum.total();
+  EXPECT_GE(t.arq_escalations, 1);
+  EXPECT_EQ(t.retransmits, 0);
 }
 
 // --- Heartbeat failure detection --------------------------------------------

@@ -148,7 +148,7 @@ TEST_P(PerturbRanks, PipelineBitIdenticalUnderSupervisedRankKill) {
     }
     resil::SupervisorOptions sopt;
     sopt.max_retries = 2;
-    sopt.backoff_initial_s = 0.0;
+    sopt.backoff.initial_s = 0.0;
     std::vector<RankFingerprint> got(static_cast<std::size_t>(p));
     const auto stats = resil::supervise(
         p, opts, sopt, nullptr, [&](par::Comm& c, resil::RecoveryContext&) {

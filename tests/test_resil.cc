@@ -484,7 +484,7 @@ TEST(Supervisor, RetriesPastOneShotKill) {
   opts.inject.kill_after_ops = 10;
   resil::SupervisorOptions sopt;
   sopt.max_retries = 3;
-  sopt.backoff_initial_s = 0.0;
+  sopt.backoff.initial_s = 0.0;
   const auto stats = resil::supervise(
       4, opts, sopt, nullptr, [](par::Comm& c, resil::RecoveryContext& ctx) {
         if (c.rank() == 0) ctx.note_step();
@@ -507,7 +507,7 @@ TEST(Supervisor, GivesUpWhenTheFaultPersists) {
   opts.inject.kill_after_ops = 5;
   resil::SupervisorOptions sopt;
   sopt.max_retries = 2;
-  sopt.backoff_initial_s = 0.0;
+  sopt.backoff.initial_s = 0.0;
   sopt.clear_kill_on_retry = false;  // the same kill fires on every attempt
   std::atomic<int> attempts{0};
   EXPECT_THROW(resil::supervise(4, opts, sopt, nullptr,
@@ -532,7 +532,7 @@ TEST(Supervisor, QuarantinesNewestRingEntryOnCorruption) {
   ASSERT_EQ(ring.entries().size(), 1u);
   resil::SupervisorOptions sopt;
   sopt.max_retries = 2;
-  sopt.backoff_initial_s = 0.0;
+  sopt.backoff.initial_s = 0.0;
   const auto stats = resil::supervise(
       2, par::RunOptions{}, sopt, &ring, [](par::Comm& c, resil::RecoveryContext& ctx) {
         if (ctx.attempt() == 0 && c.rank() == 0) {
@@ -595,7 +595,7 @@ TEST(MantleRecovery, KilledRunRecoversToBitIdenticalFields) {
   std::vector<std::uint64_t> got_sum(P);
   resil::SupervisorOptions sopt;
   sopt.max_retries = 3;
-  sopt.backoff_initial_s = 0.0;
+  sopt.backoff.initial_s = 0.0;
   const auto stats = resil::supervise(
       P, opts, sopt, nullptr, [&](par::Comm& c, resil::RecoveryContext& ctx) {
         apps::MantleSimulation sim(c, mopt2);
@@ -741,7 +741,7 @@ TEST(Supervisor, RecoversFromDetectedMessageCorruption) {
   opts.arq.enabled = false;
   resil::SupervisorOptions sopt;
   sopt.max_retries = 2;
-  sopt.backoff_initial_s = 0.0;
+  sopt.backoff.initial_s = 0.0;
   std::atomic<int> clean_sum{-1};
   const auto stats = resil::supervise(
       4, opts, sopt, nullptr, [&](par::Comm& c, resil::RecoveryContext&) {
@@ -769,7 +769,7 @@ TEST(Supervisor, GivesUpWhenCorruptionPersists) {
   opts.arq.enabled = false;  // supervisor-rung test, as above
   resil::SupervisorOptions sopt;
   sopt.max_retries = 1;
-  sopt.backoff_initial_s = 0.0;
+  sopt.backoff.initial_s = 0.0;
   sopt.clear_corrupt_on_retry = false;
   EXPECT_THROW(resil::supervise(2, opts, sopt, nullptr,
                                 [](par::Comm& c, resil::RecoveryContext&) {
@@ -785,10 +785,10 @@ TEST(Supervisor, GivesUpWhenCorruptionPersists) {
 TEST(Supervisor, BackoffJitterIsSeededDeterministicAndBounded) {
   resil::SupervisorOptions sopt;
   sopt.max_retries = 3;
-  sopt.backoff_initial_s = 0.001;
-  sopt.backoff_factor = 2.0;
-  sopt.backoff_cap_s = 0.01;
-  sopt.backoff_jitter = 0.5;
+  sopt.backoff.initial_s = 0.001;
+  sopt.backoff.factor = 2.0;
+  sopt.backoff.cap_s = 0.01;
+  sopt.backoff.jitter = 0.5;
   par::RunOptions opts;
   opts.inject.seed = 77;  // the jitter stream seed
   const auto run_once = [&](const par::RunOptions& o) {
@@ -813,7 +813,7 @@ TEST(Supervisor, BackoffJitterIsSeededDeterministicAndBounded) {
   opts2.inject.seed = 78;
   EXPECT_NE(run_once(opts2).backoff_s, s1.backoff_s);
   // Zero jitter reproduces the exact exponential schedule.
-  sopt.backoff_jitter = 0.0;
+  sopt.backoff.jitter = 0.0;
   const auto s3 = run_once(opts);
   EXPECT_DOUBLE_EQ(s3.backoff_min_s, 0.001);
   EXPECT_DOUBLE_EQ(s3.backoff_max_s, 0.002);
@@ -938,7 +938,7 @@ TEST(ShrinkRecovery, ReformsSmallerWorldBitIdentically) {
     opts.inject.kill_after_ops = ops[static_cast<std::size_t>(victim)] * 3 / 4;
     ASSERT_GT(opts.inject.kill_after_ops, 0u) << "P=" << P;
     resil::SupervisorOptions sopt;
-    sopt.backoff_initial_s = 0.0;
+    sopt.backoff.initial_s = 0.0;
     // The shrink exemption, not kill-clearing, must make the retry survive.
     sopt.clear_kill_on_retry = false;
     sopt.policy.on_rank_failure = resil::RecoveryMode::shrink;
@@ -979,7 +979,7 @@ TEST(SpareRecovery, ConsumesASpareAndKeepsWorldSize) {
   opts.inject.kill_after_ops = ops[static_cast<std::size_t>(victim)] * 3 / 4;
   ASSERT_GT(opts.inject.kill_after_ops, 0u);
   resil::SupervisorOptions sopt;
-  sopt.backoff_initial_s = 0.0;
+  sopt.backoff.initial_s = 0.0;
   sopt.clear_kill_on_retry = false;
   sopt.policy.on_rank_failure = resil::RecoveryMode::spare;
   sopt.policy.spares = 1;
@@ -1045,7 +1045,7 @@ TEST(ShrinkRecovery, BackToBackDoubleFailureShrinksTwice) {
   ASSERT_GT(opts.inject.kill_after_ops, 0u);
   resil::SupervisorOptions sopt;
   sopt.max_retries = 3;
-  sopt.backoff_initial_s = 0.0;
+  sopt.backoff.initial_s = 0.0;
   sopt.clear_kill_on_retry = false;
   sopt.policy.on_rank_failure = resil::RecoveryMode::shrink;
   const std::string dir = test_dir("double_shrink");
@@ -1077,7 +1077,7 @@ TEST(ShrinkRecovery, EscalatesToRestartAtTheFloor) {
   opts.inject.kill_rank_stride = P;
   opts.inject.kill_after_ops = ops[static_cast<std::size_t>(victim)] * 3 / 4;
   resil::SupervisorOptions sopt;
-  sopt.backoff_initial_s = 0.0;
+  sopt.backoff.initial_s = 0.0;
   sopt.policy.on_rank_failure = resil::RecoveryMode::shrink;
   sopt.policy.min_ranks = P;  // already at the floor: shrink is not allowed
   const std::string dir = test_dir("shrink_floor");

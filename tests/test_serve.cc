@@ -257,15 +257,15 @@ TEST(Isolation, TenantFaultsBurnOnlyTheirOwnBudget) {
   EXPECT_GE(rc.recovery.corrupt_msgs, 1);
 
   // The bystander saw nothing: no faults, no replay, one attempt, and its
-  // *own* ARQ scope never counted a heal (zero cross-job leakage).
+  // *own* comm counters never counted a heal (zero cross-job leakage).
   const auto rb = sched.report(vb.job_id);
   EXPECT_EQ(rb.state, serve::JobState::completed) << rb.note;
   EXPECT_EQ(rb.digest, clean_solo);
   EXPECT_EQ(rb.recovery.failures, 0);
   EXPECT_EQ(rb.recovery.attempts, 1);
   EXPECT_EQ(rb.recovery.steps_replayed, 0u);
-  EXPECT_EQ(rb.arq.healed, 0);
-  EXPECT_EQ(rb.arq.retransmits, 0);
+  EXPECT_EQ(rb.comm.arq_healed, 0);
+  EXPECT_EQ(rb.comm.retransmits, 0);
 }
 
 TEST(Isolation, DeadlineOverrunQuarantinesOnlyTheTenant) {
@@ -480,7 +480,6 @@ TEST(Concurrency, ParallelSupervisorsMatchTheirSoloRuns) {
     std::uint64_t solo = 0;
     std::uint64_t digest = 0;
     resil::RecoveryStats stats;
-    par::ArqScope arq;
   };
   std::vector<Slot> slots(kJobs);
   for (int i = 0; i < kJobs; ++i) {
@@ -499,7 +498,6 @@ TEST(Concurrency, ParallelSupervisorsMatchTheirSoloRuns) {
     }
   }
 
-  const auto arq_before = par::arq_stats();
   std::vector<std::thread> threads;
   threads.reserve(kJobs);
   for (int i = 0; i < kJobs; ++i) {
@@ -507,9 +505,8 @@ TEST(Concurrency, ParallelSupervisorsMatchTheirSoloRuns) {
       auto& s = slots[static_cast<std::size_t>(i)];
       par::RunOptions opts;
       opts.inject = s.spec.inject;
-      opts.arq_scope = &s.arq;
       resil::SupervisorOptions sopt;
-      sopt.backoff_initial_s = 0.0;
+      sopt.backoff.initial_s = 0.0;
       sopt.backoff_salt = static_cast<std::uint64_t>(i) + 1;
       sopt.policy = s.spec.policy;
       resil::CheckpointRing ring(s.spec.ckpt_dir, s.spec.ckpt_keep);
@@ -527,14 +524,10 @@ TEST(Concurrency, ParallelSupervisorsMatchTheirSoloRuns) {
   // The kill tenant's faults never leaked into a clean tenant's stats.
   EXPECT_EQ(slots[2].stats.failures, 0);
   EXPECT_EQ(slots[3].stats.failures, 0);
-  // ARQ heals landed in the corrupt tenant's scope and nowhere else, while
-  // the process-wide counters kept the cross-world sum (monotonic).
-  EXPECT_GT(slots[1].arq.healed.load(), 0);
+  // ARQ heals landed in the corrupt tenant's stats and nowhere else.
   EXPECT_GT(slots[1].stats.healed_link, 0);
-  EXPECT_EQ(slots[2].arq.healed.load(), 0);
-  EXPECT_EQ(slots[3].arq.healed.load(), 0);
-  const auto arq_after = par::arq_stats();
-  EXPECT_GE(arq_after.healed - arq_before.healed, slots[1].arq.healed.load());
+  EXPECT_EQ(slots[2].stats.healed_link, 0);
+  EXPECT_EQ(slots[3].stats.healed_link, 0);
 }
 
 // --- Supervisor satellites ----------------------------------------------
@@ -542,8 +535,8 @@ TEST(Concurrency, ParallelSupervisorsMatchTheirSoloRuns) {
 TEST(Supervisor, BackoffSaltDecorrelatesConcurrentSchedules) {
   resil::SupervisorOptions sopt;
   sopt.max_retries = 3;
-  sopt.backoff_initial_s = 0.001;
-  sopt.backoff_cap_s = 0.01;
+  sopt.backoff.initial_s = 0.001;
+  sopt.backoff.cap_s = 0.01;
   par::RunOptions opts;
   opts.inject.seed = 77;
   const auto run_once = [&](std::uint64_t salt) {
@@ -566,7 +559,7 @@ TEST(Supervisor, BackoffSaltDecorrelatesConcurrentSchedules) {
 TEST(Supervisor, FailureLogIsCappedAndOverflowCounted) {
   resil::SupervisorOptions sopt;
   sopt.max_retries = 9;
-  sopt.backoff_initial_s = 0.0;
+  sopt.backoff.initial_s = 0.0;
   sopt.failure_log_max = 3;
   par::RunOptions opts;
   const auto stats =
