@@ -353,10 +353,10 @@ auto Connectivity<Dim>::exterior_images_entity(int tree, const Oct& n, EntityPin
 }
 
 template <int Dim>
-auto Connectivity<Dim>::point_images(int tree, std::array<std::int32_t, 3> p) const
-    -> std::vector<std::pair<int, std::array<std::int32_t, 3>>> {
+void Connectivity<Dim>::point_images(int tree, std::array<std::int32_t, 3> p,
+                                     std::vector<PointImage>& images) const {
   constexpr std::int64_t r = Oct::root_len;
-  std::vector<std::pair<int, std::array<std::int32_t, 3>>> images;
+  images.clear();
   const std::array<std::int64_t, 3> p64{p[0], p[1], p[2]};
 
   // Images across each macro face the point lies on.
@@ -418,7 +418,6 @@ auto Connectivity<Dim>::point_images(int tree, std::array<std::int32_t, 3> p) co
   std::sort(images.begin(), images.end());
   images.erase(std::unique(images.begin(), images.end()), images.end());
   std::erase(images, std::make_pair(tree, p));
-  return images;
 }
 
 template <int Dim>

@@ -147,12 +147,21 @@ class Connectivity {
   std::vector<std::tuple<int, Oct, EntityPins>> exterior_images_entity(int tree, const Oct& n,
                                                                        EntityPins pins) const;
 
+  /// A lattice point in some tree frame: (tree, point).
+  using PointImage = std::pair<int, std::array<std::int32_t, 3>>;
+
   /// Map a lattice point on the boundary of `tree` into every other
   /// connected tree. Used for canonical node numbering. Does not include
   /// the identity image; may include other images within the same tree
-  /// (self-periodicity). Deduplicated.
-  std::vector<std::pair<int, std::array<std::int32_t, 3>>> point_images(
-      int tree, std::array<std::int32_t, 3> p) const;
+  /// (self-periodicity). Sorted and deduplicated.
+  std::vector<PointImage> point_images(int tree, std::array<std::int32_t, 3> p) const {
+    std::vector<PointImage> images;
+    point_images(tree, p, images);
+    return images;
+  }
+  /// The same images written into `images` (cleared first): a caller that
+  /// reuses the buffer allocates nothing once it holds a point's images.
+  void point_images(int tree, std::array<std::int32_t, 3> p, std::vector<PointImage>& images) const;
 
   /// Consistency checks (mutual connections, involutive transforms, corner
   /// incidence symmetry). Throws std::runtime_error on failure.

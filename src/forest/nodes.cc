@@ -7,18 +7,24 @@
 //
 //  1. classifies every corner against the local + ghost leaf directory: the
 //     tree-interior ones from the adjacency the corner iterator
-//     (forest/iterate.h) hands over, one visit per point, and only the
-//     tree-boundary ones by looking up their leaves in every tree frame,
+//     (forest/iterate.h, inlined into this pass) hands over, one visit per
+//     point, and only the tree-boundary ones by looking up their leaves in
+//     every tree frame. Each point becomes one table entry, its key inserted
+//     without key comparisons when tree-interior (the walk reports it once);
+//     an independent entry keeps its owner, a hanging one a 40-byte
+//     PointRecord (node_classify.h: the constraining leaf, its frame and
+//     owner, the point in that frame). No master key is formed yet,
 //  2. merges the fresh owned independent keys with the caller's surviving
 //     ones and assigns contiguous per-rank ids (one allgather),
 //  3. resolves every corner onto independent gids in one hop, since 2:1
 //     balance keeps every master independent: an independent corner takes
-//     its own gid, a hanging one its masters' gids. A missing gid is asked
-//     once — of the owner of the master's constraining leaf while the master
-//     is unclassified here, else of the node's owner — and each answer is
-//     the gid or the owner to re-ask. One request round settles most keys,
-//     a second the re-asked ones (OpStats::nodes_rounds); the
-//     allreduce-terminated loop throws on a third round or a hanging master,
+//     its own gid, a hanging one its masters' gids, their canonical keys
+//     expanded from the record. A missing gid is asked once — of the owner
+//     of the master's constraining leaf while the master is unclassified
+//     here, else of the node's owner — and each answer is the gid or the
+//     owner to re-ask. One request round settles most keys, a second the
+//     re-asked ones (OpStats::nodes_rounds); the allreduce-terminated loop
+//     throws on a third round or a hanging master,
 //  4. lays out the CSR slots of every element in one pass: stale rows from
 //     the resolved corners, reused rows (incremental build) remapped.
 //
@@ -39,8 +45,8 @@
 
 namespace esamr::forest {
 
-using detail::Classification;
 using detail::NodeClassifier;
+using detail::PointRecord;
 
 namespace {
 
@@ -72,12 +78,14 @@ struct KeyHash {
 /// entries live in a flat vector (indices stay valid across growth), and
 /// element corner slots hold their entry index from pass 1 so the resolution
 /// scan and the final fill do no hashing at all. Entries stay small: a
-/// dependent point's masters live in `deps`, and expansions share one pool.
+/// hanging point's record lives in `deps`, and expansions share one pool.
+/// Each probe slot keeps the high half of its key's hash beside the entry
+/// index, so a probe reads an entry only when that tag matches.
 template <int Dim>
 struct NodeTable {
   using Key = typename NodeNumbering<Dim>::Key;
   using Contrib = typename NodeNumbering<Dim>::Contrib;
-  using Cls = Classification<Dim>;
+  using Rec = PointRecord<Dim>;
   static constexpr std::int32_t kUnclassified = -1;
   static constexpr std::int32_t kDependent = -2;
 
@@ -91,10 +99,14 @@ struct NodeTable {
     std::int32_t res_size = 0;
     std::int32_t uses = 0;  // stale element corner slots taking this expansion
   };
+  struct Slot {
+    std::int32_t entry = -1;  // -1 = empty
+    std::uint32_t tag = 0;    // high half of the key's hash
+  };
 
-  std::vector<std::int32_t> slot;  // power-of-two probe table, -1 = empty
+  std::vector<Slot> slot;  // power-of-two probe table
   std::vector<Entry> entries;
-  std::vector<Cls> deps;
+  std::vector<Rec> deps;
   std::vector<Contrib> pool;
   std::size_t mask = 0;
 
@@ -103,16 +115,16 @@ struct NodeTable {
   }
   /// Owner rank of an independent entry; negative otherwise.
   std::int32_t owner(std::int32_t ei) const { return entries[static_cast<std::size_t>(ei)].owner; }
-  /// Classification of a dependent entry.
-  const Cls& dependent(std::int32_t ei) const {
+  /// Record of a dependent entry.
+  const Rec& dependent(std::int32_t ei) const {
     return deps[static_cast<std::size_t>(entries[static_cast<std::size_t>(ei)].dep)];
   }
-  void classify_as(std::int32_t ei, const Cls& c) {
+  void classify_as(std::int32_t ei, const Rec& r) {
     Entry& e = entries[static_cast<std::size_t>(ei)];
-    e.owner = c.independent ? c.owner : kDependent;
-    if (!c.independent) {
+    e.owner = r.hanging() ? kDependent : r.owner;
+    if (r.hanging()) {
       e.dep = static_cast<std::int32_t>(deps.size());
-      deps.push_back(c);
+      deps.push_back(r);
     }
   }
 
@@ -135,46 +147,68 @@ struct NodeTable {
   explicit NodeTable(std::size_t expect) {
     std::size_t cap = 64;
     while (cap < expect * 2) cap <<= 1;
-    slot.assign(cap, -1);
+    slot.assign(cap, Slot{});
     mask = cap - 1;
     entries.reserve(expect);
     deps.reserve(expect);
     pool.reserve(expect * 2);
   }
 
-  std::size_t probe(const Key& k) const {
-    std::size_t i = KeyHash{}(k) & mask;
-    while (slot[i] >= 0 && entries[static_cast<std::size_t>(slot[i])].key != k) {
-      i = (i + 1) & mask;
+  /// Entry index of `k`, inserting an unclassified, unresolved entry if new.
+  std::int32_t get_or_insert(const Key& k) {
+    const std::uint64_t h = KeyHash{}(k);
+    const auto tag = static_cast<std::uint32_t>(h >> 32);
+    std::size_t i = h & mask;
+    for (; slot[i].entry >= 0; i = (i + 1) & mask) {
+      if (slot[i].tag == tag && entries[static_cast<std::size_t>(slot[i].entry)].key == k) {
+        return slot[i].entry;
+      }
     }
+    return place(k, h, i);
+  }
+
+  /// Insert a key the table does not hold yet, comparing no keys.
+  std::int32_t insert_new(const Key& k) {
+    const std::uint64_t h = KeyHash{}(k);
+    return place(k, h, free_slot(h));
+  }
+
+ private:
+  std::size_t free_slot(std::uint64_t h) const {
+    std::size_t i = h & mask;
+    while (slot[i].entry >= 0) i = (i + 1) & mask;
     return i;
   }
 
-  /// Entry index of `k`, inserting an unclassified, unresolved entry if new.
-  std::int32_t get_or_insert(const Key& k) {
-    std::size_t i = probe(k);
-    if (slot[i] >= 0) return slot[i];
+  /// Append entry k into free probe slot i (found for hash h), growing the
+  /// table first when it would pass a load of 2/3.
+  std::int32_t place(const Key& k, std::uint64_t h, std::size_t i) {
     if ((entries.size() + 1) * 3 > slot.size() * 2) {
-      slot.assign(slot.size() * 2, -1);
+      slot.assign(slot.size() * 2, Slot{});
       mask = slot.size() - 1;
       for (std::size_t e = 0; e < entries.size(); ++e) {
-        std::size_t j = KeyHash{}(entries[e].key) & mask;
-        while (slot[j] >= 0) j = (j + 1) & mask;
-        slot[j] = static_cast<std::int32_t>(e);
+        const std::uint64_t he = KeyHash{}(entries[e].key);
+        slot[free_slot(he)] = Slot{static_cast<std::int32_t>(e), static_cast<std::uint32_t>(he >> 32)};
       }
-      i = probe(k);
+      i = free_slot(h);
     }
     const auto idx = static_cast<std::int32_t>(entries.size());
-    slot[i] = idx;
+    slot[i] = Slot{idx, static_cast<std::uint32_t>(h >> 32)};
     entries.push_back(Entry{k});
     return idx;
   }
 };
 
-/// The (gid, key) records of a numbering, sorted by gid and deduplicated.
-template <typename GidKeys>
-void sort_gid_keys(GidKeys& v) {
-  std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) { return a.first < b.first; });
+/// Sort the (gid, key) records of a numbering by gid and deduplicate them.
+/// The first owned_keys.size() records are the owned ones, already in gid
+/// order, so only the rest is sorted before one merge.
+template <int Dim>
+void sort_gid_keys(NodeNumbering<Dim>& out) {
+  auto& v = out.gid_keys;
+  const auto by_gid = [](const auto& a, const auto& b) { return a.first < b.first; };
+  const auto tail = v.begin() + static_cast<std::ptrdiff_t>(out.owned_keys.size());
+  std::sort(tail, v.end(), by_gid);
+  std::inplace_merge(v.begin(), tail, v.end(), by_gid);
   v.erase(std::unique(v.begin(), v.end(),
                       [](const auto& a, const auto& b) { return a.first == b.first; }),
           v.end());
@@ -293,7 +327,9 @@ static StaleNumbering<Dim> number_stale(
         }
         if (!stale_corner) return;  // touches stale elements, hangs on all of them
         if (missing) throw std::runtime_error("nodes: touching leaf not in local+ghost storage");
-        const std::int32_t ei = tab.get_or_insert(Key{t, adj.pt[0], adj.pt[1], adj.pt[2]});
+        // New by construction: the table starts empty, the walk reports each
+        // tree-interior point once, and no tree-boundary key lies inside a tree.
+        const std::int32_t ei = tab.insert_new(Key{t, adj.pt[0], adj.pt[1], adj.pt[2]});
         tab.classify_as(ei, cl.classify_adjacency(t, adj));
         for (int i = 0; i < nc; ++i) {
           const std::int32_t di = adj.leaf[static_cast<std::size_t>(i)];
@@ -335,28 +371,31 @@ static StaleNumbering<Dim> number_stale(
 
   // --- Owned set and ids (before any resolution, so answers carry gids) ------
   // The fresh owned keys are the pass-1 independent keys this rank owns; a
-  // fresh key may repeat a survivor. Their entries resolve right here.
-  std::vector<std::pair<Key, std::int32_t>> fresh;  // (key, entry)
+  // fresh key may repeat a survivor. Their entries resolve right here. They
+  // sort on their keys as two 64-bit words (every key field is non-negative).
+  struct Fresh {
+    std::uint64_t hi, lo;
+    std::int32_t entry;
+    bool operator<(const Fresh& o) const { return hi < o.hi || (hi == o.hi && lo < o.lo); }
+  };
+  std::vector<Fresh> fresh;
   for (std::size_t i = 0; i < n_pass1; ++i) {
-    const auto& e = tab.entries[i];
-    if (e.owner == me) {
-      fresh.emplace_back(e.key, static_cast<std::int32_t>(i));
+    const Key& k = tab.entries[i].key;
+    if (tab.entries[i].owner == me) {
+      fresh.push_back(Fresh{(std::uint64_t{static_cast<std::uint32_t>(k[0])} << 32) |
+                                static_cast<std::uint32_t>(k[1]),
+                            (std::uint64_t{static_cast<std::uint32_t>(k[2])} << 32) |
+                                static_cast<std::uint32_t>(k[3]),
+                            static_cast<std::int32_t>(i)});
     }
   }
-  // Key order on two 64-bit words (every key field is non-negative).
-  const auto words = [](const Key& k) {
-    return std::pair{(std::uint64_t{static_cast<std::uint32_t>(k[0])} << 32) |
-                         static_cast<std::uint32_t>(k[1]),
-                     (std::uint64_t{static_cast<std::uint32_t>(k[2])} << 32) |
-                         static_cast<std::uint32_t>(k[3])};
-  };
-  std::sort(fresh.begin(), fresh.end(),
-            [&](const auto& a, const auto& b) { return words(a.first) < words(b.first); });
+  std::sort(fresh.begin(), fresh.end());
   out.owned_keys.reserve(survivors.size() + fresh.size());
   std::vector<std::int64_t> fresh_at;  // index of fresh[i] in owned_keys
   fresh_at.reserve(fresh.size());
   auto sv = survivors.begin();
-  for (const auto& [k, ei] : fresh) {
+  for (const Fresh& f : fresh) {
+    const Key& k = tab.entries[static_cast<std::size_t>(f.entry)].key;
     for (; sv != survivors.end() && *sv < k; ++sv) out.owned_keys.push_back(*sv);
     if (sv != survivors.end() && *sv == k) ++sv;
     fresh_at.push_back(static_cast<std::int64_t>(out.owned_keys.size()));
@@ -373,7 +412,7 @@ static StaleNumbering<Dim> number_stale(
   out.owned_offset = out.rank_offsets[static_cast<std::size_t>(me)];
   out.num_global = out.rank_offsets[static_cast<std::size_t>(p)];
   for (std::size_t i = 0; i < fresh.size(); ++i) {
-    tab.set_res(fresh[i].second, Contrib{out.owned_offset + fresh_at[i], 1.0});
+    tab.set_res(fresh[i].entry, Contrib{out.owned_offset + fresh_at[i], 1.0});
   }
   out.gid_keys.reserve(out.owned_keys.size());
   for (std::size_t i = 0; i < out.owned_keys.size(); ++i) {
@@ -440,12 +479,14 @@ static StaleNumbering<Dim> number_stale(
   const auto resolve = [&](std::int32_t ei) -> bool {
     if (tab.resolved(ei)) return true;
     if (tab.owner(ei) >= 0) return gid_or_ask(ei, me) >= 0;
-    const Classification<Dim> cls = tab.dependent(ei);  // copied: classifying grows deps
-    const auto nm = static_cast<std::size_t>(cls.num_masters);
-    std::array<Contrib, Classification<Dim>::kMaxMasters> v{};
+    const PointRecord<Dim> rec = tab.dependent(ei);  // copied: classifying grows deps
+    constexpr int kMax = NodeClassifier<Dim>::kMaxMasters;
+    std::array<Key, kMax> masters;
+    const auto nm = static_cast<std::size_t>(nclass().masters(rec, masters));
+    std::array<Contrib, kMax> v{};
     bool all = true;
     for (std::size_t i = 0; i < nm; ++i) {
-      v[i] = Contrib{gid_or_ask(tab.get_or_insert(cls.masters[i]), cls.ask[i]),
+      v[i] = Contrib{gid_or_ask(tab.get_or_insert(masters[i]), rec.leaf_owner),
                      1.0 / static_cast<double>(nm)};
       all = all && v[i].gid >= 0;
     }
@@ -520,7 +561,7 @@ NodeNumbering<Dim> NodeNumbering<Dim>::build(const Forest<Dim>& forest,
   fill_slots(
       sn, all, 0, [](std::size_t, int) { return std::span<const Contrib>{}; },
       [](std::int64_t g) { return g; });
-  sort_gid_keys(sn.out.gid_keys);
+  sort_gid_keys(sn.out);
   return std::move(sn.out);
 }
 
@@ -537,7 +578,6 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
   constexpr int nc = Topo<Dim>::num_corners;
   par::Comm& comm = forest.comm();
   const Connectivity<Dim>& conn = forest.conn();
-  const int me = comm.rank();
   OpStats& ops = op_stats();
 
   NodeNumbering<Dim> old = std::move(cache.numbering);
@@ -566,12 +606,42 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
       if (any_boundary_region) break;
     }
   }
+  // Each tree's closed bounding box of its delta regions gates the binary
+  // searches of contains_point: nearly every point probed lies outside it.
+  struct Box {
+    std::array<std::int32_t, 3> lo{}, hi{};
+    bool empty = true;
+  };
+  std::vector<Box> boxes(global.regions.size());
+  for (std::size_t t = 0; t < global.regions.size(); ++t) {
+    for (const Oct& d : global.regions[t]) {
+      Box& b = boxes[t];
+      for (int a = 0; a < Dim; ++a) {
+        const auto ax = static_cast<std::size_t>(a);
+        b.lo[ax] = b.empty ? d.coord(a) : std::min(b.lo[ax], d.coord(a));
+        b.hi[ax] = b.empty ? d.coord(a) + d.size() : std::max(b.hi[ax], d.coord(a) + d.size());
+      }
+      b.empty = false;
+    }
+  }
+  // True iff the lattice point lies in the closed delta of tree t's frame.
+  const auto in_delta = [&](int t, const std::array<std::int32_t, 3>& pt) {
+    const Box& b = boxes[static_cast<std::size_t>(t)];
+    if (b.empty) return false;
+    for (int a = 0; a < Dim; ++a) {
+      const auto ax = static_cast<std::size_t>(a);
+      if (pt[ax] < b.lo[ax] || pt[ax] > b.hi[ax]) return false;
+    }
+    return global.contains_point(t, pt);
+  };
+  std::vector<typename Connectivity<Dim>::PointImage> images;  // reused scratch
   // True iff the lattice point lies in the closed delta, in any tree frame.
   const auto point_in_delta = [&](int t, const std::array<std::int32_t, 3>& pt) {
-    if (global.contains_point(t, pt)) return true;
+    if (in_delta(t, pt)) return true;
     if (any_boundary_region && !NodeClassifier<Dim>::tree_interior(pt)) {
-      for (const auto& [t2, p2] : conn.point_images(t, pt)) {
-        if (global.contains_point(t2, p2)) return true;
+      conn.point_images(t, pt, images);
+      for (const auto& [t2, p2] : images) {
+        if (in_delta(t2, p2)) return true;
       }
     }
     return false;
@@ -634,8 +704,9 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
           for (int c = 0; c < nc && !is_stale; ++c) {
             const auto cp = o.corner_point(c);
             if (NodeClassifier<Dim>::tree_interior(cp)) continue;
-            for (const auto& [t2, p2] : conn.point_images(t, cp)) {
-              if (global.contains_point(t2, p2)) {
+            conn.point_images(t, cp, images);
+            for (const auto& [t2, p2] : images) {
+              if (in_delta(t2, p2)) {
                 is_stale = true;
                 break;
               }
@@ -690,16 +761,31 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
                       old.owned_keys.end(), std::back_inserter(added_eff));
   const auto removed_all = comm.allgatherv(removed_eff);
   const auto added_all = comm.allgatherv(added_eff);
-  // Flat memo indexed by old gid: the slot fill touches every reused slot's
-  // gids, so the dense array beats a hash map.
-  std::vector<std::int64_t> remap_memo(static_cast<std::size_t>(old.num_global), -1);
+  // Memo by position in old.gid_keys, which holds every gid the old slots
+  // reference, sorted: an owned gid sits at a fixed offset from the first
+  // owned record, any other is found by binary search. Local-sized, where a
+  // table over all old gids would grow with the whole mesh on every rank.
+  const auto by_gid = [](const auto& a, std::int64_t g) { return a.first < g; };
+  const auto owned_at = static_cast<std::size_t>(
+      std::lower_bound(old.gid_keys.begin(), old.gid_keys.end(), old.owned_offset, by_gid) -
+      old.gid_keys.begin());
+  std::vector<std::int64_t> remap_memo(old.gid_keys.size(), -1);
   const auto remap = [&](std::int64_t g) -> std::int64_t {
-    std::int64_t& memo = remap_memo[static_cast<std::size_t>(g)];
+    const std::int64_t rel = g - old.owned_offset;
+    std::size_t at = 0;
+    if (rel >= 0 && rel < old.num_owned) {
+      at = owned_at + static_cast<std::size_t>(rel);
+    } else {
+      const auto it = std::lower_bound(old.gid_keys.begin(), old.gid_keys.end(), g, by_gid);
+      if (it == old.gid_keys.end() || it->first != g) {
+        throw std::runtime_error("nodes: reused element references a gid unknown to this rank");
+      }
+      at = static_cast<std::size_t>(it - old.gid_keys.begin());
+    }
+    std::int64_t& memo = remap_memo[at];
     if (memo >= 0) return memo;
     const int r = old.owner_of_gid(g);
-    const Key& k = (r == me)
-                       ? old.owned_keys[static_cast<std::size_t>(g - old.owned_offset)]
-                       : old.key_of(g);
+    const Key& k = old.gid_keys[at].second;
     const auto& rem = removed_all[static_cast<std::size_t>(r)];
     if (std::binary_search(rem.begin(), rem.end(), k)) {
       throw std::runtime_error("nodes: reused element references an invalidated node");
@@ -720,7 +806,7 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
       remap);
   // gid -> key records: owned + answered + remap-recorded covers exactly the
   // gids referenced by the element slots, same as a full rebuild.
-  sort_gid_keys(out.gid_keys);
+  sort_gid_keys(out);
   return std::move(out);
 }
 

@@ -8,12 +8,14 @@
 //  * every hanging slot interpolates the 2 or 4 corners of one coarser edge
 //    or face, and a forest that breaks 2:1 balance is rejected,
 //  * build() emits exactly the recorded digests (NodesGolden): every gid,
-//    weight bit, owned key and gid key on four inputs at four rank counts,
+//    weight bit, owned key and gid key on five inputs at four rank counts,
 //  * the corner iterator (NodesIterate) reports every tree-interior corner of
-//    a marked leaf exactly once, with the leaves, corner indices and
-//    classification the directory-lookup path finds for the same point.
+//    a marked leaf exactly once, with the leaves, corner indices and point
+//    record the directory-lookup path finds for the same point, and a point
+//    hanging on two equally coarse leaves takes the first in quadrant order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <set>
@@ -348,20 +350,36 @@ const GoldenInput kGoldenInputs[] = {
        });
        return global_nodes_digest(f);
      }},
+    // The depth-5 fractal test_perf_ops runs (28,447 octants once balanced):
+    // hanging points at four levels of the grading.
+    {"rotcubes_fractal_d5",
+     [](par::Comm& c) {
+       const auto conn = Connectivity<3>::rotcubes();
+       auto f = Forest<3>::new_uniform(c, &conn, 1);
+       for (int l = 1; l < 5; ++l) {
+         f.refine(l + 1, false, [&](int, const Octant<3>& o) {
+           const int id = o.child_id();
+           return o.level == l && (id == 0 || id == 3 || id == 5 || id == 6);
+         });
+       }
+       return global_nodes_digest(f);
+     }},
 };
 
 /// Global digests of NodeNumbering::build on kGoldenInputs, per rank count.
-/// Recorded from the build that still shipped the separate full-build and
-/// reference protocols; the merged engine must reproduce them bit for bit.
-const std::map<int, std::array<std::uint64_t, 4>> kGoldenDigests = {
+/// The first four were recorded from the build that still shipped the
+/// separate full-build and reference protocols, the depth-5 fractal from the
+/// engine that still classified every point through a Touch array; every
+/// later engine must reproduce them bit for bit.
+const std::map<int, std::array<std::uint64_t, 5>> kGoldenDigests = {
     {1, {15403863147294489561ull, 16994733704208947595ull, 12791625188599600103ull,
-         14850433102407055480ull}},
+         14850433102407055480ull, 248184482040584125ull}},
     {3, {8522349326037607413ull, 9039262585141140623ull, 8388227991027248329ull,
-         3578277336020923308ull}},
+         3578277336020923308ull, 11517276537109597673ull}},
     {4, {8089449971905489525ull, 11285824715365274155ull, 9477503391606317881ull,
-         6171056091998399683ull}},
+         6171056091998399683ull, 8855419842379714049ull}},
     {7, {5208298134487086254ull, 4375127375462378970ull, 4222116210796380643ull,
-         11943564185088520370ull}},
+         11943564185088520370ull, 7465146292186581627ull}},
 };
 
 }  // namespace
@@ -385,20 +403,25 @@ INSTANTIATE_TEST_SUITE_P(Sizes, NodesGolden, ::testing::Values(1, 3, 4, 7));
 
 namespace {
 
+/// The walker path's record against the lookup path's: the owner, and for a
+/// hanging point the constraining leaf, its frame and owner and the point in
+/// that frame; then the masters and ask rank expanded from each record.
 template <int Dim>
-void expect_same_classification(const detail::Classification<Dim>& got,
-                                const detail::Classification<Dim>& want, const char* name) {
-  EXPECT_EQ(got.independent, want.independent) << name;
-  if (got.independent != want.independent) return;
-  if (want.independent) {
-    EXPECT_EQ(got.owner, want.owner) << name;
-    return;
-  }
-  ASSERT_EQ(got.num_masters, want.num_masters) << name;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(want.num_masters); ++i) {
-    EXPECT_EQ(got.masters[i], want.masters[i]) << name;
-    EXPECT_EQ(got.ask[i], want.ask[i]) << name;
-  }
+void expect_same_record(const detail::NodeClassifier<Dim>& cl, const detail::PointRecord<Dim>& got,
+                        const detail::PointRecord<Dim>& want, const char* name) {
+  EXPECT_EQ(got.owner, want.owner) << name;
+  ASSERT_EQ(got.hanging(), want.hanging()) << name;
+  if (!want.hanging()) return;
+  EXPECT_EQ(got.tree, want.tree) << name;
+  EXPECT_EQ(got.leaf, want.leaf) << name;
+  EXPECT_EQ(got.leaf_owner, want.leaf_owner) << name;
+  EXPECT_EQ(got.pt, want.pt) << name;
+  using Masters = std::array<typename NodeNumbering<Dim>::Key, detail::NodeClassifier<Dim>::kMaxMasters>;
+  Masters got_m{}, want_m{};
+  const int n = cl.masters(want, want_m);
+  ASSERT_EQ(cl.masters(got, got_m), n) << name;
+  EXPECT_TRUE(n == 2 || n == 4) << name;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) EXPECT_EQ(got_m[i], want_m[i]) << name;
 }
 
 /// Walk every tree of a balanced, partitioned forest with all local leaves
@@ -406,7 +429,7 @@ void expect_same_classification(const detail::Classification<Dim>& got,
 /// directory-lookup path (the oracle): every tree-interior corner of a marked
 /// leaf is reported exactly once, no other point is reported twice, no
 /// tree-boundary point at all, each reported point touches a marked leaf,
-/// and its leaves, corner indices and classification match the lookups.
+/// and its leaves, corner indices and record match the lookups.
 template <int Dim>
 void check_corner_iterator(const Forest<Dim>& f, const char* name) {
   using Oct = Octant<Dim>;
@@ -454,7 +477,7 @@ void check_corner_iterator(const Forest<Dim>& f, const char* name) {
         }
         EXPECT_TRUE(touches_marked) << name;
         if (want.count(adj.pt) != 0) {
-          expect_same_classification(cl.classify_adjacency(t, adj), cl.classify(t, adj.pt), name);
+          expect_same_record(cl, cl.classify_adjacency(t, adj), cl.classify(t, adj.pt), name);
         }
       });
       for (const auto& [pt, n] : seen) EXPECT_EQ(n, 1) << name << " tree " << t;
@@ -516,6 +539,57 @@ TEST_P(NodesIterate, FewerLeavesThanRanks) {
     const auto conn3 = Connectivity<3>::unit();
     auto f = Forest<3>::new_uniform(c, &conn3, 0);
     balance_and_check(f, "unit3d_level0");
+  });
+}
+
+TEST_P(NodesIterate, EqualCoarseLeavesTieToTheFirstQuadrant) {
+  // Refining the two level-1 octants (0, 0, 0) and (h, h, 0) of the unit cube
+  // leaves the midpoint of the z edge at x = y = h hanging on two level-1
+  // leaves at once, (h, 0, 0) and (0, h, 0). The first in quadrant order,
+  // (0, h, 0) (below the point along x), constrains it on both paths.
+  constexpr std::int32_t h = Octant<3>::root_len / 2;
+  const std::array<std::int32_t, 3> pt{h, h, h / 2};
+  Octant<3> first;
+  first.y = h;
+  first.level = 1;
+  par::run(GetParam(), [&](par::Comm& c) {
+    const auto conn = Connectivity<3>::unit();
+    auto f = Forest<3>::new_uniform(c, &conn, 1);
+    f.refine(2, false, [&](int, const Octant<3>& o) {
+      return o.level == 1 && o.z == 0 && o.x == o.y;
+    });
+    balance_and_check(f, "edge_tie");
+    ASSERT_EQ(f.num_global(), 6 + 2 * 8);
+    const auto g = GhostLayer<3>::build(f);
+    const detail::NodeClassifier<3> cl(f, g);
+    const auto& dir = cl.dir[0];
+    std::vector<std::uint8_t> marked(dir.size(), 0);
+    for (std::size_t i = 0; i < dir.size(); ++i) marked[i] = dir[i].owner == c.rank();
+    int visits = 0;
+    iterate_corners<3>(dir, marked, [&](const CornerAdjacency<3>& adj) {
+      if (adj.pt != pt) return;
+      ++visits;
+      const auto rec = cl.classify_adjacency(0, adj);
+      ASSERT_TRUE(rec.hanging());
+      EXPECT_EQ(rec.leaf, first);
+      EXPECT_EQ(rec.pt, pt);
+      const auto it = std::find_if(dir.begin(), dir.end(),
+                                   [&](const LeafRef<3>& l) { return l.oct == first; });
+      ASSERT_NE(it, dir.end());
+      EXPECT_EQ(rec.leaf_owner, it->owner);
+      expect_same_record(cl, rec, cl.classify(0, pt), "edge_tie");
+    });
+    // Every rank owning a leaf at the point walks it; the others skip it.
+    bool touches = false;
+    f.for_each_local([&](int, const Octant<3>& o) {
+      bool in = true;
+      for (int a = 0; a < 3; ++a) {
+        in = in && o.coord(a) <= pt[static_cast<std::size_t>(a)] &&
+             pt[static_cast<std::size_t>(a)] <= o.coord(a) + o.size();
+      }
+      touches = touches || in;
+    });
+    EXPECT_EQ(visits, touches ? 1 : 0);
   });
 }
 
