@@ -257,9 +257,9 @@ std::vector<OverlapRow> overlap_table(int p, int iters) {
     f.partition();
     const auto g = forest::GhostLayer<3>::build(f);
     constexpr int per_elem = 8;
-    std::vector<double> mirror_data(g.mirrors.size() * per_elem);
-    for (std::size_t i = 0; i < mirror_data.size(); ++i) {
-      mirror_data[i] = comm.rank() + 1e-3 * static_cast<double>(i);
+    std::vector<double> fields(static_cast<std::size_t>(f.num_local()) * per_elem);
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      fields[i] = comm.rank() + 1e-3 * static_cast<double>(i);
     }
     volatile double keep = 0.0;
     const auto measure = [&](const char* mode, const std::function<void()>& body) {
@@ -285,13 +285,13 @@ std::vector<OverlapRow> overlap_table(int p, int iters) {
     };
     measure("ghost blocking", [&] {
       const auto out =
-          oracles::exchange_blocking(g, comm, std::span<const double>(mirror_data), per_elem);
+          oracles::exchange_blocking(g, comm, std::span<const double>(fields), per_elem);
       double acc = 0.0;
       for (const double v : out) acc += v;
       keep = keep + acc;
     });
     measure("ghost async", [&] {
-      const auto out = g.exchange(comm, std::span<const double>(mirror_data), per_elem);
+      const auto out = g.exchange(comm, std::span<const double>(fields), per_elem);
       double acc = 0.0;
       for (const double v : out) acc += v;
       keep = keep + acc;

@@ -108,21 +108,31 @@ struct GhostLayer {
   static GhostLayer build_incremental(const Forest<Dim>& forest, const GhostLayer& prev,
                                       GhostScanCache<Dim>& cache);
 
-  /// Exchange per-element payloads: `mirror_data` holds `per_elem` values of
-  /// T for each mirror (in `mirrors` order); the result holds `per_elem`
-  /// values for each ghost (in `ghosts` order).
+  /// Exchange per-element payloads: `fields` holds `per_elem` values of T
+  /// for each local element (local SFC order); the result holds `per_elem`
+  /// values for each ghost (in `ghosts` order). `fields` too short for
+  /// every mirror's block is rejected with std::invalid_argument.
   template <typename T>
-  std::vector<T> exchange(par::Comm& comm, std::span<const T> mirror_data, int per_elem) const {
-    return exchange_finish(exchange_begin(comm, mirror_data, per_elem));
+  std::vector<T> exchange(par::Comm& comm, std::span<const T> fields, int per_elem) const {
+    return exchange_finish(exchange_begin(comm, fields, per_elem));
   }
 
   /// First half of exchange(): post one receive per rank we hold ghosts
-  /// from, then pack and send each peer's mirror blocks (the sends adopt the
-  /// packed buffers). The caller may compute until exchange_finish.
+  /// from, then pack each peer's mirror blocks straight from `fields` at
+  /// their `local_index` and send them (the sends adopt the packed
+  /// buffers). The caller may compute until exchange_finish.
   template <typename T>
-  GhostExchange<T> exchange_begin(par::Comm& comm, std::span<const T> mirror_data,
+  GhostExchange<T> exchange_begin(par::Comm& comm, std::span<const T> fields,
                                   int per_elem) const {
     static_assert(std::is_trivially_copyable_v<T>);
+    // Mirrors are in SFC order: the last one has the highest local index.
+    const auto per = static_cast<std::size_t>(per_elem);
+    if (!mirrors.empty() &&
+        (static_cast<std::size_t>(mirrors.back().local_index) + 1) * per > fields.size()) {
+      throw std::invalid_argument("GhostLayer::exchange: " + std::to_string(fields.size()) +
+                                  " values do not cover local element " +
+                                  std::to_string(mirrors.back().local_index));
+    }
     const int p = comm.size();
     const int me = comm.rank();
     GhostExchange<T> x;
@@ -138,10 +148,11 @@ struct GhostLayer {
       const auto& list = mirror_lists[static_cast<std::size_t>(r)];
       if (r == me || list.empty()) continue;
       std::vector<T> buf;
-      buf.reserve(list.size() * static_cast<std::size_t>(per_elem));
+      buf.reserve(list.size() * per);
       for (const std::int32_t mi : list) {
-        const T* block = mirror_data.data() + static_cast<std::size_t>(mi) * per_elem;
-        buf.insert(buf.end(), block, block + per_elem);
+        const auto& m = mirrors[static_cast<std::size_t>(mi)];
+        const T* block = fields.data() + static_cast<std::size_t>(m.local_index) * per;
+        buf.insert(buf.end(), block, block + per);
       }
       x.sends.push_back(comm.isend(r, tag_ghost_exchange, std::move(buf)));
     }

@@ -6,48 +6,16 @@
 
 namespace esamr::sfem {
 
-namespace {
-
-// Carpenter & Kennedy (1994) five-stage fourth-order 2N-storage RK.
-constexpr double kRkA[5] = {0.0, -567301805773.0 / 1357537059087.0,
-                            -2404267990393.0 / 2016746695238.0,
-                            -3550918686646.0 / 2091501179385.0,
-                            -1275806237668.0 / 842570457699.0};
-constexpr double kRkB[5] = {1432997174477.0 / 9575080441755.0, 5161836677717.0 / 13612068292357.0,
-                            1720146321549.0 / 2090206949498.0, 3134564353537.0 / 4481467310338.0,
-                            2277821191437.0 / 14882151754819.0};
-
-}  // namespace
-
 template <int Dim>
 Advection<Dim>::Advection(const DgMesh<Dim>* mesh, Velocity velocity)
     : mesh_(mesh), velocity_(std::move(velocity)) {
-  constexpr int nfaces = DgMesh<Dim>::nfaces, nsub = DgMesh<Dim>::nsub;
-  const int np = mesh_->np, nv = mesh_->nv, npf = mesh_->npf;
+  constexpr int nfaces = DgMesh<Dim>::nfaces;
+  const int nv = mesh_->nv, npf = mesh_->npf;
   const auto n = static_cast<std::size_t>(mesh_->n_local);
   const Basis1d& b = mesh_->basis;
   fcoef_.resize(n * static_cast<std::size_t>(nv) * Dim);
   un_.resize(n * nfaces * static_cast<std::size_t>(npf));
   max_speed_.assign(n, 0.0);
-  for (int c = 0; c < 2; ++c) {
-    interp_t_[c].assign(static_cast<std::size_t>(np) * np, 0.0);
-    for (int i = 0; i < np; ++i) {
-      for (int j = 0; j < np; ++j) {
-        interp_t_[c][static_cast<std::size_t>(i * np + j)] =
-            b.interp_half[c][static_cast<std::size_t>(j * np + i)];
-      }
-    }
-  }
-  face_idx_.resize(nfaces);
-  for (int f = 0; f < nfaces; ++f) {
-    face_idx_[static_cast<std::size_t>(f)] = face_node_indices(Dim, np, f);
-  }
-  wf_.resize(static_cast<std::size_t>(npf));
-  for (int q = 0; q < npf; ++q) {
-    double w = b.weights[static_cast<std::size_t>(q % np)];
-    if (Dim == 3) w *= b.weights[static_cast<std::size_t>(q / np)];
-    wf_[static_cast<std::size_t>(q)] = w;
-  }
 
   // Contravariant flux coefficients and face normal velocities.
   for (std::size_t e = 0; e < n; ++e) {
@@ -71,7 +39,7 @@ Advection<Dim>::Advection(const DgMesh<Dim>* mesh, Velocity velocity)
       }
     }
     for (int f = 0; f < nfaces; ++f) {
-      const auto& fni = face_idx_[static_cast<std::size_t>(f)];
+      const auto& fni = mesh_->face_nodes[static_cast<std::size_t>(f)];
       for (int q = 0; q < npf; ++q) {
         const std::size_t nb =
             e * static_cast<std::size_t>(nv) + static_cast<std::size_t>(fni[static_cast<std::size_t>(q)]);
@@ -92,24 +60,8 @@ Advection<Dim>::Advection(const DgMesh<Dim>* mesh, Velocity velocity)
 
   // Mortar geometry: u . n and sJ on the subfaces of every fine face.
   const double* const half[2] = {b.interp_half[0].data(), b.interp_half[1].data()};
-  std::vector<double> tmp(static_cast<std::size_t>(npf));
-  sub_off_.assign(n * nfaces, 0);
-  for (std::size_t ef = 0; ef < n * nfaces; ++ef) {
-    if (mesh_->faces[ef].kind != DgMesh<Dim>::FaceKind::fine) continue;
-    const std::size_t off = sub_un_.size();
-    sub_off_[ef] = off;
-    sub_un_.resize(off + static_cast<std::size_t>(nsub) * npf);
-    sub_sj_.resize(off + static_cast<std::size_t>(nsub) * npf);
-    const std::size_t fb0 = ef * static_cast<std::size_t>(npf);
-    for (int s = 0; s < nsub; ++s) {
-      double* su = sub_un_.data() + off + static_cast<std::size_t>(s) * npf;
-      double* ss = sub_sj_.data() + off + static_cast<std::size_t>(s) * npf;
-      std::copy_n(un_.data() + fb0, npf, su);
-      std::copy_n(mesh_->fsj.data() + fb0, npf, ss);
-      face_sweep(Dim, np, half, s, su, tmp.data());
-      face_sweep(Dim, np, half, s, ss, tmp.data());
-    }
-  }
+  sub_un_ = mesh_->on_subfaces(un_, half);
+  sub_sj_ = mesh_->on_subfaces(mesh_->fsj, half);
 }
 
 template <int Dim>
@@ -117,10 +69,10 @@ void Advection<Dim>::rhs(std::span<const double> c, std::span<double> out) const
   using FaceKind = typename DgMesh<Dim>::FaceKind;
   constexpr int nfaces = DgMesh<Dim>::nfaces, nsub = DgMesh<Dim>::nsub;
   const int np = mesh_->np, nv = mesh_->nv, npf = mesh_->npf;
-  const auto n = static_cast<std::size_t>(mesh_->n_local);
   const Basis1d& b = mesh_->basis;
   const double* const half[2] = {b.interp_half[0].data(), b.interp_half[1].data()};
-  const double* const half_t[2] = {interp_t_[0].data(), interp_t_[1].data()};
+  const double* const half_t[2] = {b.interp_half_t[0].data(), b.interp_half_t[1].data()};
+  const double* wf = mesh_->face_weights.data();
 
   // Scratch shared by every element; the element loop does not allocate.
   std::vector<double> flux(static_cast<std::size_t>(nv)), dflux(static_cast<std::size_t>(nv));
@@ -153,7 +105,7 @@ void Advection<Dim>::rhs(std::span<const double> c, std::span<double> out) const
     for (int f = 0; f < nfaces; ++f) {
       const auto& side = mesh_->face(static_cast<std::int64_t>(e), f);
       if (side.kind == FaceKind::boundary) continue;
-      const int* fni = face_idx_[static_cast<std::size_t>(f)].data();
+      const int* fni = mesh_->face_nodes[static_cast<std::size_t>(f)].data();
       for (int q = 0; q < npf; ++q) cm[static_cast<std::size_t>(q)] = ce[fni[q]];
       const std::size_t fb0 =
           (e * nfaces + static_cast<std::size_t>(f)) * static_cast<std::size_t>(npf);
@@ -163,10 +115,9 @@ void Advection<Dim>::rhs(std::span<const double> c, std::span<double> out) const
         const double* src = (side.nbr_ghost[static_cast<std::size_t>(slot)] ? ghost_c.data()
                                                                             : c.data()) +
                             nbr * static_cast<std::size_t>(nv);
-        const int* nfni = face_idx_[static_cast<std::size_t>(side.nbr_face)].data();
-        for (int q = 0; q < npf; ++q) {
-          dst[q] = src[nfni[side.node_map[static_cast<std::size_t>(q)]]];
-        }
+        const int* nfni = mesh_->face_nodes[static_cast<std::size_t>(side.nbr_face)].data();
+        const std::int32_t* map = mesh_->node_map(side);
+        for (int q = 0; q < npf; ++q) dst[q] = src[nfni[map[q]]];
       };
 
       if (side.kind != FaceKind::fine) {
@@ -182,12 +133,12 @@ void Advection<Dim>::rhs(std::span<const double> c, std::span<double> out) const
           // Strong form: u_t = -div F + M^{-1} \oint phi (F.n - F*) ds.
           const double df = un * a - fstar;
           const int node = fni[q];
-          oe[node] += df * mesh_->fsj[fb0 + static_cast<std::size_t>(q)] *
-                      wf_[static_cast<std::size_t>(q)] / mass[node];
+          oe[node] += df * mesh_->fsj[fb0 + static_cast<std::size_t>(q)] * wf[q] / mass[node];
         }
       } else {  // fine: integrate each subface at the fine resolution
         const double scale = Dim == 3 ? 0.25 : 0.5;  // d(coarse ref)/d(fine ref) per axis
-        const std::size_t off = sub_off_[e * nfaces + static_cast<std::size_t>(f)];
+        const std::size_t off =
+            static_cast<std::size_t>(side.fine) * nsub * static_cast<std::size_t>(npf);
         for (int s = 0; s < nsub; ++s) {
           // My values on the subface points; u.n and sJ there are precomputed.
           const double* unsub = sub_un_.data() + off + static_cast<std::size_t>(s) * npf;
@@ -199,8 +150,7 @@ void Advection<Dim>::rhs(std::span<const double> c, std::span<double> out) const
             const double un = unsub[q];
             const double a = csub[static_cast<std::size_t>(q)], p = cp[static_cast<std::size_t>(q)];
             const double fstar = 0.5 * un * (a + p) - 0.5 * std::abs(un) * (p - a);
-            lift[static_cast<std::size_t>(q)] =
-                (un * a - fstar) * sjsub[q] * wf_[static_cast<std::size_t>(q)] * scale;
+            lift[static_cast<std::size_t>(q)] = (un * a - fstar) * sjsub[q] * wf[q] * scale;
           }
           // Lift through the transposed interpolation onto my face nodes.
           face_sweep(Dim, np, half_t, s, lift.data(), tmp.data());
@@ -213,32 +163,12 @@ void Advection<Dim>::rhs(std::span<const double> c, std::span<double> out) const
     }
   };
 
-  // Post the halo exchange, compute every element that has no ghost face
-  // neighbor while it is in flight, then finish it and compute the rest.
-  auto halo = mesh_->exchange_begin(c, nv);
-  const auto& ga = mesh_->ghost_adjacent;
-  auto next = ga.begin();
-  for (std::size_t e = 0; e < n; ++e) {
-    if (next != ga.end() && static_cast<std::size_t>(*next) == e) {
-      ++next;
-      continue;
-    }
-    element(e);
-  }
-  ghost_c = mesh_->ghost->exchange_finish(std::move(halo));
-  for (const std::int32_t e : ga) element(static_cast<std::size_t>(e));
+  mesh_->overlapped(c, nv, ghost_c, element);
 }
 
 template <int Dim>
 void Advection<Dim>::step(std::vector<double>& c, double dt) const {
-  std::vector<double> res(c.size(), 0.0), k(c.size());
-  for (int stage = 0; stage < 5; ++stage) {
-    rhs(c, k);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      res[i] = kRkA[stage] * res[i] + dt * k[i];
-      c[i] += kRkB[stage] * res[i];
-    }
-  }
+  lsrk54_step(c, dt, [this](std::span<const double> in, std::span<double> k) { rhs(in, k); });
 }
 
 template <int Dim>

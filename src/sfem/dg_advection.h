@@ -2,10 +2,11 @@
 //   dC/dt + u . grad C = 0   (paper §III-B, Eq. (1))
 // with upwind numerical fluxes, tensor LGL collocation (diagonal mass), and
 // the five-stage fourth-order low-storage Runge-Kutta scheme of Carpenter &
-// Kennedy. Non-conforming (2:1) faces integrate from the fine side; the
-// coarse side lifts subface contributions through the transposed
+// Kennedy (lsrk54_step). Non-conforming (2:1) faces integrate from the fine
+// side; the coarse side lifts subface contributions through the transposed
 // half-interval interpolation (mortar consistency), so the scheme is
-// conservative on affine meshes.
+// conservative on affine meshes. Face tables, mortar layout, halo overlap
+// and the RK step are DgMesh's; this class keeps the upwind flux.
 //
 // AmrAdvectionDriver wraps the full dynamically adaptive loop of §III-B:
 // advect — mark — Refine/Coarsen — Balance — transfer — Partition — rebuild,
@@ -53,14 +54,10 @@ class Advection {
   Velocity velocity_;
   std::vector<double> fcoef_;     ///< (n_local*Dim)*nv: detJ * (dref_a/dx) . u per (element, a)
   std::vector<double> un_;        ///< n_local*nfaces*npf: u . n at my face nodes
-  /// Fine faces: u . n and sJ interpolated onto the nsub subfaces, nsub*npf
-  /// values per face from sub_off_[e*nfaces + f] (fixed between adapts).
+  /// Fine faces: u . n and sJ on their subfaces (DgMesh::on_subfaces layout,
+  /// fixed between adapts).
   std::vector<double> sub_un_, sub_sj_;
-  std::vector<std::size_t> sub_off_;
-  std::vector<double> wf_;        ///< npf tensor quadrature weights over the face tangentials
   std::vector<double> max_speed_; ///< per element |u| bound
-  std::vector<double> interp_t_[2];  ///< transposed half-interval interpolation
-  std::vector<std::vector<int>> face_idx_;  ///< face -> volume node indices
 };
 
 /// Dynamically adaptive advection run (paper §III-B): owns the forest, mesh,

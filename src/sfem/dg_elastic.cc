@@ -7,14 +7,6 @@ namespace esamr::sfem {
 
 namespace {
 
-// Carpenter & Kennedy (1994) five-stage fourth-order 2N-storage RK.
-constexpr double kA[5] = {0.0, -567301805773.0 / 1357537059087.0,
-                          -2404267990393.0 / 2016746695238.0, -3550918686646.0 / 2091501179385.0,
-                          -1275806237668.0 / 842570457699.0};
-constexpr double kB[5] = {1432997174477.0 / 9575080441755.0, 5161836677717.0 / 13612068292357.0,
-                          1720146321549.0 / 2090206949498.0, 3134564353537.0 / 4481467310338.0,
-                          2277821191437.0 / 14882151754819.0};
-
 /// Voigt index of the symmetric pair (i, j).
 template <int Dim>
 constexpr int voigt(int i, int j) {
@@ -35,8 +27,9 @@ ElasticWave<Dim, Real>::ElasticWave(
     const DgMesh<Dim>* mesh, const std::function<Material(const std::array<double, 3>&)>& material,
     Boundary boundary)
     : mesh_(mesh), boundary_(boundary) {
+  constexpr int nfaces = DgMesh<Dim>::nfaces;
   const double t0 = par::thread_cpu_seconds();
-  const int np = mesh_->np, nv = mesh_->nv;
+  const int nv = mesh_->nv, npf = mesh_->npf;
   const auto n = static_cast<std::size_t>(mesh_->n_local);
 
   // Precision-converted geometry tables (the "device transfer" of Fig. 10).
@@ -50,23 +43,15 @@ ElasticWave<Dim, Real>::ElasticWave(
   convert(mesh_->fsj, fsj_);
   convert(mesh_->fnormal, fnormal_);
   convert(mesh_->basis.diff, diff_);
+  convert(mesh_->face_weights, wf_);
   for (int c = 0; c < 2; ++c) {
     convert(mesh_->basis.interp_half[c], interp_half_[c]);
-    interp_half_t_[c].assign(static_cast<std::size_t>(np) * np, Real(0));
-    for (int i = 0; i < np; ++i) {
-      for (int j = 0; j < np; ++j) {
-        interp_half_t_[c][static_cast<std::size_t>(i * np + j)] =
-            static_cast<Real>(mesh_->basis.interp_half[c][static_cast<std::size_t>(j * np + i)]);
-      }
-    }
-  }
-  face_idx_.resize(DgMesh<Dim>::nfaces);
-  for (int f = 0; f < DgMesh<Dim>::nfaces; ++f) {
-    face_idx_[static_cast<std::size_t>(f)] = face_node_indices(Dim, np, f);
+    convert(mesh_->basis.interp_half_t[c], interp_half_t_[c]);
   }
 
   // Material sampling at the element nodes (double), then exchange the halo
-  // and convert. Ghost tables are appended behind the local ones.
+  // and convert. Ghost tables are appended behind the local ones. The wave
+  // speed bound is global, so stable_dt does not depend on the partition.
   std::vector<double> mat(n * static_cast<std::size_t>(nv) * 3);
   for (std::size_t i = 0; i < n * static_cast<std::size_t>(nv); ++i) {
     const Material m = material({mesh_->coords[i * 3], mesh_->coords[i * 3 + 1],
@@ -77,7 +62,9 @@ ElasticWave<Dim, Real>::ElasticWave(
     const double cp = std::sqrt((m.lambda + 2.0 * m.mu) / m.rho);
     max_speed_ = std::max(max_speed_, cp);
   }
-  const auto ghost_mat = mesh_->exchange(mat, nv * 3);
+  par::Comm& comm = mesh_->forest->comm();
+  max_speed_ = comm.allreduce(max_speed_, par::ReduceOp::max);
+  const auto ghost_mat = mesh_->ghost->exchange(comm, std::span<const double>(mat), nv * 3);
   const std::size_t ntot = n + ghost_mat.size() / (static_cast<std::size_t>(nv) * 3);
   rho_.resize(ntot * static_cast<std::size_t>(nv));
   lambda_.resize(ntot * static_cast<std::size_t>(nv));
@@ -96,14 +83,46 @@ ElasticWave<Dim, Real>::ElasticWave(
   for (std::size_t i = 0; i < ghost_mat.size() / 3; ++i) {
     fill(n * static_cast<std::size_t>(nv) + i, &ghost_mat[i * 3]);
   }
+
+  // Mortar geometry in the kernel precision: my impedances, sJ and the
+  // renormalized normal on the subfaces of every fine face.
+  const Real* const half[2] = {interp_half_[0].data(), interp_half_[1].data()};
+  const std::size_t nfn = n * nfaces * static_cast<std::size_t>(npf);
+  std::vector<Real> zpf(nfn), zsf(nfn);
+  std::array<std::vector<Real>, 3> nf;
+  for (auto& comp : nf) comp.resize(nfn);
+  std::size_t fb = 0;
+  for (std::size_t e = 0; e < n; ++e) {
+    for (const auto& fni : mesh_->face_nodes) {
+      for (const int node : fni) {
+        zpf[fb] = zp_[e * static_cast<std::size_t>(nv) + static_cast<std::size_t>(node)];
+        zsf[fb] = zs_[e * static_cast<std::size_t>(nv) + static_cast<std::size_t>(node)];
+        for (std::size_t d = 0; d < 3; ++d) nf[d][fb] = fnormal_[fb * 3 + d];
+        ++fb;
+      }
+    }
+  }
+  sub_zp_ = mesh_->on_subfaces(zpf, half);
+  sub_zs_ = mesh_->on_subfaces(zsf, half);
+  sub_sj_ = mesh_->on_subfaces(fsj_, half);
+  for (auto& comp : nf) comp = mesh_->on_subfaces(comp, half);
+  sub_nrm_.resize(sub_sj_.size() * 3);
+  for (std::size_t i = 0; i < sub_sj_.size(); ++i) {
+    const Real nx = nf[0][i], ny = nf[1][i], nz = nf[2][i];
+    const Real len = std::sqrt(nx * nx + ny * ny + nz * nz);
+    sub_nrm_[i * 3] = nx / len;
+    sub_nrm_[i * 3 + 1] = ny / len;
+    sub_nrm_[i * 3 + 2] = nz / len;
+  }
   transfer_seconds_ = par::thread_cpu_seconds() - t0;
 }
 
 template <int Dim, typename Real>
 void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) const {
+  constexpr int nfaces = DgMesh<Dim>::nfaces, nsub = DgMesh<Dim>::nsub;
   const int np = mesh_->np, nv = mesh_->nv, npf = mesh_->npf;
   const auto n = static_cast<std::size_t>(mesh_->n_local);
-  const auto ghost_q = mesh_->template exchange<Real>(q, ncomp * nv);
+  std::vector<Real> ghost_q;  // the halo, once the exchange has finished
 
   // Node-wise material of a (local or ghost) element.
   const auto mat_base = [&](std::int32_t elem, bool is_ghost) {
@@ -133,23 +152,13 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
   // My (m) and the neighbor's (p) face states: velocity, traction, impedances.
   auto vm = npf_n(Dim), tm = npf_n(Dim), vp = npf_n(Dim), tp = npf_n(Dim);
   auto zpm = npf_n(1), zsm = npf_n(1), zpp = npf_n(1), zsp = npf_n(1);
-  auto nrm = npf_n(3), sj = npf_n(1), tmp = npf_n(1), tmp2 = npf_n(1), liftv = npf_n(ncomp);
-  // Fine faces: my conforming face data, the lifted sum, the normal by axis.
-  auto vm0 = npf_n(Dim), tm0 = npf_n(Dim), zpm0 = npf_n(1), zsm0 = npf_n(1);
-  auto nrm0 = npf_n(3), sj0 = npf_n(1), acc = npf_n(ncomp);
-  auto nx = npf_n(1), ny = npf_n(1), nz = npf_n(1);
+  auto tmp = npf_n(1), tmp2 = npf_n(1), liftv = npf_n(ncomp);
+  // Fine faces: my velocity and traction on one subface, the lifted sum.
+  auto vs = npf_n(Dim), ts = npf_n(Dim), acc = npf_n(ncomp);
   const Real* const half[2] = {interp_half_[0].data(), interp_half_[1].data()};
   const Real* const half_t[2] = {interp_half_t_[0].data(), interp_half_t_[1].data()};
 
-  // Tensor face weights.
-  std::vector<Real> wf(static_cast<std::size_t>(npf));
-  for (int qq = 0; qq < npf; ++qq) {
-    double w = mesh_->basis.weights[static_cast<std::size_t>(qq % np)];
-    if (Dim == 3) w *= mesh_->basis.weights[static_cast<std::size_t>(qq / np)];
-    wf[static_cast<std::size_t>(qq)] = static_cast<Real>(w);
-  }
-
-  for (std::size_t e = 0; e < n; ++e) {
+  const auto element = [&](std::size_t e) {
     const Real* qe = q.data() + e * static_cast<std::size_t>(ncomp) * nv;
     Real* oe = out.data() + e * static_cast<std::size_t>(ncomp) * nv;
     const std::size_t matb = e * static_cast<std::size_t>(nv);
@@ -207,28 +216,24 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
     }
 
     // Face terms.
-    for (int f = 0; f < DgMesh<Dim>::nfaces; ++f) {
+    for (int f = 0; f < nfaces; ++f) {
       const auto& side = mesh_->face(static_cast<std::int64_t>(e), f);
-      const auto& fni = face_idx_[static_cast<std::size_t>(f)];
+      const auto& fni = mesh_->face_nodes[static_cast<std::size_t>(f)];
       const std::size_t fb0 =
-          (e * DgMesh<Dim>::nfaces + static_cast<std::size_t>(f)) * static_cast<std::size_t>(npf);
+          (e * nfaces + static_cast<std::size_t>(f)) * static_cast<std::size_t>(npf);
+      // My face normal and surface Jacobian.
+      const Real* nrm = fnormal_.data() + fb0 * 3;
+      const Real* sj = fsj_.data() + fb0;
 
       // My face data.
       for (int qq = 0; qq < npf; ++qq) {
         const int node = fni[static_cast<std::size_t>(qq)];
         Real sig[nstrain];
         stress_at(qe, matb, node, sig);
-        for (int d = 0; d < 3; ++d) {
-          nrm[static_cast<std::size_t>(qq * 3 + d)] = fnormal_[(fb0 + static_cast<std::size_t>(qq)) * 3 +
-                                                               static_cast<std::size_t>(d)];
-        }
-        sj[static_cast<std::size_t>(qq)] = fsj_[fb0 + static_cast<std::size_t>(qq)];
         for (int i = 0; i < Dim; ++i) {
           vm[static_cast<std::size_t>(i * npf + qq)] = qe[i * nv + node];
           Real ti = 0;
-          for (int j = 0; j < Dim; ++j) {
-            ti += sig[voigt<Dim>(i, j)] * nrm[static_cast<std::size_t>(qq * 3 + j)];
-          }
+          for (int j = 0; j < Dim; ++j) ti += sig[voigt<Dim>(i, j)] * nrm[qq * 3 + j];
           tm[static_cast<std::size_t>(i * npf + qq)] = ti;
         }
         zpm[static_cast<std::size_t>(qq)] = zp_[matb + static_cast<std::size_t>(node)];
@@ -236,23 +241,22 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
       }
 
       // Neighbor face data for a given slot, aligned to my face enumeration
-      // (or, for `fine`, to my subface enumeration).
-      const auto fetch_plus = [&](int slot) {
+      // (or, for `fine`, to my subface enumeration); tractions along `nq`.
+      const auto fetch_plus = [&](int slot, const Real* nq) {
         const Real* qn = q_base(side.nbr[static_cast<std::size_t>(slot)],
                                 side.nbr_ghost[static_cast<std::size_t>(slot)] != 0);
         const std::size_t mb = mat_base(side.nbr[static_cast<std::size_t>(slot)],
                                         side.nbr_ghost[static_cast<std::size_t>(slot)] != 0);
-        const auto& nfni = face_idx_[static_cast<std::size_t>(side.nbr_face)];
+        const auto& nfni = mesh_->face_nodes[static_cast<std::size_t>(side.nbr_face)];
+        const std::int32_t* map = mesh_->node_map(side);
         for (int qq = 0; qq < npf; ++qq) {
-          const int nn = nfni[static_cast<std::size_t>(side.node_map[static_cast<std::size_t>(qq)])];
+          const int nn = nfni[static_cast<std::size_t>(map[qq])];
           Real sig[nstrain];
           stress_at(qn, mb, nn, sig);
           for (int i = 0; i < Dim; ++i) {
             vp[static_cast<std::size_t>(i * npf + qq)] = qn[i * nv + nn];
             Real ti = 0;
-            for (int j = 0; j < Dim; ++j) {
-              ti += sig[voigt<Dim>(i, j)] * nrm[static_cast<std::size_t>(qq * 3 + j)];
-            }
+            for (int j = 0; j < Dim; ++j) ti += sig[voigt<Dim>(i, j)] * nq[qq * 3 + j];
             tp[static_cast<std::size_t>(i * npf + qq)] = ti;
           }
           zpp[static_cast<std::size_t>(qq)] = zp_[mb + static_cast<std::size_t>(nn)];
@@ -260,17 +264,19 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
         }
       };
 
-      // Riemann corrections at the current quadrature set; writes the lifted
-      // contributions (velocity and strain corrections scaled by w*sJ) into
-      // liftv.
-      const auto riemann = [&](Real scale) {
+      // Riemann corrections at one quadrature set: my velocity v, traction
+      // t and impedances zp/zs, the normal and sJ there, against vp..zsp;
+      // writes the lifted contributions (velocity and strain corrections
+      // scaled by w*sJ) into liftv.
+      const auto riemann = [&](const Real* v, const Real* t, const Real* zpq, const Real* zsq,
+                               const Real* nrmq, const Real* sjq, Real scale) {
         for (int qq = 0; qq < npf; ++qq) {
-          const Real* nq = &nrm[static_cast<std::size_t>(qq * 3)];
+          const Real* nq = nrmq + qq * 3;
           Real vnm = 0, vnp = 0, tnm = 0, tnp = 0;
           for (int i = 0; i < Dim; ++i) {
-            vnm += vm[static_cast<std::size_t>(i * npf + qq)] * nq[i];
+            vnm += v[i * npf + qq] * nq[i];
             vnp += vp[static_cast<std::size_t>(i * npf + qq)] * nq[i];
-            tnm += tm[static_cast<std::size_t>(i * npf + qq)] * nq[i];
+            tnm += t[i * npf + qq] * nq[i];
             tnp += tp[static_cast<std::size_t>(i * npf + qq)] * nq[i];
           }
           // Exact interface (Godunov) states: the left-moving wave into my
@@ -278,46 +284,36 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
           // the neighbor along (1, -Z):
           //   v* = [Z- v- + Z+ v+ + (t+ - t-)] / (Z- + Z+)
           //   t* = [Z+ t- + Z- t+ + Z- Z+ (v+ - v-)] / (Z- + Z+)
-          const Real dp = zpm[static_cast<std::size_t>(qq)] + zpp[static_cast<std::size_t>(qq)];
-          const Real vsn = (zpm[static_cast<std::size_t>(qq)] * vnm +
-                            zpp[static_cast<std::size_t>(qq)] * vnp + (tnp - tnm)) /
-                           dp;
-          const Real tsn = (zpp[static_cast<std::size_t>(qq)] * tnm +
-                            zpm[static_cast<std::size_t>(qq)] * tnp +
-                            zpm[static_cast<std::size_t>(qq)] * zpp[static_cast<std::size_t>(qq)] *
-                                (vnp - vnm)) /
-                           dp;
-          const Real ds = zsm[static_cast<std::size_t>(qq)] + zsp[static_cast<std::size_t>(qq)];
+          const Real zm = zpq[qq], zp = zpp[static_cast<std::size_t>(qq)];
+          const Real dp = zm + zp;
+          const Real vsn = (zm * vnm + zp * vnp + (tnp - tnm)) / dp;
+          const Real tsn = (zp * tnm + zm * tnp + zm * zp * (vnp - vnm)) / dp;
+          const Real sm = zsq[qq], sp = zsp[static_cast<std::size_t>(qq)];
+          const Real ds = sm + sp;
           Real vst[3] = {0, 0, 0}, tst[3] = {0, 0, 0};
           for (int i = 0; i < Dim; ++i) {
-            const Real vtm = vm[static_cast<std::size_t>(i * npf + qq)] - vnm * nq[i];
+            const Real vtm = v[i * npf + qq] - vnm * nq[i];
             const Real vtp = vp[static_cast<std::size_t>(i * npf + qq)] - vnp * nq[i];
-            const Real ttm = tm[static_cast<std::size_t>(i * npf + qq)] - tnm * nq[i];
+            const Real ttm = t[i * npf + qq] - tnm * nq[i];
             const Real ttp = tp[static_cast<std::size_t>(i * npf + qq)] - tnp * nq[i];
             if (ds > Real(0)) {
-              vst[i] = (zsm[static_cast<std::size_t>(qq)] * vtm +
-                        zsp[static_cast<std::size_t>(qq)] * vtp + (ttp - ttm)) /
-                       ds;
-              tst[i] = (zsp[static_cast<std::size_t>(qq)] * ttm +
-                        zsm[static_cast<std::size_t>(qq)] * ttp +
-                        zsm[static_cast<std::size_t>(qq)] * zsp[static_cast<std::size_t>(qq)] *
-                            (vtp - vtm)) /
-                       ds;
+              vst[i] = (sm * vtm + sp * vtp + (ttp - ttm)) / ds;
+              tst[i] = (sp * ttm + sm * ttp + sm * sp * (vtp - vtm)) / ds;
             } else {
               vst[i] = vtm;
               tst[i] = 0;
             }
           }
-          const Real wsj = wf[static_cast<std::size_t>(qq)] * sj[static_cast<std::size_t>(qq)] * scale;
+          const Real wsj = wf_[static_cast<std::size_t>(qq)] * sjq[qq] * scale;
           for (int i = 0; i < Dim; ++i) {
             const Real vstar = vst[i] + vsn * nq[i];
             const Real tstar = tst[i] + tsn * nq[i];
-            const Real dv = tstar - tm[static_cast<std::size_t>(i * npf + qq)];
+            const Real dv = tstar - t[i * npf + qq];
             liftv[static_cast<std::size_t>(i * npf + qq)] = dv * wsj;
             // Strain correction (v* - v-) symmetrized with n.
-            const Real dvel = vstar - vm[static_cast<std::size_t>(i * npf + qq)];
+            const Real dvel = vstar - v[i * npf + qq];
             for (int j = i; j < Dim; ++j) {
-              const Real dvj = (vst[j] + vsn * nq[j]) - vm[static_cast<std::size_t>(j * npf + qq)];
+              const Real dvj = (vst[j] + vsn * nq[j]) - v[j * npf + qq];
               liftv[static_cast<std::size_t>((Dim + voigt<Dim>(i, j)) * npf + qq)] =
                   Real(0.5) * (dvel * nq[j] + dvj * nq[i]) * wsj;
             }
@@ -325,29 +321,31 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
         }
       };
 
+      const Real* lift = liftv.data();
       if (side.kind == DgMesh<Dim>::FaceKind::boundary) {
         // Mirror ghost states.
         for (int qq = 0; qq < npf; ++qq) {
           zpp[static_cast<std::size_t>(qq)] = zpm[static_cast<std::size_t>(qq)];
           zsp[static_cast<std::size_t>(qq)] = zsm[static_cast<std::size_t>(qq)];
           for (int i = 0; i < Dim; ++i) {
+            const auto k = static_cast<std::size_t>(i * npf + qq);
             if (boundary_ == Boundary::free_surface) {
-              vp[static_cast<std::size_t>(i * npf + qq)] = vm[static_cast<std::size_t>(i * npf + qq)];
-              tp[static_cast<std::size_t>(i * npf + qq)] = -tm[static_cast<std::size_t>(i * npf + qq)];
+              vp[k] = vm[k];
+              tp[k] = -tm[k];
             } else {
-              vp[static_cast<std::size_t>(i * npf + qq)] = -vm[static_cast<std::size_t>(i * npf + qq)];
-              tp[static_cast<std::size_t>(i * npf + qq)] = tm[static_cast<std::size_t>(i * npf + qq)];
+              vp[k] = -vm[k];
+              tp[k] = tm[k];
             }
           }
         }
-        riemann(Real(1));
+        riemann(vm.data(), tm.data(), zpm.data(), zsm.data(), nrm, sj, Real(1));
       } else if (side.kind == DgMesh<Dim>::FaceKind::same) {
-        fetch_plus(0);
-        riemann(Real(1));
+        fetch_plus(0, nrm);
+        riemann(vm.data(), tm.data(), zpm.data(), zsm.data(), nrm, sj, Real(1));
       } else if (side.kind == DgMesh<Dim>::FaceKind::coarse) {
         // Interpolate the neighbor's full face to my quadrant after the
         // orientation alignment; my own data stays at my face nodes.
-        fetch_plus(0);
+        fetch_plus(0, nrm);
         const int bits = side.half_bits;
         for (int i = 0; i < Dim; ++i) {
           face_sweep(Dim, np, half, bits, &vp[static_cast<std::size_t>(i * npf)], tmp.data());
@@ -355,50 +353,26 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
         }
         face_sweep(Dim, np, half, bits, zpp.data(), tmp.data());
         face_sweep(Dim, np, half, bits, zsp.data(), tmp.data());
-        riemann(Real(1));
+        riemann(vm.data(), tm.data(), zpm.data(), zsm.data(), nrm, sj, Real(1));
       } else {
-        // fine: integrate each subface at the fine resolution and lift back.
-        // Save my conforming face data once.
-        std::copy(vm.begin(), vm.end(), vm0.begin());
-        std::copy(tm.begin(), tm.end(), tm0.begin());
-        std::copy(zpm.begin(), zpm.end(), zpm0.begin());
-        std::copy(zsm.begin(), zsm.end(), zsm0.begin());
-        std::copy(nrm.begin(), nrm.end(), nrm0.begin());
-        std::copy(sj.begin(), sj.end(), sj0.begin());
+        // fine: integrate each subface at the fine resolution against the
+        // precomputed subface impedances, normal and sJ, and lift back.
         std::fill(acc.begin(), acc.end(), Real(0));
         const Real scale = Dim == 3 ? Real(0.25) : Real(0.5);
-        for (int s = 0; s < DgMesh<Dim>::nsub; ++s) {
-          std::copy(vm0.begin(), vm0.end(), vm.begin());
-          std::copy(tm0.begin(), tm0.end(), tm.begin());
-          std::copy(zpm0.begin(), zpm0.end(), zpm.begin());
-          std::copy(zsm0.begin(), zsm0.end(), zsm.begin());
-          std::copy(sj0.begin(), sj0.end(), sj.begin());
+        for (int s = 0; s < nsub; ++s) {
+          std::copy(vm.begin(), vm.end(), vs.begin());
+          std::copy(tm.begin(), tm.end(), ts.begin());
           for (int i = 0; i < Dim; ++i) {
-            face_sweep(Dim, np, half, s, &vm[static_cast<std::size_t>(i * npf)], tmp.data());
-            face_sweep(Dim, np, half, s, &tm[static_cast<std::size_t>(i * npf)], tmp.data());
+            face_sweep(Dim, np, half, s, &vs[static_cast<std::size_t>(i * npf)], tmp.data());
+            face_sweep(Dim, np, half, s, &ts[static_cast<std::size_t>(i * npf)], tmp.data());
           }
-          face_sweep(Dim, np, half, s, zpm.data(), tmp.data());
-          face_sweep(Dim, np, half, s, zsm.data(), tmp.data());
-          face_sweep(Dim, np, half, s, sj.data(), tmp.data());
-          // Interpolate and renormalize the normal.
-          for (int qq = 0; qq < npf; ++qq) {
-            nx[static_cast<std::size_t>(qq)] = nrm0[static_cast<std::size_t>(qq * 3)];
-            ny[static_cast<std::size_t>(qq)] = nrm0[static_cast<std::size_t>(qq * 3 + 1)];
-            nz[static_cast<std::size_t>(qq)] = nrm0[static_cast<std::size_t>(qq * 3 + 2)];
-          }
-          face_sweep(Dim, np, half, s, nx.data(), tmp.data());
-          face_sweep(Dim, np, half, s, ny.data(), tmp.data());
-          face_sweep(Dim, np, half, s, nz.data(), tmp.data());
-          for (int qq = 0; qq < npf; ++qq) {
-            const Real len = std::sqrt(nx[static_cast<std::size_t>(qq)] * nx[static_cast<std::size_t>(qq)] +
-                                       ny[static_cast<std::size_t>(qq)] * ny[static_cast<std::size_t>(qq)] +
-                                       nz[static_cast<std::size_t>(qq)] * nz[static_cast<std::size_t>(qq)]);
-            nrm[static_cast<std::size_t>(qq * 3)] = nx[static_cast<std::size_t>(qq)] / len;
-            nrm[static_cast<std::size_t>(qq * 3 + 1)] = ny[static_cast<std::size_t>(qq)] / len;
-            nrm[static_cast<std::size_t>(qq * 3 + 2)] = nz[static_cast<std::size_t>(qq)] / len;
-          }
-          fetch_plus(s);
-          riemann(scale);
+          const std::size_t sb =
+              (static_cast<std::size_t>(side.fine) * nsub + static_cast<std::size_t>(s)) *
+              static_cast<std::size_t>(npf);
+          const Real* nsub_q = sub_nrm_.data() + sb * 3;
+          fetch_plus(s, nsub_q);
+          riemann(vs.data(), ts.data(), sub_zp_.data() + sb, sub_zs_.data() + sb, nsub_q,
+                  sub_sj_.data() + sb, scale);
           // Lift through the transposed interpolation and accumulate.
           for (int comp = 0; comp < ncomp; ++comp) {
             std::copy_n(&liftv[static_cast<std::size_t>(comp * npf)], npf, tmp2.begin());
@@ -408,7 +382,7 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
             }
           }
         }
-        std::copy(acc.begin(), acc.end(), liftv.begin());
+        lift = acc.data();
       }
 
       // Apply the lifted corrections: velocity scaled by 1/rho.
@@ -416,30 +390,19 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
         const int node = fni[static_cast<std::size_t>(qq)];
         const Real im = Real(1) / mass_[jb + static_cast<std::size_t>(node)];
         const Real inv_rho = Real(1) / rho_[matb + static_cast<std::size_t>(node)];
-        for (int i = 0; i < Dim; ++i) {
-          oe[i * nv + node] += inv_rho * liftv[static_cast<std::size_t>(i * npf + qq)] * im;
-        }
+        for (int i = 0; i < Dim; ++i) oe[i * nv + node] += inv_rho * lift[i * npf + qq] * im;
         for (int s = 0; s < nstrain; ++s) {
-          oe[(Dim + s) * nv + node] += liftv[static_cast<std::size_t>((Dim + s) * npf + qq)] * im;
+          oe[(Dim + s) * nv + node] += lift[(Dim + s) * npf + qq] * im;
         }
       }
     }
-  }
+  };
+  mesh_->overlapped(q, ncomp * nv, ghost_q, element);
 }
 
 template <int Dim, typename Real>
 void ElasticWave<Dim, Real>::step(std::vector<Real>& q, double dt) const {
-  std::vector<Real> res(q.size(), Real(0)), k(q.size());
-  for (int stage = 0; stage < 5; ++stage) {
-    rhs(q, k);
-    const Real a = static_cast<Real>(kA[stage]);
-    const Real bdt = static_cast<Real>(kB[stage]);
-    const Real rdt = static_cast<Real>(dt);
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      res[i] = a * res[i] + rdt * k[i];
-      q[i] += bdt * res[i];
-    }
-  }
+  lsrk54_step(q, dt, [this](std::span<const Real> in, std::span<Real> k) { rhs(in, k); });
 }
 
 template <int Dim, typename Real>

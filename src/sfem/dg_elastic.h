@@ -4,9 +4,10 @@
 //   dE/dt     = (grad v + grad v^T) / 2
 // Upwind (Godunov) fluxes from the exact interface Riemann solution with
 // per-side impedances — heterogeneous and coupled acoustic-elastic media
-// (mu = 0 in fluid layers) are handled by the same formulas. Tensor LGL
-// collocation, 2:1 mortar faces, and the five-stage low-storage RK match
-// the advection solver.
+// (mu = 0 in fluid layers) are handled by the same formulas. Face tables,
+// 2:1 mortar layout, the overlapped halo exchange and the five-stage
+// low-storage RK step are DgMesh's, shared with the advection solver; this
+// class keeps the fluxes.
 //
 // The class is templated on the scalar type: `double` is the reference CPU
 // path; `float` is the "accelerated" path that substitutes for the paper's
@@ -69,12 +70,15 @@ class ElasticWave {
 
   // Precision-converted kernel tables.
   std::vector<Real> jinv_, jdet_, mass_, fsj_, fnormal_;
-  std::vector<Real> rho_, lambda_, mu_;        // per node
-  std::vector<Real> zp_, zs_;                  // impedances at face nodes (my side)
+  std::vector<Real> rho_, lambda_, mu_;        // per node, local then ghost
+  std::vector<Real> zp_, zs_;                  // P and S impedances per node
   std::vector<Real> diff_;                     // 1D differentiation matrix
+  std::vector<Real> wf_;                       // DgMesh::face_weights
   std::vector<Real> interp_half_[2], interp_half_t_[2];
-  std::vector<std::vector<int>> face_idx_;
-  double max_speed_ = 0.0;
+  // Fine faces: my impedances, sJ and unit normal (3 per point) on their
+  // subfaces (DgMesh::on_subfaces layout, fixed for the mesh).
+  std::vector<Real> sub_zp_, sub_zs_, sub_sj_, sub_nrm_;
+  double max_speed_ = 0.0;  // global P-wave speed bound
 };
 
 extern template class ElasticWave<2, double>;

@@ -12,12 +12,13 @@ using forest::CoordXform;
 using forest::LeafRef;
 using forest::Topo;
 
-/// Face-node alignment across a (possibly rotated) face connection: my face
-/// node q corresponds to the neighbor's face node map[q]. X is the transform
-/// from my tree frame to the neighbor's (nullptr within one tree). Valid for
-/// any pair of equal-resolution face grids covering the same region.
+/// Append the face-node alignment row of a face connection to `rows`: my
+/// face node q corresponds to the neighbor's face node row[q]. X is the
+/// transform from my tree frame to the neighbor's. Valid for any pair of
+/// equal-resolution face grids covering the same region.
 template <int Dim>
-std::vector<std::int32_t> make_node_map(int np, int myf, const CoordXform* x, int nbrf) {
+void append_node_map(std::vector<std::int32_t>& rows, int np, int myf, const CoordXform& x,
+                     int nbrf) {
   const auto t = face_tangents(Dim, myf);
   const auto u = face_tangents(Dim, nbrf);
   const int nf = ipow(np, Dim - 1);
@@ -26,15 +27,11 @@ std::vector<std::int32_t> make_node_map(int np, int myf, const CoordXform* x, in
   std::array<int, 2> pos{0, 0};
   std::array<bool, 2> rev{false, false};
   for (int k = 0; k < Dim - 1; ++k) {
-    int j = t[static_cast<std::size_t>(k)];
-    bool r = false;
-    if (x != nullptr) {
-      j = -1;
-      for (int jj = 0; jj < 3; ++jj) {
-        if (x->perm[static_cast<std::size_t>(jj)] == t[static_cast<std::size_t>(k)]) j = jj;
-      }
-      r = x->sign[static_cast<std::size_t>(j)] < 0;
+    int j = -1;
+    for (int jj = 0; jj < 3; ++jj) {
+      if (x.perm[static_cast<std::size_t>(jj)] == t[static_cast<std::size_t>(k)]) j = jj;
     }
+    const bool r = x.sign[static_cast<std::size_t>(j)] < 0;
     int p = -1;
     for (int q = 0; q < Dim - 1; ++q) {
       if (u[static_cast<std::size_t>(q)] == j) p = q;
@@ -43,7 +40,6 @@ std::vector<std::int32_t> make_node_map(int np, int myf, const CoordXform* x, in
     pos[static_cast<std::size_t>(k)] = p;
     rev[static_cast<std::size_t>(k)] = r;
   }
-  std::vector<std::int32_t> map(static_cast<std::size_t>(nf));
   for (int q = 0; q < nf; ++q) {
     std::array<int, 2> mi{q % np, Dim == 3 ? q / np : 0};
     std::array<int, 2> ni{0, 0};
@@ -52,9 +48,8 @@ std::vector<std::int32_t> make_node_map(int np, int myf, const CoordXform* x, in
                                                      : mi[static_cast<std::size_t>(k)];
       ni[static_cast<std::size_t>(pos[static_cast<std::size_t>(k)])] = i;
     }
-    map[static_cast<std::size_t>(q)] = static_cast<std::int32_t>(ni[0] + (Dim == 3 ? np * ni[1] : 0));
+    rows.push_back(static_cast<std::int32_t>(ni[0] + (Dim == 3 ? np * ni[1] : 0)));
   }
-  return map;
 }
 
 template <int Dim>
@@ -100,12 +95,23 @@ DgMesh<Dim> DgMesh<Dim>::build(const forest::Forest<Dim>& f, const forest::Ghost
   const auto& conn = f.conn();
   constexpr double root_len = static_cast<double>(Oct::root_len);
 
+  for (int fc = 0; fc < nfaces; ++fc) {
+    mesh.face_nodes[static_cast<std::size_t>(fc)] = face_node_indices(Dim, np, fc);
+  }
+  mesh.face_weights.resize(static_cast<std::size_t>(npf));
+  for (int q = 0; q < npf; ++q) {
+    double w = mesh.basis.weights[static_cast<std::size_t>(q % np)];
+    if (Dim == 3) w *= mesh.basis.weights[static_cast<std::size_t>(q / np)];
+    mesh.face_weights[static_cast<std::size_t>(q)] = w;
+  }
+  // Row 0 is the identity; row_of[t * nfaces + f] is the row of tree t's
+  // connection through face f once a face uses it (0 before).
+  for (int q = 0; q < npf; ++q) mesh.node_maps.push_back(q);
+  std::vector<std::int32_t> row_of(static_cast<std::size_t>(f.num_trees()) * nfaces, 0);
+  std::int32_t nfine = 0;
+
   std::vector<double> jmat(static_cast<std::size_t>(nv) * Dim * Dim);
   std::vector<double> comp(static_cast<std::size_t>(nv)), dcomp(static_cast<std::size_t>(nv));
-  std::array<std::vector<int>, nfaces> face_nodes;
-  for (int fc = 0; fc < nfaces; ++fc) {
-    face_nodes[static_cast<std::size_t>(fc)] = face_node_indices(Dim, np, fc);
-  }
   std::size_t e = 0;
   f.for_each_local([&](int t, const Oct& o) {
     // --- Node coordinates ---------------------------------------------------
@@ -187,7 +193,7 @@ DgMesh<Dim> DgMesh<Dim>::build(const forest::Forest<Dim>& f, const forest::Ghost
     for (int fc = 0; fc < nfaces; ++fc) {
       const int axis = fc / 2;
       const double sgn = (fc % 2) ? 1.0 : -1.0;
-      const auto& fni = face_nodes[static_cast<std::size_t>(fc)];
+      const auto& fni = mesh.face_nodes[static_cast<std::size_t>(fc)];
       for (int q = 0; q < npf; ++q) {
         const int node = fni[static_cast<std::size_t>(q)];
         const std::size_t nb = e * static_cast<std::size_t>(nv) + static_cast<std::size_t>(node);
@@ -228,9 +234,14 @@ DgMesh<Dim> DgMesh<Dim>::build(const forest::Forest<Dim>& f, const forest::Ghost
         x = &fconn.xform;
         nb2 = x->template apply_octant<Dim>(nb);
         nbrface = fconn.face;
+        auto& row = row_of[static_cast<std::size_t>(t) * nfaces + static_cast<std::size_t>(fc)];
+        if (row == 0) {
+          row = static_cast<std::int32_t>(mesh.node_maps.size() / static_cast<std::size_t>(npf));
+          append_node_map<Dim>(mesh.node_maps, np, fc, *x, nbrface);
+        }
+        side.node_map = row;
       }
       side.nbr_face = static_cast<std::int8_t>(nbrface);
-      side.node_map = make_node_map<Dim>(np, fc, x, nbrface);
       if (const LeafRef<Dim>* same = find_exact<Dim>(dir, t2, nb2)) {
         side.kind = FaceKind::same;
         side.nbr[0] = same->index;
@@ -258,6 +269,7 @@ DgMesh<Dim> DgMesh<Dim>::build(const forest::Forest<Dim>& f, const forest::Ghost
       }
       // Finer neighbors: the children of nb touching my face.
       side.kind = FaceKind::fine;
+      side.fine = nfine++;
       const auto tang = face_tangents(Dim, fc);
       for (int s = 0; s < nsub; ++s) {
         int cid = 0;

@@ -177,6 +177,13 @@ Basis1d Basis1d::make(int degree) {
           0.5 * b.nodes[static_cast<std::size_t>(i)] + (c == 0 ? -0.5 : 0.5);
     }
     b.interp_half[c] = interpolation_matrix(b.nodes, pts);
+    b.interp_half_t[c].resize(b.interp_half[c].size());
+    for (int i = 0; i < b.np; ++i) {
+      for (int j = 0; j < b.np; ++j) {
+        b.interp_half_t[c][static_cast<std::size_t>(i * b.np + j)] =
+            b.interp_half[c][static_cast<std::size_t>(j * b.np + i)];
+      }
+    }
   }
 
   // Exact L2 projection from the children back to the parent: solve

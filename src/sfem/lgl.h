@@ -22,6 +22,9 @@ struct Basis1d {
   /// interp_half[c][i*np+j] evaluates the parent Lagrange basis j at the
   /// i-th node of child c (c=0 -> [-1,0], c=1 -> [0,1]).
   std::vector<double> interp_half[2];
+  /// interp_half[c] transposed: lifts a child-interval integrand back onto
+  /// the parent nodes (the coarse side of a 2:1 mortar face).
+  std::vector<double> interp_half_t[2];
   /// L2 projection from child c back to the parent:
   /// parent = sum_c project_half[c] * child_c reassembles the parent's L2
   /// best approximation; project_half[c] = (1/2) M^{-1} I_c^T M.

@@ -57,17 +57,19 @@ extern template void balance_ripple<2>(forest::Forest<2>&);
 extern template void balance_ripple<3>(forest::Forest<3>&);
 
 /// Blocking twin of GhostLayer::exchange (one alltoallv that copies every
-/// packed buffer into the collective); identical result.
+/// packed buffer into the collective); same element-ordered `fields`,
+/// identical result.
 template <int Dim, typename T>
 std::vector<T> exchange_blocking(const forest::GhostLayer<Dim>& g, par::Comm& comm,
-                                 std::span<const T> mirror_data, int per_elem) {
+                                 std::span<const T> fields, int per_elem) {
   static_assert(std::is_trivially_copyable_v<T>);
   const int p = comm.size();
   std::vector<std::vector<T>> send(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
     auto& buf = send[static_cast<std::size_t>(r)];
     for (const std::int32_t mi : g.mirror_lists[static_cast<std::size_t>(r)]) {
-      const T* block = mirror_data.data() + static_cast<std::size_t>(mi) * per_elem;
+      const auto elem = g.mirrors[static_cast<std::size_t>(mi)].local_index;
+      const T* block = fields.data() + static_cast<std::size_t>(elem) * per_elem;
       buf.insert(buf.end(), block, block + per_elem);
     }
   }

@@ -279,4 +279,39 @@ TEST_P(ElasticGolden, FloatKernelMatchesRecordedDigest) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, ElasticGolden, ::testing::Values(1, 3, 4));
+// 2 and 7 come after 1, 3, 4 so each earlier case name keeps its rank count.
+INSTANTIATE_TEST_SUITE_P(Sizes, ElasticGolden, ::testing::Values(1, 3, 4, 2, 7));
+
+namespace {
+
+/// stable_dt on a 2x1x1 brick whose fast medium (x < 0.9) is coarse (tree 0,
+/// level 1) and whose fine elements (tree 1, level 2) are slow: a rank that
+/// holds only fine elements must still bound the speed by the fast medium.
+double mixed_media_dt(par::Comm& c) {
+  const auto conn = Connectivity<3>::brick({2, 1, 1}, {false, false, false});
+  auto f = Forest<3>::new_uniform(c, &conn, 1);
+  f.refine(2, true, [](int t, const Octant<3>& o) { return t == 1 && o.level < 2; });
+  f.balance();
+  f.partition();
+  const auto g = GhostLayer<3>::build(f);
+  const auto mesh = DgMesh<3>::build(f, g, 3, vertex_map<3>(conn));
+  const ElasticWave<3> wave(&mesh, [](const std::array<double, 3>& x) {
+    return x[0] < 0.9 ? Material{1.0, 8.0, 4.0} : Material{1.0, 1.0, 0.5};
+  });
+  return wave.stable_dt(0.3);
+}
+
+}  // namespace
+
+/// The step is a global bound, so every rank count returns the P = 1 bits.
+class ElasticStableDt : public ::testing::TestWithParam<int> {};
+
+TEST_P(ElasticStableDt, MatchesOneRankBitForBit) {
+  double serial = 0.0;
+  par::run(1, [&](par::Comm& c) { serial = mixed_media_dt(c); });
+  // cfl * h / (c_p * N^2) with h = 1/4, c_p = 4, N = 3.
+  EXPECT_NEAR(serial, 0.3 * 0.25 / (4.0 * 9.0), 1e-15);
+  par::run(GetParam(), [&](par::Comm& c) { EXPECT_EQ(mixed_media_dt(c), serial); });
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ElasticStableDt, ::testing::Values(4, 8, 9));

@@ -1,11 +1,15 @@
 // Tests for the dG mesh layer: face neighbor classification, orientation
 // alignment across rotated inter-tree connections, hanging-face pairing, and
 // geometric watertightness — my face nodes must coincide physically with the
-// neighbor's mapped face nodes, including interpolated 2:1 faces — and the
-// ghost-adjacent element set that the overlapped halo exchange relies on.
+// neighbor's mapped face nodes, including interpolated 2:1 faces — the
+// node-map rows shared per (tree, face) connection, and the ghost-adjacent
+// element set that the overlapped halo exchange relies on.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <set>
+#include <type_traits>
 
 #include "sfem/dg_mesh.h"
 
@@ -39,7 +43,8 @@ void expect_watertight(const DgMesh<Dim>& mesh, double tol = 1e-9, double period
     return period > 0.0 ? std::abs(std::remainder(a - b, period)) : std::abs(a - b);
   };
   const int np = mesh.np, nv = mesh.nv, npf = mesh.npf;
-  const auto ghost_xyz = mesh.exchange(mesh.coords, nv * 3);
+  const auto ghost_xyz =
+      mesh.ghost->exchange(mesh.forest->comm(), std::span<const double>(mesh.coords), nv * 3);
   const Basis1d& b = mesh.basis;
   std::vector<double> t0(static_cast<std::size_t>(npf)), t1(static_cast<std::size_t>(npf));
 
@@ -60,7 +65,7 @@ void expect_watertight(const DgMesh<Dim>& mesh, double tol = 1e-9, double period
         std::vector<double> vals(static_cast<std::size_t>(npf));
         for (int q = 0; q < npf; ++q) {
           vals[static_cast<std::size_t>(q)] =
-              src[nfni[static_cast<std::size_t>(side.node_map[static_cast<std::size_t>(q)])] * 3 + d];
+              src[nfni[static_cast<std::size_t>(mesh.node_map(side)[q])] * 3 + d];
         }
         return vals;
       };
@@ -216,6 +221,72 @@ TEST_P(DgMeshRanks, AnnulusVolume) {
     const double exact = M_PI * (1.0 - 0.55 * 0.55);
     EXPECT_NEAR(vol, exact, 1e-6 * exact);
     expect_watertight(mesh, 1e-12);
+  });
+}
+
+static_assert(std::is_trivially_copyable_v<DgMesh<2>::FaceSide>);
+static_assert(std::is_trivially_copyable_v<DgMesh<3>::FaceSide>);
+
+namespace {
+
+/// Node-map rows: row 0 is the identity and serves every face whose
+/// neighbor is in its own tree; every other face shares the one row of its
+/// (tree, face) connection, and each connection in use has its own row.
+template <int Dim>
+void expect_node_map_rows(const Forest<Dim>& f, const DgMesh<Dim>& mesh) {
+  constexpr int nfaces = DgMesh<Dim>::nfaces;
+  const auto npf = static_cast<std::size_t>(mesh.npf);
+  ASSERT_EQ(mesh.node_maps.size() % npf, 0u);
+  const std::size_t rows = mesh.node_maps.size() / npf;
+  for (std::size_t q = 0; q < npf; ++q) EXPECT_EQ(mesh.node_maps[q], static_cast<std::int32_t>(q));
+  std::map<std::pair<int, int>, std::int32_t> row_of;  // (tree, face) -> row
+  std::int64_t e = 0;
+  f.for_each_local([&](int t, const Octant<Dim>& o) {
+    for (int fc = 0; fc < nfaces; ++fc) {
+      const auto& side = mesh.face(e, fc);
+      if (side.kind == DgMesh<Dim>::FaceKind::boundary) continue;
+      if (o.face_neighbor(fc).inside_root()) {
+        EXPECT_EQ(side.node_map, 0);
+        continue;
+      }
+      EXPECT_GT(side.node_map, 0);
+      EXPECT_LT(static_cast<std::size_t>(side.node_map), rows);
+      const auto it = row_of.emplace(std::pair{t, fc}, side.node_map).first;
+      EXPECT_EQ(it->second, side.node_map) << "tree " << t << " face " << fc;
+    }
+    ++e;
+  });
+  // One row per connection in use, beyond the identity.
+  std::set<std::int32_t> distinct;
+  for (const auto& [key, row] : row_of) distinct.insert(row);
+  EXPECT_EQ(distinct.size(), row_of.size());
+  EXPECT_EQ(rows, 1 + row_of.size());
+  EXPECT_LE(rows, 1 + static_cast<std::size_t>(f.num_trees()) * nfaces);
+}
+
+}  // namespace
+
+TEST_P(DgMeshRanks, NodeMapRowsPerTreeFaceConnection) {
+  par::run(GetParam(), [&](par::Comm& c) {
+    {
+      const auto conn = Connectivity<3>::shell();
+      auto f = Forest<3>::new_uniform(c, &conn, 1);
+      f.refine(2, false, [&](int t, const Octant<3>& o) { return random_mark(t, o, 17, 5); });
+      f.balance();
+      const auto g = GhostLayer<3>::build(f);
+      expect_node_map_rows(f, DgMesh<3>::build(f, g, 3, shell_map()));
+    }
+    MacroMesh<2> mm;
+    mm.vertex_coords = {{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {1, 1, 0}, {2, 0, 0}, {2, 1, 0}};
+    mm.tree_to_vertex = {{0, 1, 2, 3}, {5, 3, 4, 1}};
+    const auto conn = Connectivity<2>::build(mm);
+    auto f = Forest<2>::new_uniform(c, &conn, 1);
+    f.refine(3, true, [&](int t, const Octant<2>& o) {
+      return o.level < 3 && random_mark(t, o, 13, 3);
+    });
+    f.balance();
+    const auto g = GhostLayer<2>::build(f);
+    expect_node_map_rows(f, DgMesh<2>::build(f, g, 3, vertex_map<2>(conn)));
   });
 }
 

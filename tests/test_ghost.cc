@@ -274,9 +274,9 @@ TEST_P(GhostRanks, PayloadExchangeRoundTrip) {
     const auto fingerprint = [](int t, const Octant<2>& o) {
       return static_cast<double>(o.key() % 100003) + 1000.0 * t + 0.5 * o.level;
     };
-    std::vector<double> mirror_data;
-    for (const auto& m : g.mirrors) mirror_data.push_back(fingerprint(m.tree, m.oct));
-    const auto ghost_data = g.exchange<double>(c, mirror_data, 1);
+    std::vector<double> fields;
+    f.for_each_local([&](int t, const Octant<2>& o) { fields.push_back(fingerprint(t, o)); });
+    const auto ghost_data = g.exchange<double>(c, fields, 1);
     ASSERT_EQ(ghost_data.size(), g.ghosts.size());
     for (std::size_t i = 0; i < g.ghosts.size(); ++i) {
       EXPECT_EQ(ghost_data[i], fingerprint(g.ghosts[i].tree, g.ghosts[i].oct));
@@ -294,9 +294,9 @@ TEST_P(GhostRanks, MismatchedPayloadSizeIsRejected) {
       auto f = Forest<2>::new_uniform(c, &conn, 3);
       const auto g = GhostLayer<2>::build(f);
       const int per_elem = 1 + c.rank();
-      const std::vector<double> mirror_data(g.mirrors.size() * static_cast<std::size_t>(per_elem),
-                                            1.0);
-      const auto ghost_data = g.exchange<double>(c, mirror_data, per_elem);
+      const std::vector<double> fields(
+          static_cast<std::size_t>(f.num_local()) * static_cast<std::size_t>(per_elem), 1.0);
+      const auto ghost_data = g.exchange<double>(c, fields, per_elem);
       EXPECT_EQ(ghost_data.size(), g.ghosts.size() * static_cast<std::size_t>(per_elem));
     });
   } catch (const std::runtime_error& e) {
@@ -308,6 +308,31 @@ TEST_P(GhostRanks, MismatchedPayloadSizeIsRejected) {
   }
   EXPECT_NE(what.find("GhostLayer::exchange: rank "), std::string::npos) << what;
   EXPECT_NE(what.find(" bytes, expected "), std::string::npos) << what;
+}
+
+TEST_P(GhostRanks, FieldsShortOfTheLastMirrorAreRejected) {
+  // Each rank's fields stop one element short of its last mirror.
+  std::string what;
+  try {
+    par::run(GetParam(), [&](par::Comm& c) {
+      const auto conn = Connectivity<2>::brick({2, 2}, {false, false});
+      auto f = Forest<2>::new_uniform(c, &conn, 3);
+      const auto g = GhostLayer<2>::build(f);
+      const std::size_t elems =
+          g.mirrors.empty() ? 0 : static_cast<std::size_t>(g.mirrors.back().local_index);
+      const std::vector<double> fields(elems * 2, 1.0);
+      const auto ghost_data = g.exchange<double>(c, fields, 2);
+      EXPECT_EQ(ghost_data.size(), g.ghosts.size() * 2);
+    });
+  } catch (const std::invalid_argument& e) {
+    what = e.what();
+  }
+  if (GetParam() == 1) {
+    EXPECT_EQ(what, "");  // no mirrors, nothing to cover
+    return;
+  }
+  EXPECT_NE(what.find("GhostLayer::exchange: "), std::string::npos) << what;
+  EXPECT_NE(what.find(" values do not cover local element "), std::string::npos) << what;
 }
 
 TEST_P(GhostRanks, GhostsSortedByOwnerThenSfc) {

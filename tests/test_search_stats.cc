@@ -154,9 +154,9 @@ TEST_P(SearchRanks, MultiLayerGhostPayloadExchangeStillAligned) {
     const auto fingerprint = [](int t, const Octant<3>& o) {
       return static_cast<double>(o.key() % 100003) + 1000.0 * t + 0.5 * o.level;
     };
-    std::vector<double> mirror_data;
-    for (const auto& m : g.mirrors) mirror_data.push_back(fingerprint(m.tree, m.oct));
-    const auto ghost_data = g.exchange<double>(c, mirror_data, 1);
+    std::vector<double> fields;
+    f.for_each_local([&](int t, const Octant<3>& o) { fields.push_back(fingerprint(t, o)); });
+    const auto ghost_data = g.exchange<double>(c, fields, 1);
     ASSERT_EQ(ghost_data.size(), g.ghosts.size());
     for (std::size_t i = 0; i < g.ghosts.size(); ++i) {
       EXPECT_EQ(ghost_data[i], fingerprint(g.ghosts[i].tree, g.ghosts[i].oct));
