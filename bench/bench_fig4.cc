@@ -36,6 +36,7 @@
 #include "bench_util.h"
 #include "forest/nodes.h"
 #include "forest/stats.h"
+#include "nodes_digest.h"
 
 using namespace esamr;
 using esamr::bench::timed_max;
@@ -100,32 +101,6 @@ struct AdaptRow {
     return incr > 0.0 ? (t_bal_full + t_nodes_full) / incr : 0.0;
   }
 };
-
-std::uint64_t nodes_digest(const forest::NodeNumbering<3>& n) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto fold = [&h](std::int64_t v) {
-    h ^= static_cast<std::uint64_t>(v);
-    h *= 1099511628211ull;
-  };
-  fold(n.num_owned);
-  fold(n.num_global);
-  for (const auto& k : n.owned_keys) {
-    for (const std::int32_t v : k) fold(v);
-  }
-  for (std::size_t e = 0; e < n.num_elements(); ++e) {
-    for (int c = 0; c < forest::Topo<3>::num_corners; ++c) {
-      const auto slot = n.slot(e, c);
-      fold(static_cast<std::int64_t>(slot.size()));
-      for (const auto& cb : slot) {
-        fold(cb.gid);
-        std::int64_t wb;
-        std::memcpy(&wb, &cb.weight, sizeof(wb));
-        fold(wb);
-      }
-    }
-  }
-  return h;
-}
 
 /// Repeated small-delta adapt steps: a spherical refinement front sweeping
 /// through tree 0 of the rotcubes mesh, replayed through the incremental

@@ -3,11 +3,12 @@
 // of the public API.
 //
 // Pass 1 of Nodes keeps one PointRecord per node point: its owner and, for a
-// hanging point, the leaf that constrains it, in that leaf's tree frame.
-// Both classification paths return it — the corner iterator's adjacency for
-// tree-interior points, leaf lookups in every tree frame for the rest — and
-// resolution expands a hanging record's masters and the rank to ask for
-// them only when it needs them.
+// hanging point, the owner and level of the leaf that constrains it. Both
+// classification paths return it — the corner iterator's adjacency for
+// tree-interior points, leaf lookups in every tree frame for the rest. The
+// masters are not formed from it: a hanging element corner takes its
+// parent's corner (nodes.h), and the constraining leaf's owner is the rank
+// to ask for that node.
 #pragma once
 
 #include <algorithm>
@@ -24,47 +25,41 @@
 
 namespace esamr::forest::detail {
 
-/// What pass 1 learns of a node point (40 B in 3D). The classification rule
+/// What pass 1 learns of a node point (12 B). The classification rule
 /// (paper Fig. 3): a point is independent iff it is a corner of every leaf
 /// touching it; its owner is the minimum rank owning a touching leaf; a
 /// hanging point is constrained by the first coarsest touching leaf, frame
-/// by frame in quadrant order, of which it is not a corner, and its masters
-/// are the corners of the face or edge of that leaf holding it.
+/// by frame in quadrant order, of which it is not a corner. Under 2:1
+/// balance that leaf is the neighbour of the hanging element's parent across
+/// the parent's face or edge holding the point, so the masters are its
+/// corners there, and its owner knows them.
 template <int Dim>
 struct PointRecord {
   std::int32_t owner = std::numeric_limits<std::int32_t>::max();
-  /// Tree frame of the constraint (of `leaf` and `pt`); -1 if independent.
-  std::int32_t tree = -1;
-  std::int32_t leaf_owner = -1;  ///< owner of `leaf`, asked for the masters
-  std::array<std::int32_t, 3> pt{};  ///< the point, in frame `tree`
-  Octant<Dim> leaf{};                ///< the constraining leaf
+  std::int32_t leaf_owner = -1;  ///< owner of the constraining leaf; -1 if independent
+  std::int32_t leaf_level = -1;  ///< level of the constraining leaf
 
-  bool hanging() const { return tree >= 0; }
+  bool hanging() const { return leaf_owner >= 0; }
 
   /// Fold in one incidence: leaf `l` (owned by `rank`) touches the point,
-  /// which is (t, p) in l's frame and one of l's corners iff `corner`.
-  void touch(int t, const Octant<Dim>& l, std::int32_t rank, const std::array<std::int32_t, 3>& p,
-             bool corner) {
+  /// which is one of l's corners iff `corner`.
+  void touch(const Octant<Dim>& l, std::int32_t rank, bool corner) {
     owner = std::min(owner, rank);
-    if (corner || (hanging() && l.level >= leaf.level)) return;
-    tree = t;
+    if (corner || (hanging() && l.level >= leaf_level)) return;
     leaf_owner = rank;
-    pt = p;
-    leaf = l;
+    leaf_level = l.level;
   }
 };
-static_assert(sizeof(PointRecord<3>) == 40);
+static_assert(sizeof(PointRecord<3>) == 12);
 
 /// Shared geometric machinery: leaf lookup, canonical keys, and the two
-/// classification paths and the master expansion of the PointRecord rule.
+/// classification paths of the PointRecord rule.
 template <int Dim>
 struct NodeClassifier {
   using Oct = Octant<Dim>;
   using T = Topo<Dim>;
   using Key = typename NodeNumbering<Dim>::Key;
   using Rec = PointRecord<Dim>;
-  /// A hanging point's masters are the corners of a face or an edge.
-  static constexpr int kMaxMasters = 4;
 
   const Connectivity<Dim>& conn;
   std::vector<std::vector<LeafRef<Dim>>> dir;
@@ -115,7 +110,7 @@ struct NodeClassifier {
       // the iterator's positions count the other way.
       const auto i = static_cast<std::size_t>((T::num_corners - 1) ^ q);
       const LeafRef<Dim>& l = d[static_cast<std::size_t>(adj.leaf[i])];
-      rec.touch(t, l.oct, l.owner, adj.pt, adj.corner[i] >= 0);
+      rec.touch(l.oct, l.owner, adj.corner[i] >= 0);
     }
     return rec;
   }
@@ -148,7 +143,7 @@ struct NodeClassifier {
           const std::int32_t rel = fp[static_cast<std::size_t>(a)] - leaf->oct.coord(a);
           if (rel != 0 && rel != leaf->oct.size()) is_corner = false;
         }
-        rec.touch(ft, leaf->oct, leaf->owner, fp, is_corner);
+        rec.touch(leaf->oct, leaf->owner, is_corner);
       }
     };
     visit_frame(t, pt);
@@ -157,31 +152,6 @@ struct NodeClassifier {
       for (const auto& [ft, fp] : images_) visit_frame(ft, fp);
     }
     return rec;
-  }
-
-  /// The canonical keys of a hanging record's masters: the corners of the
-  /// constraining leaf's face or edge holding the point (2^k of them for its
-  /// k interior axes, in ascending axis order), each asked of
-  /// rec.leaf_owner. Returns their number.
-  int masters(const Rec& rec, std::array<Key, kMaxMasters>& out) const {
-    const std::int32_t h = rec.leaf.size();
-    std::array<int, 3> axes{};
-    int naxes = 0;
-    for (int a = 0; a < Dim; ++a) {
-      const std::int32_t rel = rec.pt[static_cast<std::size_t>(a)] - rec.leaf.coord(a);
-      if (rel != 0 && rel != h) axes[static_cast<std::size_t>(naxes++)] = a;
-    }
-    if (naxes > 2) throw std::runtime_error("nodes: point inside a touching leaf");
-    const int nm = 1 << naxes;
-    for (int combo = 0; combo < nm; ++combo) {
-      std::array<std::int32_t, 3> m = rec.pt;
-      for (int i = 0; i < naxes; ++i) {
-        const int a = axes[static_cast<std::size_t>(i)];
-        m[static_cast<std::size_t>(a)] = rec.leaf.coord(a) + (((combo >> i) & 1) ? h : 0);
-      }
-      out[static_cast<std::size_t>(combo)] = canonical(rec.tree, m);
-    }
-    return nm;
   }
 
  private:

@@ -1,5 +1,5 @@
 // "Nodes" (paper §II-C): build the globally unique numbering of independent
-// node points and the hanging-node constraint expansions.
+// node points and the lnodes rows of the elements (nodes.h).
 //
 // One engine (number_stale) serves the full and the incremental build; a
 // full build is the incremental case with nothing cached and every local
@@ -10,33 +10,33 @@
 //     (forest/iterate.h, inlined into this pass) hands over, one visit per
 //     point, and only the tree-boundary ones by looking up their leaves in
 //     every tree frame. Each point becomes one table entry, its key inserted
-//     without key comparisons when tree-interior (the walk reports it once);
-//     an independent entry keeps its owner, a hanging one a 40-byte
-//     PointRecord (node_classify.h: the constraining leaf, its frame and
-//     owner, the point in that frame). No master key is formed yet,
+//     without key comparisons when tree-interior (the walk reports it once),
+//     and each corner slot holds its point's entry. An entry keeps the
+//     point's owner, or for a hanging point the owner of its constraining
+//     leaf (node_classify.h). After the walk, a hanging corner c sets its
+//     bit in the element's code and takes the entry of its parent's corner
+//     c instead — one of its masters, and the constraining leaf's owner is
+//     the rank to ask for it,
 //  2. merges the fresh owned independent keys with the caller's surviving
 //     ones and assigns contiguous per-rank ids (one allgather),
-//  3. resolves every corner onto independent gids in one hop, since 2:1
-//     balance keeps every master independent: an independent corner takes
-//     its own gid, a hanging one its masters' gids, their canonical keys
-//     expanded from the record. A missing gid is asked once — of the owner
-//     of the master's constraining leaf while the master is unclassified
-//     here, else of the node's owner — and each answer is the gid or the
-//     owner to re-ask. One request round settles most keys, a second the
-//     re-asked ones (OpStats::nodes_rounds); the allreduce-terminated loop
-//     throws on a third round or a hanging master,
-//  4. lays out the CSR slots of every element in one pass: stale rows from
-//     the resolved corners, reused rows (incremental build) remapped.
+//  3. resolves every distinct entry a row holds onto its gid in one hop,
+//     since 2:1 balance keeps every master independent. A missing gid is
+//     asked of one rank per round — of the constraining leaf's owner while
+//     the node is unclassified here, else of the node's owner — and each
+//     answer is the gid or the owner to re-ask. One request round settles
+//     most keys, a second the re-asked ones (OpStats::nodes_rounds); the
+//     allreduce-terminated loop throws on a third round or a hanging
+//     master. Each stale row then swaps its entries for their gids.
 //
 // build_incremental adds the patch-only work around the engine: aligning the
 // new elements against the cached leaves to find the stale ones, selecting
 // the owned keys that survive, and the monotone old -> new gid remap of the
-// reused slots.
+// reused rows.
 #include "forest/nodes.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
-#include <set>
 #include <stdexcept>
 
 #include "forest/iterate.h"
@@ -49,6 +49,9 @@ using detail::NodeClassifier;
 using detail::PointRecord;
 
 namespace {
+
+constexpr const char* kMasterHangs =
+    "nodes: a hanging node's master hangs too; the forest is not 2:1 balanced";
 
 /// Answer to a request for a node key (tree, x, y, z): the node's gid when
 /// the answerer knows it, else ~rank (< 0) of its owner, to re-ask.
@@ -73,18 +76,15 @@ struct KeyHash {
   }
 };
 
-/// Open-addressed hash table unifying the classification and resolution state
-/// of a node key. One probe serves both questions (classified? resolved?),
-/// entries live in a flat vector (indices stay valid across growth), and
-/// element corner slots hold their entry index from pass 1 so the resolution
-/// scan and the final fill do no hashing at all. Entries stay small: a
-/// hanging point's record lives in `deps`, and expansions share one pool.
-/// Each probe slot keeps the high half of its key's hash beside the entry
-/// index, so a probe reads an entry only when that tag matches.
+/// Open-addressed hash table holding the classification and the gid of a
+/// node key. Entries live in a flat vector (indices stay valid across
+/// growth), and element corner slots hold their entry index from pass 1 so
+/// the resolution scan and the final row fill do no hashing at all. Each
+/// probe slot keeps the high half of its key's hash beside the entry index,
+/// so a probe reads an entry only when that tag matches.
 template <int Dim>
 struct NodeTable {
   using Key = typename NodeNumbering<Dim>::Key;
-  using Contrib = typename NodeNumbering<Dim>::Contrib;
   using Rec = PointRecord<Dim>;
   static constexpr std::int32_t kUnclassified = -1;
   static constexpr std::int32_t kDependent = -2;
@@ -92,12 +92,10 @@ struct NodeTable {
   struct Entry {
     Key key;
     std::int32_t owner = kUnclassified;  // rank if independent, else kDependent
-    std::int32_t dep = -1;               // index into deps if dependent
-    // Expansion onto independent gids: pool[res_begin, res_begin + res_size);
-    // empty = unresolved.
-    std::int32_t res_begin = 0;
-    std::int32_t res_size = 0;
-    std::int32_t uses = 0;  // stale element corner slots taking this expansion
+    // The owner of the constraining leaf: of a hanging point, or, while a
+    // master is unclassified here, of the first hanging corner taking it.
+    std::int32_t ask = -1;
+    std::int64_t gid = -1;  // -1 = unresolved
   };
   struct Slot {
     std::int32_t entry = -1;  // -1 = empty
@@ -106,43 +104,16 @@ struct NodeTable {
 
   std::vector<Slot> slot;  // power-of-two probe table
   std::vector<Entry> entries;
-  std::vector<Rec> deps;
-  std::vector<Contrib> pool;
   std::size_t mask = 0;
 
   bool classified(std::int32_t ei) const {
     return entries[static_cast<std::size_t>(ei)].owner != kUnclassified;
   }
-  /// Owner rank of an independent entry; negative otherwise.
-  std::int32_t owner(std::int32_t ei) const { return entries[static_cast<std::size_t>(ei)].owner; }
-  /// Record of a dependent entry.
-  const Rec& dependent(std::int32_t ei) const {
-    return deps[static_cast<std::size_t>(entries[static_cast<std::size_t>(ei)].dep)];
-  }
   void classify_as(std::int32_t ei, const Rec& r) {
     Entry& e = entries[static_cast<std::size_t>(ei)];
     e.owner = r.hanging() ? kDependent : r.owner;
-    if (r.hanging()) {
-      e.dep = static_cast<std::int32_t>(deps.size());
-      deps.push_back(r);
-    }
+    if (r.hanging()) e.ask = r.leaf_owner;
   }
-
-  bool resolved(std::int32_t ei) const {
-    return entries[static_cast<std::size_t>(ei)].res_size > 0;
-  }
-  std::span<const Contrib> res(std::int32_t ei) const {
-    const Entry& e = entries[static_cast<std::size_t>(ei)];
-    return {pool.data() + e.res_begin, static_cast<std::size_t>(e.res_size)};
-  }
-  /// Record the expansion of entry ei (`v` must not point into the pool).
-  void set_res(std::int32_t ei, std::span<const Contrib> v) {
-    Entry& e = entries[static_cast<std::size_t>(ei)];
-    e.res_begin = static_cast<std::int32_t>(pool.size());
-    e.res_size = static_cast<std::int32_t>(v.size());
-    pool.insert(pool.end(), v.begin(), v.end());
-  }
-  void set_res(std::int32_t ei, const Contrib& c) { set_res(ei, std::span<const Contrib>(&c, 1)); }
 
   explicit NodeTable(std::size_t expect) {
     std::size_t cap = 64;
@@ -150,8 +121,6 @@ struct NodeTable {
     slot.assign(cap, Slot{});
     mask = cap - 1;
     entries.reserve(expect);
-    deps.reserve(expect);
-    pool.reserve(expect * 2);
   }
 
   /// Entry index of `k`, inserting an unclassified, unresolved entry if new.
@@ -214,77 +183,33 @@ void sort_gid_keys(NodeNumbering<Dim>& out) {
           v.end());
 }
 
-/// Marks a stale corner slot whose entry is not known yet.
-constexpr std::size_t kNoEntry = ~std::size_t{0};
-
-/// The engine's result: the numbering without its contributions, and the
-/// table. Until fill_slots lays out the rows, out.slot_offsets[i + 1] holds
-/// the table entry of stale corner slot i.
-template <int Dim>
-struct StaleNumbering {
-  NodeNumbering<Dim> out;
-  NodeTable<Dim> tab;
-
-  explicit StaleNumbering(std::size_t expect) : tab(expect) {}
-};
-
-/// Lay out the CSR slots of every local element in one pass, in element
-/// order: a stale element's corners take their entries' resolved expansions,
-/// any other element li copies reused(li, c) with every gid mapped through
-/// remap. `reused_contribs` is the reused rows' total size, so the
-/// contribution array is allocated once.
-template <int Dim, typename Reused, typename Remap>
-void fill_slots(StaleNumbering<Dim>& sn, const std::vector<std::uint8_t>& stale,
-                std::size_t reused_contribs, Reused&& reused, Remap&& remap) {
-  using Contrib = typename NodeNumbering<Dim>::Contrib;
-  constexpr int nc = Topo<Dim>::num_corners;
-  NodeNumbering<Dim>& out = sn.out;
-  std::size_t total = reused_contribs;
-  for (const auto& e : sn.tab.entries) {
-    total += static_cast<std::size_t>(e.uses) * static_cast<std::size_t>(e.res_size);
-  }
-  out.contribs.reserve(total);
-  out.slot_offsets[0] = 0;
-  for (std::size_t li = 0; li < stale.size(); ++li) {
-    for (int c = 0; c < nc; ++c) {
-      std::size_t& end = out.slot_offsets[li * nc + static_cast<std::size_t>(c) + 1];
-      if (stale[li] != 0) {
-        if (end == kNoEntry) throw std::logic_error("nodes: stale element corner left unclassified");
-        const auto src = sn.tab.res(static_cast<std::int32_t>(end));
-        out.contribs.insert(out.contribs.end(), src.begin(), src.end());
-      } else {
-        for (const Contrib& cb : reused(li, c)) out.contribs.push_back(Contrib{remap(cb.gid), cb.weight});
-      }
-      end = out.contribs.size();
-    }
-  }
-}
-
 }  // namespace
 
 /// The Nodes engine (collective; see the file header). Numbers the owned set
 /// `survivors` ∪ {owned corners of the stale elements} (`survivors` sorted;
-/// `stale` flags every local element) and resolves the stale elements'
-/// corners; fill_slots lays out the rows. out.gid_keys holds the referenced
-/// (gid, key) records unsorted, so the caller can add its own before
-/// sort_gid_keys.
+/// `stale` flags every local element) and fills the rows and codes of the
+/// stale elements; the other rows are left for the caller. out.gid_keys
+/// holds the referenced (gid, key) records unsorted, so the caller can add
+/// its own before sort_gid_keys.
 template <int Dim>
-static StaleNumbering<Dim> number_stale(
+static NodeNumbering<Dim> number_stale(
     const Forest<Dim>& forest, const GhostLayer<Dim>& ghost,
     const std::vector<std::uint8_t>& stale,
     const std::vector<typename NodeNumbering<Dim>::Key>& survivors) {
   using Key = typename NodeNumbering<Dim>::Key;
-  using Contrib = typename NodeNumbering<Dim>::Contrib;
+  using Table = NodeTable<Dim>;
+  using Entry = typename Table::Entry;
   constexpr int nc = Topo<Dim>::num_corners;
   par::Comm& comm = forest.comm();
   const int p = comm.size();
   const int me = comm.rank();
   OpStats& ops = op_stats();
   const auto n_stale = static_cast<std::size_t>(std::count(stale.begin(), stale.end(), 1));
-  StaleNumbering<Dim> sn(n_stale * 2 + 16);
-  NodeTable<Dim>& tab = sn.tab;
-  NodeNumbering<Dim>& out = sn.out;
-  out.slot_offsets.assign(stale.size() * nc + 1, kNoEntry);
+  Table tab(n_stale * 2 + 16);
+  NodeNumbering<Dim> out;
+  // A stale corner slot holds its table entry until resolution, then its gid.
+  out.element_nodes.assign(stale.size() * nc, -1);
+  out.element_code.assign(stale.size(), 0);
 
   // --- Pass 1: classify the corners of the stale elements --------------------
   // Lazy: a rank with nothing stale builds the leaf directory only if the
@@ -293,11 +218,6 @@ static StaleNumbering<Dim> number_stale(
   const auto nclass = [&]() -> const NodeClassifier<Dim>& {
     if (!nclass_opt) nclass_opt.emplace(forest, ghost);
     return *nclass_opt;
-  };
-  // Entry ei becomes the expansion of stale corner slot i.
-  const auto use = [&](std::size_t i, std::int32_t ei) {
-    out.slot_offsets[i + 1] = static_cast<std::size_t>(ei);
-    tab.entries[static_cast<std::size_t>(ei)].uses++;
   };
   if (n_stale > 0) {
     const NodeClassifier<Dim>& cl = nclass();
@@ -335,9 +255,8 @@ static StaleNumbering<Dim> number_stale(
           const std::int32_t di = adj.leaf[static_cast<std::size_t>(i)];
           const int c = adj.corner[static_cast<std::size_t>(i)];
           if (c >= 0 && marked[static_cast<std::size_t>(di)]) {
-            use(static_cast<std::size_t>(d[static_cast<std::size_t>(di)].index) * nc +
-                    static_cast<std::size_t>(c),
-                ei);
+            out.element_nodes[static_cast<std::size_t>(d[static_cast<std::size_t>(di)].index) * nc +
+                              static_cast<std::size_t>(c)] = ei;
           }
         }
       });
@@ -359,15 +278,42 @@ static StaleNumbering<Dim> number_stale(
             if (NodeClassifier<Dim>::tree_interior(cp)) continue;
             const std::int32_t ei = tab.get_or_insert(cl.canonical(t, cp));
             if (!tab.classified(ei)) tab.classify_as(ei, cl.classify(t, cp));
-            use(li * nc + static_cast<std::size_t>(c), ei);
+            out.element_nodes[li * nc + static_cast<std::size_t>(c)] = ei;
           }
         }
         ++li;
       }
     }
+    // Hanging corners: corner c takes the entry of the parent's corner c,
+    // asked of the constraining leaf's owner while unclassified here. These
+    // keys go in after the walk, whose inserts assume a table without them.
+    // A master that hangs breaks the 2:1 precondition (see `locate`).
+    li = 0;
+    for (int t = 0; t < forest.num_trees(); ++t) {
+      for (const Octant<Dim>& o : forest.tree(t)) {
+        if (stale[li] != 0) {
+          auto code = static_cast<std::uint16_t>(o.child_id() << 8);
+          for (int c = 0; c < nc; ++c) {
+            std::int64_t& slot = out.element_nodes[li * nc + static_cast<std::size_t>(c)];
+            if (slot < 0) throw std::logic_error("nodes: stale element corner left unclassified");
+            const Entry& e = tab.entries[static_cast<std::size_t>(slot)];
+            if (e.owner != Table::kDependent) continue;
+            code = static_cast<std::uint16_t>(code | (1u << c));
+            const std::int32_t ask = e.ask;  // the insert may move e
+            const std::int32_t mi = tab.get_or_insert(cl.canonical(t, o.parent().corner_point(c)));
+            Entry& m = tab.entries[static_cast<std::size_t>(mi)];
+            if (m.owner == Table::kDependent) throw std::runtime_error(kMasterHangs);
+            if (!tab.classified(mi) && m.ask < 0) m.ask = ask;
+            slot = mi;
+          }
+          out.element_code[li] = code;
+        }
+        ++li;
+      }
+    }
   }
-  // Entries added after this point are masters/answers, not element corners.
-  const std::size_t n_pass1 = tab.entries.size();
+  // Entries added after this point answer other ranks, no row holds them.
+  const std::size_t n_rows = tab.entries.size();
 
   // --- Owned set and ids (before any resolution, so answers carry gids) ------
   // The fresh owned keys are the pass-1 independent keys this rank owns; a
@@ -379,7 +325,7 @@ static StaleNumbering<Dim> number_stale(
     bool operator<(const Fresh& o) const { return hi < o.hi || (hi == o.hi && lo < o.lo); }
   };
   std::vector<Fresh> fresh;
-  for (std::size_t i = 0; i < n_pass1; ++i) {
+  for (std::size_t i = 0; i < n_rows; ++i) {
     const Key& k = tab.entries[i].key;
     if (tab.entries[i].owner == me) {
       fresh.push_back(Fresh{(std::uint64_t{static_cast<std::uint32_t>(k[0])} << 32) |
@@ -412,7 +358,7 @@ static StaleNumbering<Dim> number_stale(
   out.owned_offset = out.rank_offsets[static_cast<std::size_t>(me)];
   out.num_global = out.rank_offsets[static_cast<std::size_t>(p)];
   for (std::size_t i = 0; i < fresh.size(); ++i) {
-    tab.set_res(fresh[i].entry, Contrib{out.owned_offset + fresh_at[i], 1.0});
+    tab.entries[static_cast<std::size_t>(fresh[i].entry)].gid = out.owned_offset + fresh_at[i];
   }
   out.gid_keys.reserve(out.owned_keys.size());
   for (std::size_t i = 0; i < out.owned_keys.size(); ++i) {
@@ -431,86 +377,50 @@ static StaleNumbering<Dim> number_stale(
   const par::check::RegionGuard owned_guard(comm, out.owned_keys.data(),
                                             out.owned_keys.size() * sizeof(Key),
                                             "nodes owned keys");
-  std::set<std::pair<Key, int>> asked;
   std::vector<std::vector<Key>> req(static_cast<std::size_t>(p));
 
-  // Where the gid of independent entry ei stands: the gid if this rank knows
-  // or owns it, else ~rank (< 0) of the rank to ask — `hint`, the owner of a
-  // leaf the point is a corner of, while the point is unclassified here, and
-  // the node's owner after. An unclassified point whose hint is this rank is
-  // classified on the spot: it is a corner of a local leaf, so every touching
-  // leaf is local or ghost (only the incremental case, whose pass 1 saw just
-  // the stale elements, meets one). A master is a corner of its constraining
-  // leaf C, at level l, and touches a leaf of level l + 1 across C's face or
-  // edge; a leaf with the master inside a face or edge would have level
-  // l - 1 or less. So under 2:1 balance no master hangs, and one that does
-  // means the forest breaks the precondition.
-  const auto locate = [&](std::int32_t ei, int hint) -> std::int64_t {
+  // Where the gid of entry ei stands: the gid if this rank knows or owns it,
+  // else ~rank (< 0) of the rank to ask — `ask`, the owner of a leaf the
+  // point is a corner of, while the point is unclassified here, and the
+  // node's owner after. An unclassified point whose `ask` is this rank is
+  // classified on the spot: it is a corner of a local leaf, so every
+  // touching leaf is local or ghost (only the incremental case, whose pass 1
+  // saw just the stale elements, meets one). A master is a corner of its
+  // constraining leaf C, at level l, and touches a leaf of level l + 1
+  // across C's face or edge; a leaf with the master inside a face or edge
+  // would have level l - 1 or less. So under 2:1 balance no master hangs,
+  // and one that does means the forest breaks the precondition.
+  const auto locate = [&](std::int32_t ei, std::int32_t ask) -> std::int64_t {
     if (!tab.classified(ei)) {
-      if (hint != me) return ~std::int64_t{hint};
+      if (ask != me) return ~std::int64_t{ask};
       const Key k = tab.entries[static_cast<std::size_t>(ei)].key;
       tab.classify_as(ei, nclass().classify(k[0], {k[1], k[2], k[3]}));
     }
-    const std::int32_t owner = tab.owner(ei);
-    if (owner < 0) {
-      throw std::runtime_error(
-          "nodes: a hanging node's master hangs too; the forest is not 2:1 balanced");
-    }
-    if (tab.resolved(ei)) return tab.res(ei)[0].gid;
-    if (owner != me) return ~std::int64_t{owner};
-    const std::int64_t g = owned_gid_of(tab.entries[static_cast<std::size_t>(ei)].key);
-    tab.set_res(ei, Contrib{g, 1.0});
-    return g;
-  };
-  // The gid of independent entry ei, or -1 after asking for it (once per key
-  // and rank).
-  const auto gid_or_ask = [&](std::int32_t ei, int hint) -> std::int64_t {
-    const std::int64_t g = locate(ei, hint);
-    if (g >= 0) return g;
-    const Key& k = tab.entries[static_cast<std::size_t>(ei)].key;
-    if (asked.insert({k, static_cast<int>(~g)}).second) {
-      req[static_cast<std::size_t>(~g)].push_back(k);
-    }
-    return -1;
-  };
-  // Resolve stale corner entry ei, or ask for what it lacks: an independent
-  // corner takes its own gid, a hanging one its masters' gids with weight 1/n
-  // each, sorted by gid.
-  const auto resolve = [&](std::int32_t ei) -> bool {
-    if (tab.resolved(ei)) return true;
-    if (tab.owner(ei) >= 0) return gid_or_ask(ei, me) >= 0;
-    const PointRecord<Dim> rec = tab.dependent(ei);  // copied: classifying grows deps
-    constexpr int kMax = NodeClassifier<Dim>::kMaxMasters;
-    std::array<Key, kMax> masters;
-    const auto nm = static_cast<std::size_t>(nclass().masters(rec, masters));
-    std::array<Contrib, kMax> v{};
-    bool all = true;
-    for (std::size_t i = 0; i < nm; ++i) {
-      v[i] = Contrib{gid_or_ask(tab.get_or_insert(masters[i]), rec.leaf_owner),
-                     1.0 / static_cast<double>(nm)};
-      all = all && v[i].gid >= 0;
-    }
-    if (!all) return false;
-    // Insertion sort of at most four: std::sort on the fixed array trips
-    // GCC 12's -Warray-bounds in sanitizer builds.
-    for (std::size_t i = 1; i < nm; ++i) {
-      for (std::size_t j = i; j > 0 && v[j].gid < v[j - 1].gid; --j) std::swap(v[j], v[j - 1]);
-    }
-    tab.set_res(ei, std::span<const Contrib>(v.data(), nm));
-    return true;
+    Entry& e = tab.entries[static_cast<std::size_t>(ei)];
+    if (e.owner == Table::kDependent) throw std::runtime_error(kMasterHangs);
+    if (e.gid >= 0) return e.gid;
+    if (e.owner != me) return ~std::int64_t{e.owner};
+    e.gid = owned_gid_of(e.key);
+    return e.gid;
   };
 
-  // Round 0 walks each distinct pass-1 entry once (every element corner maps
-  // to one); later rounds only the still-pending ones. The first request
-  // round answers a key asked of its owner with the gid, and a master asked
-  // of its leaf's owner with the gid or the node's owner, whom the second
-  // round asks. Nothing is left for a third.
-  std::vector<std::int32_t> pending(n_pass1);
-  for (std::size_t i = 0; i < n_pass1; ++i) pending[i] = static_cast<std::int32_t>(i);
+  // Round 0 walks each distinct entry a row holds once: the independent
+  // corners and the masters. Later rounds walk the still-pending ones, each
+  // asked of one rank per round. The first request round answers a key asked
+  // of its owner with the gid, and a master asked of its leaf's owner with
+  // the gid or the node's owner, whom the second round asks. Nothing is left
+  // for a third.
+  std::vector<std::int32_t> pending;
+  for (std::size_t i = 0; i < n_rows; ++i) {
+    if (tab.entries[i].owner != Table::kDependent) pending.push_back(static_cast<std::int32_t>(i));
+  }
   for (int round = 0;; ++round) {
     std::vector<std::int32_t> still;
     for (const std::int32_t ei : pending) {
-      if (!resolve(ei)) still.push_back(ei);
+      const std::int64_t g = locate(ei, tab.entries[static_cast<std::size_t>(ei)].ask);
+      if (g >= 0) continue;
+      req[static_cast<std::size_t>(~g)].push_back(tab.entries[static_cast<std::size_t>(ei)].key);
+      still.push_back(ei);
     }
     pending = std::move(still);
     const int any =
@@ -538,31 +448,33 @@ static StaleNumbering<Dim> number_stale(
     const auto ans_in = comm.alltoallv(ans);
     for (int src = 0; src < p; ++src) {
       for (const Answer& a : ans_in[static_cast<std::size_t>(src)]) {
-        const std::int32_t ei = tab.get_or_insert(a.key);
+        Entry& e = tab.entries[static_cast<std::size_t>(tab.get_or_insert(a.key))];
         // Independent: a gid comes from its owner, else the answer names it.
-        tab.entries[static_cast<std::size_t>(ei)].owner =
-            a.gid >= 0 ? src : static_cast<std::int32_t>(~a.gid);
+        e.owner = a.gid >= 0 ? src : static_cast<std::int32_t>(~a.gid);
         if (a.gid >= 0) {
-          tab.set_res(ei, Contrib{a.gid, 1.0});
+          e.gid = a.gid;
           out.gid_keys.emplace_back(a.gid, a.key);
         }
       }
     }
   }
 
-  return sn;
+  for (std::size_t li = 0; li < stale.size(); ++li) {
+    if (stale[li] == 0) continue;
+    for (std::size_t i = li * nc; i < (li + 1) * nc; ++i) {
+      out.element_nodes[i] = tab.entries[static_cast<std::size_t>(out.element_nodes[i])].gid;
+    }
+  }
+  return out;
 }
 
 template <int Dim>
 NodeNumbering<Dim> NodeNumbering<Dim>::build(const Forest<Dim>& forest,
                                              const GhostLayer<Dim>& ghost) {
   const std::vector<std::uint8_t> all(static_cast<std::size_t>(forest.num_local()), 1);
-  StaleNumbering<Dim> sn = number_stale<Dim>(forest, ghost, all, {});
-  fill_slots(
-      sn, all, 0, [](std::size_t, int) { return std::span<const Contrib>{}; },
-      [](std::int64_t g) { return g; });
-  sort_gid_keys(sn.out);
-  return std::move(sn.out);
+  NodeNumbering out = number_stale<Dim>(forest, ghost, all, {});
+  sort_gid_keys(out);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -673,7 +585,6 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
   std::vector<std::int64_t> old_of(n_local, -1);  // reused: old local index
   std::vector<std::uint8_t> stale(n_local, 0);
   std::int64_t n_stale = 0;
-  std::size_t reused_contribs = 0;
   {
     std::int64_t li = 0, old_base = 0;
     for (int t = 0; t < forest.num_trees(); ++t) {
@@ -724,8 +635,6 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
           const std::int64_t og = old_base + static_cast<std::int64_t>(oi);
           ++oi;
           old_of[static_cast<std::size_t>(li)] = og;
-          reused_contribs += old.slot_offsets[static_cast<std::size_t>(og + 1) * nc] -
-                             old.slot_offsets[static_cast<std::size_t>(og) * nc];
         }
         ++li;
       }
@@ -746,14 +655,11 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
   for (const Key& k : old.owned_keys) {
     if (!point_in_delta(k[0], {k[1], k[2], k[3]})) survivors.push_back(k);
   }
-  StaleNumbering<Dim> sn = number_stale<Dim>(forest, ghost, stale, survivors);
-  NodeNumbering<Dim>& out = sn.out;
+  NodeNumbering<Dim> out = number_stale<Dim>(forest, ghost, stale, survivors);
 
   // --- Old -> new gid remap of the reused rows -------------------------------
   // Per-rank id blocks are preserved and the within-rank shift is monotone in
-  // key order (subtract invalidated predecessors, add fresh ones), so the
-  // remap is strictly increasing: spliced sorted-by-gid contribution lists
-  // stay sorted without touching the weights.
+  // key order (subtract invalidated predecessors, add fresh ones).
   std::vector<Key> removed_eff, added_eff;
   std::set_difference(old.owned_keys.begin(), old.owned_keys.end(), out.owned_keys.begin(),
                       out.owned_keys.end(), std::back_inserter(removed_eff));
@@ -761,7 +667,7 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
                       old.owned_keys.end(), std::back_inserter(added_eff));
   const auto removed_all = comm.allgatherv(removed_eff);
   const auto added_all = comm.allgatherv(added_eff);
-  // Memo by position in old.gid_keys, which holds every gid the old slots
+  // Memo by position in old.gid_keys, which holds every gid the old rows
   // reference, sorted: an owned gid sits at a fixed offset from the first
   // owned record, any other is found by binary search. Local-sized, where a
   // table over all old gids would grow with the whole mesh on every rank.
@@ -800,14 +706,19 @@ static NodeNumbering<Dim> patch(const Forest<Dim>& forest, const GhostLayer<Dim>
     out.gid_keys.emplace_back(ng, k);
     return ng;
   };
-  fill_slots(
-      sn, stale, reused_contribs,
-      [&](std::size_t li, int c) { return old.slot(static_cast<std::size_t>(old_of[li]), c); },
-      remap);
+  for (std::size_t li = 0; li < n_local; ++li) {
+    if (stale[li] != 0) continue;
+    const auto og = static_cast<std::size_t>(old_of[li]);
+    out.element_code[li] = old.element_code[og];
+    for (int c = 0; c < nc; ++c) {
+      out.element_nodes[li * nc + static_cast<std::size_t>(c)] =
+          remap(old.element_nodes[og * nc + static_cast<std::size_t>(c)]);
+    }
+  }
   // gid -> key records: owned + answered + remap-recorded covers exactly the
-  // gids referenced by the element slots, same as a full rebuild.
+  // gids referenced by the element rows, same as a full rebuild.
   sort_gid_keys(out);
-  return std::move(out);
+  return out;
 }
 
 template <int Dim>

@@ -1,6 +1,7 @@
 // "Nodes" (paper §II-C/E): construct a globally unique numbering of the
 // independent unknowns of a continuous (here: tri/bi-linear) finite element
-// space on a 2:1-balanced forest, including
+// space on a 2:1-balanced forest, in the layout of p4est's lnodes: one node
+// per element corner plus a code of the corners that hang. It covers
 //   * canonicalization of nodes on inter-tree boundaries (a node shared by
 //     several trees is represented once, in the lowest frame; paper §II-E),
 //   * hanging-node constraints: a corner node lying in the interior of a
@@ -14,8 +15,8 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "forest/delta.h"
@@ -47,22 +48,60 @@ struct NodeNumbering {
     std::int64_t gid;
     double weight;
   };
-  /// Per local element (SFC order), per corner slot: the interpolation of
-  /// that slot onto independent global nodes, stored flat — slot i = e *
-  /// num_corners + c holds contribs[slot_offsets[i], slot_offsets[i + 1]),
-  /// sorted by gid. Independent slots hold a single entry of weight one.
-  std::vector<std::size_t> slot_offsets;
-  std::vector<Contrib> contribs;
+  /// The interpolation of one element corner onto independent nodes: 1, 2 or
+  /// 4 contributions of equal weight, sorted by gid.
+  struct Slot {
+    std::array<Contrib, 4> c{};
+    std::size_t n = 0;
+    const Contrib* begin() const { return c.data(); }
+    const Contrib* end() const { return c.data() + n; }
+    std::size_t size() const { return n; }
+    bool empty() const { return n == 0; }
+  };
 
-  /// The contributions of corner c of local element e.
-  std::span<const Contrib> slot(std::size_t e, int c) const {
-    const std::size_t i = e * Topo<Dim>::num_corners + static_cast<std::size_t>(c);
-    return {contribs.data() + slot_offsets[i], contribs.data() + slot_offsets[i + 1]};
+  /// Per local element (SFC order), one gid per corner: element e's corner
+  /// c is element_nodes[e * num_corners + c]. An independent corner holds
+  /// its own node; a hanging one the node at corner c of the element's
+  /// parent.
+  std::vector<std::int64_t> element_nodes;
+  /// Per local element: bit c is set iff corner c hangs; bits 8-10 hold the
+  /// element's child id.
+  std::vector<std::uint16_t> element_code;
+
+  /// The contributions of corner c of local element e. Corner c of child k
+  /// lies where its parent P is halved along the axes D = c ^ k; a hanging
+  /// one is the midpoint of an edge of P (|D| = 1) or the centre of a face
+  /// (|D| = 2). Under 2:1 balance its constraining leaf has P's level and
+  /// shares that edge or face, so the masters are P's corners (k & ~D) | s
+  /// for s ⊆ D, each of weight 1 / 2^|D|. Every other corner of the element
+  /// on that edge or face hangs too, or is corner k, P's own, so the row
+  /// holds the masters at exactly those corners.
+  Slot slot(std::size_t e, int c) const {
+    const std::int64_t* row = element_nodes.data() + e * Topo<Dim>::num_corners;
+    const unsigned code = element_code[e];
+    Slot s;
+    if (((code >> c) & 1u) == 0) {
+      s.c[0] = Contrib{row[c], 1.0};
+      s.n = 1;
+      return s;
+    }
+    const unsigned k = code >> 8;
+    const unsigned d = static_cast<unsigned>(c) ^ k;
+    const double w = 1.0 / static_cast<double>(1u << std::popcount(d));
+    unsigned sub = 0;  // the subsets of d, in increasing order
+    do {
+      // Insertion sort of at most four: std::sort on the fixed array trips
+      // GCC 12's -Warray-bounds in sanitizer builds.
+      const Contrib x{row[(k & ~d) | sub], w};
+      std::size_t j = s.n++;
+      for (; j > 0 && s.c[j - 1].gid > x.gid; --j) s.c[j] = s.c[j - 1];
+      s.c[j] = x;
+      sub = (sub - d) & d;
+    } while (sub != 0);
+    return s;
   }
-  /// Number of local elements the slots cover.
-  std::size_t num_elements() const {
-    return slot_offsets.empty() ? 0 : (slot_offsets.size() - 1) / Topo<Dim>::num_corners;
-  }
+  /// Number of local elements the rows cover.
+  std::size_t num_elements() const { return element_code.size(); }
 
   std::int64_t num_owned = 0;
   std::int64_t owned_offset = 0;  ///< my ids are [owned_offset, owned_offset + num_owned)
@@ -71,7 +110,7 @@ struct NodeNumbering {
   std::vector<std::int64_t> rank_offsets;
   /// Canonical keys of the nodes this rank owns, indexed by gid - owned_offset.
   std::vector<Key> owned_keys;
-  /// Canonical key of every gid referenced by this rank's element slots
+  /// Canonical key of every gid referenced by this rank's element rows
   /// (owned or not), sorted by gid. Lets local code compute node positions
   /// (e.g. boundary values) without further communication.
   std::vector<std::pair<std::int64_t, Key>> gid_keys;
@@ -101,8 +140,8 @@ struct NodeNumbering {
   /// Incremental build after a tracked adapt step (collective). It runs the
   /// same engine as build(), but only on the elements with a corner in the
   /// closed delta, in some tree frame; owned nodes whose every touching leaf
-  /// is unchanged survive with their relative order intact, so the reused
-  /// contribution lists only need a monotone gid remap. The result — ids
+  /// is unchanged survive with their relative order intact, so a reused
+  /// row keeps its code and only needs its gids remapped. The result — ids
   /// included — is identical to a full build() on the new forest. Falls back to build() (and recaptures
   /// the cache) when the cache is invalid, the partition changed, or the
   /// delta overflowed; the decision is collective. Returns the numbering now

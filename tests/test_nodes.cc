@@ -79,20 +79,37 @@ std::map<std::int64_t, std::array<double, 3>> gather_node_positions(
   return table;
 }
 
-/// Check partition of unity and linear reproduction on an affine mesh, and
-/// the one-hop slot shape of a 2:1-balanced forest: an independent corner
+/// Check partition of unity and linear reproduction on an affine mesh, the
+/// one-hop slot shape of a 2:1-balanced forest — an independent corner
 /// holds its own gid with weight 1, a hanging one the 2 or 4 distinct corners
-/// of its constraining edge or face with weight exactly 1/2 or 1/4.
+/// of its constraining edge or face with weight exactly 1/2 or 1/4 — and the
+/// rows behind it: the code's bit c is set iff corner c hangs, its bits 8-10
+/// hold the child id, and the row holds an independent corner's own node and
+/// a hanging corner's parent's corner c.
 template <int Dim>
 void expect_linear_reproduction(const Forest<Dim>& f, const NodeNumbering<Dim>& nodes) {
+  constexpr int nc = Topo<Dim>::num_corners;
   const auto table = gather_node_positions(f.comm(), f.conn(), nodes);
   const auto lin = [](const std::array<double, 3>& x) {
     return 0.7 + 1.3 * x[0] - 0.4 * x[1] + 2.1 * x[2];
   };
+  ASSERT_EQ(nodes.num_elements(), static_cast<std::size_t>(f.num_local()));
+  ASSERT_EQ(nodes.element_nodes.size(), nodes.num_elements() * nc);
   std::size_t li = 0;
   f.for_each_local([&](int t, const Octant<Dim>& o) {
-    for (int c = 0; c < Topo<Dim>::num_corners; ++c) {
+    const unsigned code = nodes.element_code[li];
+    EXPECT_EQ(code >> 8, static_cast<unsigned>(o.child_id()));
+    for (int c = 0; c < nc; ++c) {
       const auto slot = nodes.slot(li, c);
+      const std::int64_t node = nodes.element_nodes[li * nc + static_cast<std::size_t>(c)];
+      EXPECT_EQ(((code >> c) & 1u) != 0, slot.size() > 1) << "corner " << c;
+      if (slot.size() == 1) {
+        EXPECT_EQ(node, slot.begin()->gid);
+      } else {
+        ASSERT_TRUE(table.count(node));
+        const auto want = physical_point<Dim>(f.conn(), t, o.parent().corner_point(c));
+        for (std::size_t d = 0; d < 3; ++d) EXPECT_NEAR(table.at(node)[d], want[d], 1e-12);
+      }
       ASSERT_FALSE(slot.empty());
       EXPECT_TRUE(slot.size() == 1 || slot.size() == 2 || slot.size() == 4) << slot.size();
       double wsum = 0.0, value = 0.0;
@@ -403,25 +420,18 @@ INSTANTIATE_TEST_SUITE_P(Sizes, NodesGolden, ::testing::Values(1, 3, 4, 7));
 
 namespace {
 
-/// The walker path's record against the lookup path's: the owner, and for a
-/// hanging point the constraining leaf, its frame and owner and the point in
-/// that frame; then the masters and ask rank expanded from each record.
+static_assert(sizeof(detail::PointRecord<3>) == 12);
+
+/// The walker path's record against the lookup path's: the owner, the
+/// hanging flag, and the constraining leaf's level and owner (the rank asked
+/// for the masters).
 template <int Dim>
-void expect_same_record(const detail::NodeClassifier<Dim>& cl, const detail::PointRecord<Dim>& got,
-                        const detail::PointRecord<Dim>& want, const char* name) {
+void expect_same_record(const detail::PointRecord<Dim>& got, const detail::PointRecord<Dim>& want,
+                        const char* name) {
   EXPECT_EQ(got.owner, want.owner) << name;
   ASSERT_EQ(got.hanging(), want.hanging()) << name;
-  if (!want.hanging()) return;
-  EXPECT_EQ(got.tree, want.tree) << name;
-  EXPECT_EQ(got.leaf, want.leaf) << name;
+  EXPECT_EQ(got.leaf_level, want.leaf_level) << name;
   EXPECT_EQ(got.leaf_owner, want.leaf_owner) << name;
-  EXPECT_EQ(got.pt, want.pt) << name;
-  using Masters = std::array<typename NodeNumbering<Dim>::Key, detail::NodeClassifier<Dim>::kMaxMasters>;
-  Masters got_m{}, want_m{};
-  const int n = cl.masters(want, want_m);
-  ASSERT_EQ(cl.masters(got, got_m), n) << name;
-  EXPECT_TRUE(n == 2 || n == 4) << name;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) EXPECT_EQ(got_m[i], want_m[i]) << name;
 }
 
 /// Walk every tree of a balanced, partitioned forest with all local leaves
@@ -477,7 +487,7 @@ void check_corner_iterator(const Forest<Dim>& f, const char* name) {
         }
         EXPECT_TRUE(touches_marked) << name;
         if (want.count(adj.pt) != 0) {
-          expect_same_record(cl, cl.classify_adjacency(t, adj), cl.classify(t, adj.pt), name);
+          expect_same_record(cl.classify_adjacency(t, adj), cl.classify(t, adj.pt), name);
         }
       });
       for (const auto& [pt, n] : seen) EXPECT_EQ(n, 1) << name << " tree " << t;
@@ -546,7 +556,10 @@ TEST_P(NodesIterate, EqualCoarseLeavesTieToTheFirstQuadrant) {
   // Refining the two level-1 octants (0, 0, 0) and (h, h, 0) of the unit cube
   // leaves the midpoint of the z edge at x = y = h hanging on two level-1
   // leaves at once, (h, 0, 0) and (0, h, 0). The first in quadrant order,
-  // (0, h, 0) (below the point along x), constrains it on both paths.
+  // (0, h, 0) (below the point along x), constrains it on both paths. The
+  // record keeps only that leaf's level and owner, so the rule shows only
+  // where the two leaves sit on different ranks: at P = 8 ((h, 0, 0) on rank
+  // 2, (0, h, 0) on rank 3), not at P = 3, 4 or 7, where one rank holds both.
   constexpr std::int32_t h = Octant<3>::root_len / 2;
   const std::array<std::int32_t, 3> pt{h, h, h / 2};
   Octant<3> first;
@@ -571,13 +584,12 @@ TEST_P(NodesIterate, EqualCoarseLeavesTieToTheFirstQuadrant) {
       ++visits;
       const auto rec = cl.classify_adjacency(0, adj);
       ASSERT_TRUE(rec.hanging());
-      EXPECT_EQ(rec.leaf, first);
-      EXPECT_EQ(rec.pt, pt);
+      EXPECT_EQ(rec.leaf_level, first.level);
       const auto it = std::find_if(dir.begin(), dir.end(),
                                    [&](const LeafRef<3>& l) { return l.oct == first; });
       ASSERT_NE(it, dir.end());
       EXPECT_EQ(rec.leaf_owner, it->owner);
-      expect_same_record(cl, rec, cl.classify(0, pt), "edge_tie");
+      expect_same_record(rec, cl.classify(0, pt), "edge_tie");
     });
     // Every rank owning a leaf at the point walks it; the others skip it.
     bool touches = false;
@@ -593,4 +605,4 @@ TEST_P(NodesIterate, EqualCoarseLeavesTieToTheFirstQuadrant) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, NodesIterate, ::testing::Values(1, 3, 4, 7));
+INSTANTIATE_TEST_SUITE_P(Sizes, NodesIterate, ::testing::Values(1, 3, 4, 7, 8));
